@@ -12,7 +12,10 @@ import pytest
 from steerkit.linalg import dagger
 from steerkit.sdp import (
     SdpProblem,
+    _expand_free,
     _herm_basis,
+    _Layout,
+    _schur_complement,
     hermitian_embed,
     hermitian_unembed,
     smat,
@@ -250,6 +253,108 @@ class TestIterateProperties:
         assert a.status == b.status == "optimal"
         assert a.primal_objective == b.primal_objective
         assert all(np.array_equal(xa, xb) for xa, xb in zip(a.x, b.x))
+
+
+def _random_coefficient(n, kind, gen):
+    if kind == "free":
+        return gen.standard_normal(n)
+    if kind == "herm":
+        return random_hermitian(n, gen)
+    m = gen.standard_normal((n, n))
+    return 0.5 * (m + m.T)
+
+
+class TestSchurComplement:
+    def test_matches_dense_symmetric_kronecker(self):
+        # herm blocks of two sizes, a sym block, and a free block that
+        # becomes 1x1 sym pairs; the herm 2 blocks touch 4, 4 and 3 rows,
+        # so their group is multiplied in two batches
+        gen = rng(31)
+        shapes = [(2, "herm"), (2, "herm"), (3, "herm"), (2, "herm"), (2, "sym"), (2, "free")]
+        touched = [{0, 1, 2, 4, 5}, {0, 1, 3}, {0, 2, 5}, {1, 4}, {0, 1, 2, 3, 4, 5}, {3, 5}]
+        p = SdpProblem()
+        for n, kind in shapes:
+            p.add_block(n, kind)
+        for row in touched:
+            p.add_scalar_constraint({i: _random_coefficient(*shapes[i], gen) for i in sorted(row)},
+                                    float(gen.standard_normal()))
+        layout = _Layout(_expand_free(p)[0])
+        assert {(g.kind, g.edim) for g in layout.groups} == {
+            ("herm", 4), ("herm", 6), ("sym", 2), ("sym", 1)}
+        assert max(len(g.batches) for g in layout.groups) >= 2
+
+        ws = []
+        for g in layout.groups:
+            f = gen.standard_normal((len(g.members), g.edim, g.edim))
+            ws.append(f @ f.transpose(0, 2, 1) + 0.1 * np.eye(g.edim))
+        got = _schur_complement(layout, ws)
+
+        k = np.zeros((layout.total, layout.total))
+        for g, w in zip(layout.groups, ws):
+            for wb, i in zip(w, g.members):
+                lo, hi = layout.offsets[i], layout.offsets[i + 1]
+                k[lo:hi, lo:hi] = np.column_stack(
+                    [svec(wb @ smat(e, g.edim) @ wb) for e in np.eye(hi - lo)])
+        ref = layout.a_mat @ k @ layout.a_mat.T
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def mixed_problem(gen, shapes):
+    """Known-optimum problem over several blocks of different shapes.
+
+    Each block gets complementary primal and dual solutions of
+    complementary rank; every row touches all blocks except the last two
+    rows, which touch one block each, so blocks differ in row count."""
+    x_stars, s_stars = [], []
+    for n, kind in shapes:
+        g = gen.standard_normal((n, n))
+        if kind == "herm":
+            g = g + 1j * gen.standard_normal((n, n))
+        q, _ = np.linalg.qr(g)
+        r = n // 2 or 1
+        x_stars.append(q[:, :r] @ np.diag(gen.uniform(0.5, 2.0, r)) @ dagger(q[:, :r]))
+        s_stars.append(q[:, r:] @ np.diag(gen.uniform(0.5, 2.0, n - r)) @ dagger(q[:, r:]))
+    faces = sum((n // 2) ** 2 if kind == "herm" else (n // 2) * (n // 2 + 1) // 2
+                for n, kind in shapes)
+    rows = [list(range(len(shapes)))] * (faces + 2) + [[0], [len(shapes) - 1]]
+    a_rows = [{i: _random_coefficient(*shapes[i], gen) for i in row} for row in rows]
+    y_star = gen.standard_normal(len(rows))
+    c = [s_stars[i] + sum(yk * ak[i] for yk, ak in zip(y_star, a_rows) if i in ak)
+         for i in range(len(shapes))]
+    opt = sum(float(np.trace(ci @ xi).real) for ci, xi in zip(c, x_stars))
+
+    p = SdpProblem()
+    for n, kind in shapes:
+        p.add_block(n, kind)
+    p.set_objective(dict(enumerate(c)), sense="min")
+    for ak in a_rows:
+        p.add_scalar_constraint(ak, sum(float(np.trace(m @ x_stars[i]).real) for i, m in ak.items()))
+    return p, opt, x_stars
+
+
+class TestMixedShapes:
+    def test_known_optimum_across_groups(self):
+        gen = rng(32)
+        p, opt, x_stars = mixed_problem(gen, [(2, "herm"), (3, "herm"), (2, "sym")])
+        sol = solve(p, tol=1e-9)
+        assert sol.status == "optimal"
+        assert abs(sol.primal_objective - opt) <= 1e-6 * (1.0 + abs(opt))
+        for xb, x_star in zip(sol.x, x_stars):
+            assert np.max(np.abs(xb - x_star)) <= 1e-4 * max(1.0, np.abs(x_star).max())
+        again = solve(p, tol=1e-9)
+        assert again.status == "optimal"
+        assert again.primal_objective == sol.primal_objective
+        assert all(np.array_equal(xa, xb) for xa, xb in zip(sol.x, again.x))
+
+
+class TestMaxIterations:
+    def test_exit_reports_completed_iterations(self):
+        gen = rng(16)
+        p, _, _ = constructed_problem(4, 3, gen, True)
+        assert solve(p).iterations > 3
+        sol = solve(p, max_iters=3)
+        assert sol.status == "indeterminate"
+        assert sol.iterations == 3
 
 
 # --- ADMM first-order oracle ---
