@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -59,7 +58,6 @@ class RunConfig:
     subcommand: str
     tol: float
     seed: int
-    threads: int
     out: str | None
 
     def __post_init__(self) -> None:
@@ -81,12 +79,6 @@ class _Parser(argparse.ArgumentParser):
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker cap for parallelizable steps (default: STEERKIT_THREADS or core count)",
-    )
     parser.add_argument("--out", default=None, help="write the report to this file")
 
 
@@ -165,27 +157,10 @@ def build_parser() -> _Parser:
     _common(c)
 
     p = subs.add_parser("reproduce", help="regression table of the library's reference numbers")
-    p.add_argument("--table", choices=("paper", "reference"), default="paper")
+    p.add_argument("--table", choices=("paper",), default="paper")
     _common(p)
 
     return parser
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        value = args.threads
-    else:
-        env = os.environ.get("STEERKIT_THREADS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ValueError(f"STEERKIT_THREADS must be an integer, got {env!r}") from None
-        else:
-            value = os.cpu_count() or 1
-    if value < 1:
-        raise ValueError("thread count must be positive")
-    return value
 
 
 def _cmd_fef(args, config: RunConfig):
@@ -306,8 +281,6 @@ def _cmd_game(args, config: RunConfig):
         game = kv_game(args.n, args.eta)
         fam = kv_measurements(args.n)
         frac = kv_fraction(args.n, args.eta)
-        from .functionals import BellFunctional
-
         return {
             "kind": "kv",
             "n": game.n,
@@ -484,13 +457,11 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     out = getattr(args, "out", None)
-    current_path = None
     try:
         config = RunConfig(
             subcommand=args.subcommand,
             tol=getattr(args, "tol", 1e-9),
             seed=getattr(args, "seed", 0),
-            threads=_threads(args),
             out=out,
         )
         payload, code = _DISPATCH[args.subcommand](args, config)

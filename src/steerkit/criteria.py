@@ -100,17 +100,21 @@ class IsotropicThresholds:
     fef_steer: float
 
 
+def _p_povm(d: int) -> float:
+    """Isotropic mixing level below which general measurements cannot steer."""
+    return (3.0 * d - 1.0) / (d * d - 1.0) * (1.0 - 1.0 / d) ** d
+
+
 def isotropic_thresholds(d: int) -> IsotropicThresholds:
     if d < 2:
         raise ValueError("thresholds need d >= 2")
     h = harmonic(d)
-    p_povm = (3.0 * d - 1.0) / (d * d - 1.0) * (1.0 - 1.0 / d) ** d
     return IsotropicThresholds(
         d=d,
         h_d=h,
         p_ent=1.0 / (d + 1.0),
         p_steer=(h - 1.0) / (d - 1.0),
-        p_povm=p_povm,
+        p_povm=_p_povm(d),
         fef_steer=(h + h * d - d) / float(d * d),
     )
 
@@ -154,8 +158,7 @@ def lvs_upper_povm(d: int) -> float:
     arbitrary measurements; scales as e*d/3 for large d."""
     if d < 2:
         raise ValueError("bound needs d >= 2")
-    p_povm = (3.0 * d - 1.0) / (d * d - 1.0) * (1.0 - 1.0 / d) ** d
-    return d * d / ((d * d - 1.0) * p_povm + 1.0)
+    return d * d / ((d * d - 1.0) * _p_povm(d) + 1.0)
 
 
 @dataclass(frozen=True)

@@ -226,22 +226,17 @@ def steering_bound(func: SteeringFunctional) -> SteeringBound:
 
 
 def steering_bound_sdp(func: SteeringFunctional, tol: float = 1e-9) -> float:
-    """Steering bound as a conic program: min t with t*I dominating every
-    deterministic strategy sum.  Cross-validates the enumeration."""
+    """Steering bound as a conic program: max sum_k tr(S_k rho_k) over PSD
+    rho_k of total trace 1, S_k the deterministic strategy sums.
+    Cross-validates the enumeration."""
     f = func.operators
     m, o, d = func.settings, func.outcomes, func.dim
     strategies = all_strategies(m, o, cap=4096)
     p = SdpProblem()
-    t = p.add_block(1, "free")
-    p.set_objective({t: [1.0]}, sense="min")
-    for strat in strategies:
-        summed = herm(f[np.arange(m), strat].sum(axis=0))
-        slack = p.add_block(d, "herm")
-        for basis in _herm_basis(d, complex_blocks=True):
-            p.add_scalar_constraint(
-                {slack: basis, t: [-float(np.trace(basis).real)]},
-                -float(np.trace(basis @ summed).real),
-            )
+    blocks = [p.add_block(d) for _ in strategies]
+    p.set_objective({blk: herm(f[np.arange(m), strat].sum(axis=0))
+                     for blk, strat in zip(blocks, strategies)}, sense="max")
+    p.add_scalar_constraint({blk: np.eye(d) for blk in blocks}, 1.0)
     sol = solve(p, tol=tol)
     if sol.status != "optimal":
         raise RuntimeError(f"steering bound solve ended {sol.status}")
@@ -317,7 +312,7 @@ def _optimal_povm_sdp(g: np.ndarray, tol: float) -> tuple[float, np.ndarray, flo
     """max sum_a tr(E_a G_a) over POVMs, via the conic solver."""
     o, d = g.shape[0], g.shape[1]
     p = SdpProblem()
-    blocks = [p.add_block(d, "herm") for _ in range(o)]
+    blocks = [p.add_block(d) for _ in range(o)]
     p.set_objective({blk: herm(g[a], tol=1e-8) for a, blk in enumerate(blocks)}, sense="max")
     p.add_matrix_equality({blk: 1.0 for blk in blocks}, np.eye(d))
     sol = solve(p, tol=tol)
@@ -407,8 +402,6 @@ def _optimal_povm(g: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
 
 
 def _random_projective(d: int, settings: int, gen) -> np.ndarray:
-    from .linalg import haar_unitary
-
     eff = np.empty((settings, d, d, d), dtype=complex)
     for x in range(settings):
         u = haar_unitary(d, gen)
@@ -578,7 +571,7 @@ def best_rotated_fraction(
         q = np.einsum("uqp,xaqr,urs->uxaps", batch, ops, batch.conj())
         return np.einsum("uxaki,uxalj,ijkl->u", p, q, rho4).real
 
-    gens = np.stack(list(_herm_basis(d, complex_blocks=True)))
+    gens = _herm_basis(d)
     eps = 1e-4
     twists = [
         (np.asarray(_expi_herm(g, eps)), np.asarray(_expi_herm(g, -eps))) for g in gens

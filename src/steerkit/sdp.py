@@ -1,35 +1,36 @@
-"""Small dense semidefinite solver.
+"""Small dense semidefinite solver over complex Hermitian blocks.
 
 Primal-dual path-following interior-point method on the homogeneous
 self-dual embedding, with Nesterov-Todd scaling and a Mehrotra
-predictor-corrector step. The cone is a product of PSD blocks; equality
-constraints are the only affine constraints. That is exactly the shape of
-every program in this package (POVM optimization, LHS membership, the three
-steering monotones), so no free cones or second-order cones are supported.
+predictor-corrector step. The cone is a product of Hermitian PSD blocks;
+equality constraints are the only affine constraints. That is exactly the
+shape of every program in this package (POVM optimization, LHS membership,
+the three steering monotones), so no free or second-order cones are
+supported.
 
 Standard form handled internally:
 
     minimize    <c, x>
-    subject to  A x = b,   x in K = S_+^{n_1} x ... x S_+^{n_k}
+    subject to  A x = b,   x in K = H_+^{n_1} x ... x H_+^{n_k}
 
-Hermitian blocks are stated by the caller in complex form and handled through
-the real symmetric embedding H = A + iB -> [[A, -B], [B, A]]; data matrices
-are embedded with a factor 1/2 so inner products match the complex model, and
-solutions are mapped back. Eigenvalues of the embedded matrix are those of H,
-each twice, which is what makes the cone constraint equivalent.
+Coordinates. A Hermitian n x n block is a real svec vector of length n^2:
+the diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper triangle,
+so that svec(A) . svec(B) = tr(AB). The unit vectors of these coordinates
+are the orthonormal Hermitian basis E_p (`_herm_basis`). Data go in and
+solutions come out at the caller's scale.
 
-Stacked blocks. At set-up the blocks are grouped by (kind, embedded
-dimension e), and each group keeps the gather indices of its blocks into the
-svec vector. Splitting a vector into matrices is one gather per group giving
-a (B, e, e) stack, and joining is one scatter. Every per-block step of an
-iteration (NT scaling, step length, corrector, commutant projection, the
-line-search Cholesky test) is one batched numpy call per group.
+Stacked blocks. At set-up the blocks are grouped by dimension, and each
+group keeps the positions of its blocks' coordinates in the svec vector.
+Splitting a vector into matrices is one gather per group giving a
+(B, n, n) complex stack, and joining is one scatter per group. Every per-block step of an
+iteration (NT scaling, step length, corrector, the line-search Cholesky
+test) is one batched numpy call per group.
 
 Schur complement. With W_b the NT scaling point of block b, the Schur matrix
 is M = sum_b A_b K_b A_b^T, where K_b is the svec matrix of X -> W_b X W_b,
-the symmetric Kronecker product W_b (*) W_b. The constraint data are kept per
-block in compact form: A_b holds only the rows that touch block b. Blocks of
-one group with equal row counts are multiplied as one stack, and all the
+column p being svec(W_b E_p W_b). The constraint data are kept per block in
+compact form: A_b holds only the rows that touch block b. Blocks of one
+group with equal row counts are multiplied as one stack, and all the
 products are scattered into M by a single bincount. These are the block
 sparse formulas of Fujisawa, Kojima & Nakata (Math. Prog. 79, 1997) for the
 NT direction of Todd, Toh & Tutuncu (SIAM J. Optim. 8, 1998).
@@ -41,7 +42,7 @@ iterates and solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import json
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -49,120 +50,90 @@ import numpy as np
 from .linalg import herm
 
 _STEP_FRACTION = 0.98
-_SVEC_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# Weight of the homogenizing pair (tau, kappa) in the duality measure
+# mu = (<x, s> + tau kappa) / (nu + _PAIR): the central path is X S = mu I on
+# every block and tau kappa = _PAIR mu, and the start X = I, S = I / _PAIR,
+# tau = kappa = 1 lies on it. The weight 1/2 is the path of the real 2n x 2n
+# embedding of each block (which doubles every block's degree), the path on
+# which the package's tolerances were set.
+_PAIR = 0.5
 
 
+@lru_cache(maxsize=None)
 def _svec_index(n: int):
-    try:
-        return _SVEC_CACHE[n]
-    except KeyError:
-        rows, cols = np.triu_indices(n)
-        w = np.where(rows == cols, 1.0, np.sqrt(2.0))
-        _SVEC_CACHE[n] = (rows, cols, w)
-        return _SVEC_CACHE[n]
+    """Index tables of the n x n svec coordinates.
+
+    `pos`, `w`: flat positions of the coordinates in the (n, n, 2) real view
+    of a complex matrix, and their weights. `unpack`, `scale`: for every
+    entry of that view, the coordinate it is read from and the factor."""
+    rows, cols = np.triu_indices(n, 1)
+    k, diag, r = len(rows), np.arange(n), 1.0 / np.sqrt(2.0)
+    upper = 2 * (rows * n + cols)
+    pos = np.concatenate([2 * diag * (n + 1), upper, upper + 1])
+    w = np.concatenate([np.ones(n), np.full(2 * k, np.sqrt(2.0))])
+    unpack = np.zeros((n, n, 2), dtype=int)
+    scale = np.zeros((n, n, 2))
+    unpack[diag, diag, 0], scale[diag, diag, 0] = diag, 1.0
+    unpack[rows, cols, 0] = unpack[cols, rows, 0] = n + np.arange(k)
+    unpack[rows, cols, 1] = unpack[cols, rows, 1] = n + k + np.arange(k)
+    scale[rows, cols] = scale[cols, rows, 0] = r
+    scale[cols, rows, 1] = -r
+    return pos, w, unpack, scale
 
 
 def svec(m: np.ndarray) -> np.ndarray:
-    """Isometric vectorization of a real symmetric matrix (scaled upper triangle).
+    """Isometric real coordinates of a Hermitian matrix or a (..., n, n) stack.
 
-    Accepts a single matrix or a (..., n, n) stack."""
+    Only the diagonal and the upper triangle are read."""
+    m = np.ascontiguousarray(m, dtype=np.complex128)
     n = m.shape[-1]
-    rows, cols, w = _svec_index(n)
-    return m[..., rows, cols] * w
+    pos, w, _, _ = _svec_index(n)
+    return m.view(np.float64).reshape(m.shape[:-2] + (2 * n * n,))[..., pos] * w
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
-    rows, cols, w = _svec_index(n)
-    m = np.zeros((n, n))
-    u = v / w
-    m[rows, cols] = u
-    m[cols, rows] = u
-    return m
+    """Hermitian matrix (or stack) with svec coordinates v."""
+    _, _, unpack, scale = _svec_index(n)
+    return np.ascontiguousarray(v[..., unpack] * scale).view(np.complex128)[..., 0]
 
 
-def _tr(m: np.ndarray) -> np.ndarray:
-    return m.swapaxes(-1, -2)
+@lru_cache(maxsize=None)
+def _herm_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the Hermitian n x n matrices, in svec order (read-only)."""
+    basis = smat(np.eye(n * n), n)
+    basis.flags.writeable = False
+    return basis
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + _tr(m))
-
-
-def hermitian_embed(h: np.ndarray) -> np.ndarray:
-    """Real symmetric embedding of a Hermitian matrix or a (..., n, n) stack.
-
-    H = A + iB maps to [[A, -B], [B, A]]; the embedded spectrum is the
-    spectrum of H with every eigenvalue doubled.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    n = h.shape[-1]
-    out = np.empty(h.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, :n] = h.real
-    out[..., n:, n:] = h.real
-    out[..., n:, :n] = h.imag
-    out[..., :n, n:] = -h.imag
-    return out
-
-
-def hermitian_unembed(y: np.ndarray) -> np.ndarray:
-    """Project a real symmetric 2n x 2n matrix (or stack) back to complex Hermitian form."""
-    n = y.shape[-1] // 2
-    a = 0.5 * (y[..., :n, :n] + y[..., n:, n:])
-    b = 0.5 * (y[..., n:, :n] - y[..., :n, n:])
-    return 0.5 * (a + _tr(a)) + 0.5j * (b - _tr(b))
-
-
-@dataclass
-class _Block:
-    kind: str  # 'herm', 'sym', or 'free'
-    dim: int   # complex dimension for 'herm'; real dim for 'sym'; count for 'free'
-
-    @property
-    def edim(self) -> int:
-        return 2 * self.dim if self.kind == "herm" else self.dim
-
-    @property
-    def svec_len(self) -> int:
-        e = self.edim
-        return e * (e + 1) // 2
+def _ct(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
 class SdpProblem:
     """Incremental problem builder.
 
-    Blocks are PSD variables; constraints are scalar rows or matrix
-    equalities between scalar-weighted sums of blocks and a fixed matrix
-    (the matrix form is expanded into dim^2 scalar rows on an orthonormal
-    Hermitian basis, keeping the constraint matrix full row rank).
+    Blocks are Hermitian PSD variables; constraints are scalar rows or
+    matrix equalities between scalar-weighted sums of blocks and a fixed
+    matrix (the matrix form is expanded into dim^2 scalar rows on an
+    orthonormal Hermitian basis, keeping the constraint matrix full row
+    rank).
     """
 
     def __init__(self):
-        self.blocks: list[_Block] = []
+        self.blocks: list[int] = []   # block dimensions
         self._objective: dict[int, np.ndarray] = {}
         self.sense = "min"
         self._rows: list[tuple[dict[int, np.ndarray], float]] = []
 
-    def add_block(self, dim: int, kind: str = "herm") -> int:
-        """Add a variable block: a PSD matrix ('herm' complex, 'sym' real)
-        or a vector of unconstrained scalars ('free')."""
-        assert kind in ("herm", "sym", "free")
+    def add_block(self, dim: int) -> int:
+        """Add a dim x dim Hermitian PSD variable; returns its index."""
         assert dim >= 1
-        self.blocks.append(_Block(kind, dim))
+        self.blocks.append(dim)
         return len(self.blocks) - 1
 
     def _check_coeff(self, idx: int, m) -> np.ndarray:
-        blk = self.blocks[idx]
-        if blk.kind == "free":
-            a = np.asarray(m, dtype=float).reshape(-1)
-            assert a.shape == (blk.dim,)
-            return a
-        if blk.kind == "herm":
-            a = herm(np.asarray(m, dtype=np.complex128))
-        else:
-            a = np.asarray(m, dtype=float)
-            assert np.allclose(a, a.T, atol=1e-12), "sym block expects a symmetric matrix"
-            a = 0.5 * (a + a.T)
-        assert a.shape == (blk.dim, blk.dim)
+        a = herm(np.asarray(m, dtype=np.complex128))
+        assert a.shape == (self.blocks[idx],) * 2
         return a
 
     def set_objective(self, terms: dict[int, np.ndarray], sense: str = "min"):
@@ -177,142 +148,57 @@ class SdpProblem:
     def add_matrix_equality(self, terms: dict[int, float], rhs: np.ndarray):
         """sum_i coeff_i * X_i = rhs, all blocks and rhs of one common dimension."""
         idxs = list(terms)
-        dim = self.blocks[idxs[0]].dim
-        kind = self.blocks[idxs[0]].kind
-        assert kind != "free", "matrix equality applies to PSD blocks only"
-        for i in idxs:
-            assert self.blocks[i].dim == dim and self.blocks[i].kind == kind, \
-                "matrix equality mixes incompatible blocks"
-        r = self._check_coeff(idxs[0], rhs)
-        for basis in _herm_basis(dim, complex_blocks=(kind == "herm")):
-            row = {i: float(terms[i]) * basis for i in idxs}
-            self._rows.append((row, float(np.trace(basis @ r).real)))
+        dim = self.blocks[idxs[0]]
+        assert all(self.blocks[i] == dim for i in idxs), "matrix equality mixes block sizes"
+        for basis, value in zip(_herm_basis(dim), svec(self._check_coeff(idxs[0], rhs))):
+            self._rows.append(({i: float(terms[i]) * basis for i in idxs}, float(value)))
 
     @property
     def n_constraints(self) -> int:
         return len(self._rows)
 
 
-def _herm_basis(n: int, complex_blocks: bool):
-    """Orthonormal basis of Hermitian (or real symmetric) n x n matrices."""
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for j in range(n):
-        e = np.zeros((n, n), dtype=np.complex128)
-        e[j, j] = 1.0
-        yield e
-    for j in range(n):
-        for k in range(j + 1, n):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[j, k] = inv_sqrt2
-            e[k, j] = inv_sqrt2
-            yield e
-    if complex_blocks:
-        for j in range(n):
-            for k in range(j + 1, n):
-                e = np.zeros((n, n), dtype=np.complex128)
-                e[j, k] = -1j * inv_sqrt2
-                e[k, j] = 1j * inv_sqrt2
-                yield e
-
-
-def _expand_free(problem: SdpProblem) -> tuple[SdpProblem, list]:
-    """Rewrite 'free' blocks as differences of nonnegative scalar pairs.
-
-    Each free coordinate x becomes u - v with u, v >= 0, so the interior
-    point kernel only ever sees cone blocks. Returns the expanded problem
-    and a regrouping map used to fold solutions back to the caller's
-    block structure.
-    """
-    expanded = SdpProblem()
-    expanded.sense = problem.sense
-    groups: list = []
-    for blk in problem.blocks:
-        if blk.kind == "free":
-            pairs = []
-            for _ in range(blk.dim):
-                u = expanded.add_block(1, "sym")
-                v = expanded.add_block(1, "sym")
-                pairs.append((u, v))
-            groups.append(("free", pairs))
-        else:
-            groups.append(("keep", expanded.add_block(blk.dim, blk.kind)))
-
-    def translate(terms: dict) -> dict:
-        out = {}
-        for i, m in terms.items():
-            tag, ref = groups[i]
-            if tag == "keep":
-                out[ref] = m
-            else:
-                vec = np.asarray(m, dtype=float).reshape(-1)
-                for (u, v), cj in zip(ref, vec):
-                    out[u] = np.array([[cj]])
-                    out[v] = np.array([[-cj]])
-        return out
-
-    expanded._objective = {i: expanded._check_coeff(i, m)
-                           for i, m in translate(problem._objective).items()}
-    for terms, rhs in problem._rows:
-        expanded._rows.append(({i: expanded._check_coeff(i, m)
-                                for i, m in translate(terms).items()}, rhs))
-    return expanded, groups
-
-
 @dataclass
 class SdpSolution:
-    status: str                      # optimal | primal_infeasible | dual_infeasible | indeterminate
-    x: list[np.ndarray] | None       # primal blocks in the caller's (complex) form
-    y: np.ndarray | None             # equality multipliers
-    s: list[np.ndarray] | None       # dual slack blocks
-    primal_objective: float | None   # in the caller's sense
-    dual_objective: float | None
-    gap: float | None                # absolute duality gap, caller's sense
-    rel_gap: float | None
+    status: str                             # optimal | primal_infeasible | dual_infeasible | indeterminate
+    x: list[np.ndarray] | None = None       # primal blocks
+    y: np.ndarray | None = None             # equality multipliers
+    s: list[np.ndarray] | None = None       # dual slack blocks
+    primal_objective: float | None = None   # in the caller's sense
+    dual_objective: float | None = None
+    gap: float | None = None                # absolute duality gap, caller's sense
+    rel_gap: float | None = None
     iterations: int = 0
-    certificate: dict | None = None  # Farkas ray for infeasible statuses
+    certificate: dict | None = None         # Farkas ray for infeasible statuses
     trace: list[dict] = field(default_factory=list)
-
-
-def _svec_data(block: _Block, mats: np.ndarray) -> np.ndarray:
-    """svec rows of a (k, n, n) stack of data matrices of one block.
-
-    'herm' data get the 1/2-scaled embedding so <emb(A), emb(X)> = tr(AX)."""
-    if block.kind == "herm":
-        return svec(0.5 * hermitian_embed(mats))
-    return svec(np.asarray(mats, dtype=float))
 
 
 @dataclass
 class _Group:
-    """Blocks of one (kind, embedded dimension), handled as one stack."""
-    kind: str
-    edim: int
+    """Blocks of one dimension, handled as one stack."""
+    dim: int
     members: np.ndarray   # block indices, in problem order
-    gather: np.ndarray    # (B, e, e) positions of each matrix entry in the svec vector
-    scale: np.ndarray     # (e, e) svec weights: 1 on the diagonal, sqrt(2) off it
-    scatter: np.ndarray   # (B, t) positions of each block's svec coordinates
-    # Compact constraint rows: for the members sel with n rows each,
-    # coef[j] = A_b (n x t) for block members[sel[j]].
+    coords: np.ndarray    # (B, n^2) positions of each block's svec coordinates
+    gather: np.ndarray    # (B, n, n, 2) coordinate read for each real and imaginary part
+    scale: np.ndarray     # (n, n, 2) factor applied to it
+    # Compact constraint rows: for the members sel with k rows each,
+    # coef[j] = A_b (k x n^2) for block members[sel[j]].
     batches: list[tuple[np.ndarray, np.ndarray]]
 
 
 class _Layout:
-    """Problem data in embedded svec coordinates, grouped into stacks.
-
-    The problem must hold cone blocks only ('free' blocks expanded first).
-    """
+    """Problem data in svec coordinates, grouped into stacks."""
 
     def __init__(self, problem: SdpProblem):
-        blocks = problem.blocks
-        self.blocks = blocks
+        dims = problem.blocks
+        self.blocks = dims
         self.sign = 1.0 if problem.sense == "min" else -1.0
-        lens = [blk.svec_len for blk in blocks]
-        self.offsets = np.concatenate([[0], np.cumsum(lens)]).astype(int)
+        self.offsets = np.concatenate([[0], np.cumsum([n * n for n in dims])]).astype(int)
         self.total = int(self.offsets[-1])
-        self.nu = float(sum(blk.edim for blk in blocks))
+        self.nu = float(sum(dims))
         nrows = self.nrows = problem.n_constraints
 
-        touching: list[list[tuple[int, np.ndarray]]] = [[] for _ in blocks]
+        touching: list[list[tuple[int, np.ndarray]]] = [[] for _ in dims]
         for r, (terms, _) in enumerate(problem._rows):
             for i, m in terms.items():
                 touching[i].append((r, m))
@@ -320,28 +206,23 @@ class _Layout:
         self.c = np.zeros(self.total)
         self.a_mat = np.zeros((nrows, self.total))
         rows_of, coef_of = [], []
-        for i, blk in enumerate(blocks):
+        for i, n in enumerate(dims):
             sl = slice(self.offsets[i], self.offsets[i + 1])
             if i in problem._objective:
-                self.c[sl] = self.sign * _svec_data(blk, problem._objective[i][np.newaxis])[0]
+                self.c[sl] = self.sign * svec(problem._objective[i])
             rows = np.array([r for r, _ in touching[i]], dtype=int)
-            coef = (_svec_data(blk, np.stack([m for _, m in touching[i]]))
-                    if len(rows) else np.zeros((0, lens[i])))
+            coef = svec(np.stack([m for _, m in touching[i]])) if len(rows) else np.zeros((0, n * n))
             self.a_mat[rows, sl] = coef
             rows_of.append(rows)
             coef_of.append(coef)
 
-        by_shape: dict[tuple[str, int], list[int]] = {}
-        for i, blk in enumerate(blocks):
-            by_shape.setdefault((blk.kind, blk.edim), []).append(i)
+        by_dim: dict[int, list[int]] = {}
+        for i, n in enumerate(dims):
+            by_dim.setdefault(n, []).append(i)
         self.groups: list[_Group] = []
         schur_index = []
-        for (kind, e), members in by_shape.items():
+        for n, members in by_dim.items():
             members = np.array(members)
-            rows, cols, w = _svec_index(e)
-            pos = np.empty((e, e), dtype=int)
-            pos[rows, cols] = pos[cols, rows] = np.arange(len(rows))
-            starts = self.offsets[members]
             by_count: dict[int, list[int]] = {}
             for j, i in enumerate(members):
                 by_count.setdefault(len(rows_of[i]), []).append(j)
@@ -352,65 +233,53 @@ class _Layout:
                 r = np.stack([rows_of[members[j]] for j in sel])
                 batches.append((np.array(sel), np.stack([coef_of[members[j]] for j in sel])))
                 schur_index.append((r[:, :, np.newaxis] * nrows + r[:, np.newaxis, :]).ravel())
+            start = self.offsets[members]
+            _, _, unpack, scale = _svec_index(n)
             self.groups.append(_Group(
-                kind=kind, edim=e, members=members,
-                gather=starts[:, np.newaxis, np.newaxis] + pos, scale=w[pos],
-                scatter=starts[:, np.newaxis] + np.arange(len(rows)), batches=batches))
+                dim=n, members=members, batches=batches,
+                coords=start[:, np.newaxis] + np.arange(n * n),
+                gather=start[:, np.newaxis, np.newaxis, np.newaxis] + unpack, scale=scale))
         self.schur_index = np.concatenate(schur_index or [np.zeros(0, dtype=int)])
 
     def split(self, vec: np.ndarray) -> list[np.ndarray]:
-        """One (B, e, e) stack of symmetric matrices per group."""
-        return [vec[g.gather] / g.scale for g in self.groups]
+        """One (B, n, n) stack of Hermitian matrices per group (smat with one gather)."""
+        return [(vec[g.gather] * g.scale).view(np.complex128)[..., 0] for g in self.groups]
 
     def join(self, stacks: list[np.ndarray]) -> np.ndarray:
         out = np.empty(self.total)
         for g, m in zip(self.groups, stacks):
-            out[g.scatter] = svec(m)
+            out[g.coords] = svec(m)
         return out
 
-    def project(self, vec: np.ndarray) -> list[np.ndarray]:
-        """Split and kill roundoff drift of 'herm' blocks off the embedded subalgebra."""
-        return [hermitian_embed(hermitian_unembed(_sym(m))) if g.kind == "herm" else _sym(m)
-                for g, m in zip(self.groups, self.split(vec))]
-
-    def caller_blocks(self, vec: np.ndarray, dual: bool = False) -> list[np.ndarray]:
-        """Blocks in the caller's form and order.
-
-        Primal iterates are plain embeddings; dual slacks are combinations of
-        the 1/2-scaled data embeddings, so they fold back at twice the
-        unembedded value."""
+    def caller_blocks(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Blocks in the caller's order."""
         out: list = [None] * len(self.blocks)
         for g, m in zip(self.groups, self.split(vec)):
-            h = (2.0 if dual else 1.0) * hermitian_unembed(m) if g.kind == "herm" else _sym(m)
             for j, i in enumerate(g.members):
-                out[i] = h[j]
+                out[i] = m[j]
         return out
-
-
-def _skron(w: np.ndarray) -> np.ndarray:
-    """svec matrices of X -> W X W for a (B, e, e) stack: W (*) W, shape (B, t, t).
-
-    Entry (q, p), with q = (k, l) and p = (i, j) upper-triangle pairs, is
-    s_q s_p / 2 * (W_ki W_lj + W_kj W_li), s the svec weights."""
-    rows, cols, s = _svec_index(w.shape[-1])
-    rq, cq = rows[:, np.newaxis], cols[:, np.newaxis]
-    return (0.5 * np.outer(s, s)) * (w[:, rq, rows] * w[:, cq, cols] + w[:, rq, cols] * w[:, cq, rows])
 
 
 def _schur_complement(layout: _Layout, ws: list[np.ndarray]) -> np.ndarray:
     """M = sum_b A_b K_b A_b^T for the per-group stacks ws of scaling points W_b."""
     parts = []
     for g, w in zip(layout.groups, ws):
-        k = _skron(w)
+        n, t = g.dim, g.dim * g.dim
+        # W [E_1 ... E_t], then the W E_p stacked into rows times W: batched
+        # complex products cost one BLAS call per matrix, so this makes two
+        # calls per block rather than two per block and basis element
+        we = w @ _herm_basis(n).transpose(1, 0, 2).reshape(n, t * n)
+        wew = we.reshape(-1, n, t, n).transpose(0, 2, 1, 3).reshape(-1, t * n, n) @ w
+        k = svec(wew.reshape(-1, t, n, n))   # (B, t, t), symmetric
         for sel, coef in g.batches:
-            parts.append((coef @ k[sel] @ _tr(coef)).ravel())
+            parts.append((coef @ k[sel] @ coef.swapaxes(-1, -2)).ravel())
     n = layout.nrows
     weights = np.concatenate(parts or [np.zeros(0)])
     return np.bincount(layout.schur_index, weights, minlength=n * n).reshape(n, n)
 
 
 class _Nt(NamedTuple):
-    """NT scaling of a stack: R with R^T S R = R^-1 X R^-T = diag(lam), W = R R^T."""
+    """NT scaling of a stack: R with R^H S R = R^-1 X R^-H = diag(lam), W = R R^H."""
     lx_inv: np.ndarray   # inverses of the Cholesky factors of X and S
     ls_inv: np.ndarray
     r: np.ndarray
@@ -422,53 +291,35 @@ class _Nt(NamedTuple):
 def _nt_scaling(x: np.ndarray, s: np.ndarray) -> _Nt:
     lx = np.linalg.cholesky(x)
     ls = np.linalg.cholesky(s)
-    u, lam, vt = np.linalg.svd(_tr(ls) @ lx)
+    u, lam, vh = np.linalg.svd(_ct(ls) @ lx)
     lam = np.maximum(lam, 1e-300)
     isq = 1.0 / np.sqrt(lam)
-    r = lx @ _tr(vt) * isq[:, np.newaxis, :]
-    rinv = (isq[:, :, np.newaxis] * _tr(u)) @ _tr(ls)
-    return _Nt(np.linalg.inv(lx), np.linalg.inv(ls), r, rinv, r @ _tr(r), lam)
+    r = lx @ _ct(vh) * isq[:, np.newaxis, :]
+    rinv = (isq[:, :, np.newaxis] * _ct(u)) @ _ct(ls)
+    return _Nt(np.linalg.inv(lx), np.linalg.inv(ls), r, rinv, r @ _ct(r), lam)
 
 
 def _min_eig_along(l_inv: np.ndarray, d: np.ndarray) -> float:
-    """Smallest eigenvalue of L^-1 D L^-T over a stack; M + alpha D stays PSD
-    (M = L L^T) up to alpha = -1 / that value when it is negative."""
-    g = l_inv @ d @ _tr(l_inv)
-    return float(np.linalg.eigvalsh(_sym(g))[:, 0].min())
+    """Smallest eigenvalue of L^-1 D L^-H over a stack; M + alpha D stays PSD
+    (M = L L^H) up to alpha = -1 / that value when it is negative."""
+    g = l_inv @ d @ _ct(l_inv)
+    return float(np.linalg.eigvalsh(0.5 * (g + _ct(g)))[:, 0].min())
 
 
 def _diag(v: np.ndarray) -> np.ndarray:
     return v[..., np.newaxis] * np.eye(v.shape[-1])
 
 
-def solve(problem: SdpProblem, tol: float = 1e-8, max_iters: int = 100,
-          debug_path: str | None = None) -> SdpSolution:
+def solve(problem: SdpProblem, tol: float = 1e-8, max_iters: int = 100) -> SdpSolution:
     """Solve the problem to the requested tolerance.
 
     Returns an optimal solution with a certified duality gap, or an
     infeasibility certificate (Farkas ray), or an indeterminate status after
     max_iters. The iterate trace (mu, residuals, objectives, <x,s>) is kept
-    on the solution for auditing and optionally dumped as JSON lines.
+    on the solution for auditing.
     """
-    free_map = None
-    if any(blk.kind == "free" for blk in problem.blocks):
-        problem, free_map = _expand_free(problem)
-
     assert problem.blocks, "problem has no variables"
     assert problem.n_constraints >= 1, "problem has no constraints"
-
-    def regroup(mats, halve=False):
-        if free_map is None:
-            return mats
-        out = []
-        w = 0.5 if halve else 1.0
-        for tag, ref in free_map:
-            if tag == "keep":
-                out.append(mats[ref])
-            else:
-                out.append(np.array([w * float(np.real(mats[u][0, 0]) - np.real(mats[v][0, 0]))
-                                     for u, v in ref]))
-        return out
 
     lay = _Layout(problem)
     sign, nu, nrows = lay.sign, lay.nu, lay.nrows
@@ -476,58 +327,39 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iters: int = 100,
     split, join = lay.split, lay.join
 
     # HSD starting point.
-    x = join([np.broadcast_to(np.eye(g.edim), g.gather.shape) for g in lay.groups])
-    s = x.copy()
+    x = join([np.broadcast_to(np.eye(g.dim), (len(g.members), g.dim, g.dim)) for g in lay.groups])
+    s = x / _PAIR
     y = np.zeros(nrows)
     tau, kappa = 1.0, 1.0
-    mu0 = (x @ s + tau * kappa) / (nu + 1.0)
+    mu0 = (x @ s + tau * kappa) / (nu + _PAIR)
 
     bnorm = 1.0 + float(np.abs(b).max(initial=0.0))
     cnorm = 1.0 + float(np.abs(c).max(initial=0.0))
     trace_rows: list[dict] = []
-    debug_file = open(debug_path, "w") if debug_path else None
 
-    def emit(rec):
-        trace_rows.append(rec)
-        if debug_file:
-            debug_file.write(json.dumps(rec) + "\n")
-
-    def finish(status, extra=None, iters=0):
-        if debug_file:
-            debug_file.close()
-        sol = SdpSolution(status=status, x=None, y=None, s=None,
-                          primal_objective=None, dual_objective=None,
-                          gap=None, rel_gap=None, iterations=iters,
-                          trace=trace_rows)
-        if extra:
-            for k, v in extra.items():
-                setattr(sol, k, v)
-        return sol
+    def finish(status, iters, **extra):
+        return SdpSolution(status=status, iterations=iters, trace=trace_rows, **extra)
 
     for it in range(max_iters):
         rp = a_mat @ x - b * tau
         rd = -(a_mat.T @ y) + c * tau - s
         rg = b @ y - c @ x - kappa
-        mu = (x @ s + tau * kappa) / (nu + 1.0)
+        mu = (x @ s + tau * kappa) / (nu + _PAIR)
 
         pres = float(np.abs(a_mat @ (x / tau) - b).max(initial=0.0)) / bnorm
         dres = float(np.abs(a_mat.T @ (y / tau) + s / tau - c).max(initial=0.0)) / cnorm
         pobj = float(c @ x / tau)
         dobj = float(b @ y / tau)
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        emit({"iter": it, "mu": mu, "tau": tau, "kappa": kappa,
-              "pres": pres, "dres": dres, "pobj": sign * pobj, "dobj": sign * dobj,
-              "xs_inner": float(x @ s)})
+        trace_rows.append({"iter": it, "mu": mu, "tau": tau, "kappa": kappa,
+                           "pres": pres, "dres": dres, "pobj": sign * pobj, "dobj": sign * dobj,
+                           "xs_inner": float(x @ s)})
 
         if pres <= tol and dres <= tol and relgap <= tol:
-            xm = regroup(lay.caller_blocks(x / tau))
-            sm = regroup(lay.caller_blocks(s / tau, dual=True), halve=True)
             po, do = sign * pobj, sign * dobj
-            return finish("optimal", {
-                "x": xm, "y": sign * y / tau, "s": sm,
-                "primal_objective": po, "dual_objective": do,
-                "gap": abs(po - do), "rel_gap": relgap,
-            }, iters=it)
+            return finish("optimal", it, x=lay.caller_blocks(x / tau), y=sign * y / tau,
+                          s=lay.caller_blocks(s / tau), primal_objective=po,
+                          dual_objective=do, gap=abs(po - do), rel_gap=relgap)
 
         # Infeasibility: test Farkas certificates once tau collapses.
         if tau < 1e-8 * min(1.0, kappa) or (mu < 1e-10 * mu0 and tau < 1e-6):
@@ -535,27 +367,24 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iters: int = 100,
             cx = float(c @ x)
             if by > tol:
                 yhat = y / by
-                wmin = min(float(np.linalg.eigvalsh(_sym(m))[:, 0].min())
+                wmin = min(float(np.linalg.eigvalsh(m)[:, 0].min())
                            for m in split(-(a_mat.T @ yhat)))
                 if wmin > -1e-6:
-                    return finish("primal_infeasible",
-                                  {"certificate": {"y": yhat, "min_eig_slack": wmin}},
-                                  iters=it)
+                    return finish("primal_infeasible", it,
+                                  certificate={"y": yhat, "min_eig_slack": wmin})
             if cx < -tol:
                 xhat = x / (-cx)
                 axn = float(np.abs(a_mat @ xhat).max(initial=0.0))
                 if axn < 1e-6:
-                    return finish("dual_infeasible",
-                                  {"certificate": {"x": regroup(lay.caller_blocks(xhat)),
-                                                   "primal_residual": axn}},
-                                  iters=it)
-            return finish("indeterminate", iters=it)
+                    return finish("dual_infeasible", it,
+                                  certificate={"x": lay.caller_blocks(xhat), "primal_residual": axn})
+            return finish("indeterminate", it)
 
         # NT scalings, one per group.
         try:
             nts = [_nt_scaling(xb, sb) for xb, sb in zip(split(x), split(s))]
         except np.linalg.LinAlgError:
-            return finish("indeterminate", iters=it)
+            return finish("indeterminate", it)
 
         def apply_w_vec(vec):
             return join([nt.w @ m @ nt.w for nt, m in zip(nts, split(vec))])
@@ -581,10 +410,10 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iters: int = 100,
         q2 = schur_solve(g1)
         denom = float(g2 @ q2) + alpha_sc
         if abs(denom) < 1e-300:
-            return finish("indeterminate", iters=it)
+            return finish("indeterminate", it)
 
         def newton(p1, p2, p3, p4, p5):
-            h = join([nt.r @ (p4b + _tr(nt.r) @ p2b @ nt.r) @ _tr(nt.r)
+            h = join([nt.r @ (p4b + _ct(nt.r) @ p2b @ nt.r) @ _ct(nt.r)
                       for nt, p4b, p2b in zip(nts, split(p4), split(p2))])
             v1 = p1 - a_mat @ h
             q1 = schur_solve(v1)
@@ -611,20 +440,20 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iters: int = 100,
         dx_a, dy_a, ds_a, dtau_a, dkap_a = newton(-rp, -rd, -rg, p4_aff, -tau * kappa)
         alpha_aff = min(1.0, max_alpha(dx_a, ds_a, dtau_a, dkap_a))
         mu_aff = ((x + alpha_aff * dx_a) @ (s + alpha_aff * ds_a)
-                  + (tau + alpha_aff * dtau_a) * (kappa + alpha_aff * dkap_a)) / (nu + 1.0)
+                  + (tau + alpha_aff * dtau_a) * (kappa + alpha_aff * dkap_a)) / (nu + _PAIR)
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
         # Corrector (combined direction).
         p4_mats = []
         for nt, dxb, dsb in zip(nts, split(dx_a), split(ds_a)):
-            dxs = nt.rinv @ dxb @ _tr(nt.rinv)
-            dss = _tr(nt.r) @ dsb @ nt.r
+            dxs = nt.rinv @ dxb @ _ct(nt.rinv)
+            dss = _ct(nt.r) @ dsb @ nt.r
             hcorr = 0.5 * (dxs @ dss + dss @ dxs)
             lam = nt.lam
             target = sigma * mu * np.eye(lam.shape[1]) - _diag(lam * lam) - hcorr
             p4_mats.append(target / (0.5 * (lam[:, :, np.newaxis] + lam[:, np.newaxis, :])))
         p4 = join(p4_mats)
-        p5 = sigma * mu - tau * kappa - dtau_a * dkap_a
+        p5 = _PAIR * sigma * mu - tau * kappa - dtau_a * dkap_a
         eta = 1.0 - sigma
         dx, dy, ds, dtau, dkappa = newton(-eta * rp, -eta * rd, -eta * rg, p4, p5)
 
@@ -632,22 +461,21 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iters: int = 100,
         for _ in range(40):
             tau_new = tau + alpha * dtau
             kappa_new = kappa + alpha * dkappa
-            xb_new = lay.project(x + alpha * dx)
-            sb_new = lay.project(s + alpha * ds)
+            x_new, s_new = x + alpha * dx, s + alpha * ds
             ok = tau_new > 0 and kappa_new > 0
             if ok:
                 try:
-                    for m in xb_new + sb_new:
+                    for m in split(x_new) + split(s_new):
                         np.linalg.cholesky(m)
                 except np.linalg.LinAlgError:
                     ok = False
             if ok:
-                x, s = join(xb_new), join(sb_new)
+                x, s = x_new, s_new
                 tau, kappa = tau_new, kappa_new
                 y = y + alpha * dy
                 break
             alpha *= 0.5
         else:
-            return finish("indeterminate", iters=it)
+            return finish("indeterminate", it)
 
-    return finish("indeterminate", iters=max_iters)
+    return finish("indeterminate", max_iters)

@@ -195,7 +195,7 @@ def twirl_monte_carlo(rho: DensityMatrix, samples: int = 10_000, rng=None) -> De
 
 
 def tensor_copies(rho: DensityMatrix, k: int) -> DensityMatrix:
-    """k-fold tensor power with subsystems regrouped as (A1..Ak)(B1..Bk)."""
+    """k-fold tensor power with subsystems ordered as (A1..Ak)(B1..Bk)."""
     if k < 1:
         raise ValueError("need k >= 1")
     m = rho.matrix

@@ -20,11 +20,6 @@ from steerkit.serialize import (
 from steerkit.states import max_entangled, random_density_matrix
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("STEERKIT_THREADS", raising=False)
-
-
 def write(tmp_path, name: str, payload) -> str:
     path = tmp_path / name
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
@@ -338,19 +333,6 @@ class TestErrorHandling:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        state = write(tmp_path, "iso.json", {"isotropic": {"d": 2, "p": 0.5}})
-        monkeypatch.setenv("STEERKIT_THREADS", "4")
-        code, report = run_json(tmp_path, "fef", "--state", state)
-        assert code == 0
-        monkeypatch.setenv("STEERKIT_THREADS", "abc")
-        code, report = run_json(tmp_path, "fef", "--state", state)
-        assert code == 1
-        assert "STEERKIT_THREADS" in report["error"]["message"]
-        monkeypatch.setenv("STEERKIT_THREADS", "0")
-        code, report = run_json(tmp_path, "fef", "--state", state)
-        assert code == 1
 
 
 class TestDeterminism:

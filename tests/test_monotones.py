@@ -21,6 +21,7 @@ from steerkit.monotones import (
     steerable_weight,
     steering_robustness,
 )
+from steerkit.games import mub
 from steerkit.states import isotropic, max_entangled, random_density_matrix
 
 SQRT2 = np.sqrt(2.0)
@@ -92,6 +93,56 @@ class TestValues:
         sig = Assemblage(2, members)
         with pytest.raises(ValueError, match="cap"):
             optimal_steering_fraction(sig)
+
+
+# Largest eigenvalue of the LHS bound of the m-setting Pauli steering
+# functional, which sets the isotropic qubit anchors below.
+PAULI_LAMBDA = {2: 1.0 + 1.0 / SQRT2, 3: (3.0 + np.sqrt(3.0)) / 2.0}
+
+
+class TestAnalyticAnchors:
+    """isotropic(2, p) measured in m Pauli bases: S_R = S_O =
+    max(0, m (1 + p) / (2 lambda_m) - 1), so membership flips at 1/sqrt(m)."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_robustness_and_fraction_closed_form(self, m):
+        paulis = mub(2, m).to_measurements()
+        edge = 1.0 / np.sqrt(m)
+        for p in (0.3, edge - 1e-3, edge + 1e-3, 0.9, 1.0):
+            sig = steer(isotropic(2, p), paulis)
+            exact = max(0.0, m * (1.0 + p) / (2.0 * PAULI_LAMBDA[m]) - 1.0)
+            assert abs(steering_robustness(sig).value - exact) <= 1e-8
+            assert abs(optimal_steering_fraction(sig).value - exact) <= 1e-8
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_membership_flips_at_threshold(self, m):
+        paulis = mub(2, m).to_measurements()
+        edge = 1.0 / np.sqrt(m)
+        assert lhs_membership(steer(isotropic(2, edge - 1e-3), paulis)).status == "member"
+        assert lhs_membership(steer(isotropic(2, edge + 1e-3), paulis)).status == "nonmember"
+
+
+class TestBoundaryStall:
+    @pytest.mark.xfail(strict=True, reason="the robustness and weight programs stall on "
+                       "the noise part of a nearly unsteerable assemblage")
+    def test_noise_part_of_robustness_decomposition_solves(self):
+        # seventh draw of the rank-1 generator of acceptance criterion 3
+        gen = rng(33)
+        for _ in range(7):
+            rho = random_density_matrix(2, 2, rank=1, rng=gen)
+            eff = np.empty((2, 2, 2, 2), dtype=np.complex128)
+            for x in range(2):
+                q, _ = np.linalg.qr(gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2)))
+                for a in range(2):
+                    eff[x, a] = np.outer(q[:, a], q[:, a].conj())
+            sig = steer(rho, MeasurementFamily(2, eff))
+        prog = robustness_program(sig)
+        assert abs(prog.raw_value - 0.00265) <= 1e-5
+        noise = Assemblage(2, prog.noise)
+        assert optimal_steering_fraction(noise).status == "optimal"
+        assert steering_robustness(noise).status == "optimal"
+        assert steerable_weight(noise).status == "optimal"
+        assert lhs_membership(noise).status != "indeterminate"
 
 
 class TestCertificates:

@@ -12,12 +12,9 @@ import pytest
 from steerkit.linalg import dagger
 from steerkit.sdp import (
     SdpProblem,
-    _expand_free,
     _herm_basis,
     _Layout,
     _schur_complement,
-    hermitian_embed,
-    hermitian_unembed,
     smat,
     solve,
     svec,
@@ -48,39 +45,36 @@ class TestSvec:
         b = gen.standard_normal((4, 4))
         b = 0.5 * (b + b.T)
         assert abs(svec(a) @ svec(b) - np.trace(a @ b)) <= 1e-12
+        a, b = random_hermitian(4, gen), random_hermitian(4, gen)
+        assert abs(svec(a) @ svec(b) - np.trace(a @ b).real) <= 1e-12
 
 
-class TestHermitianEmbed:
-    def test_real_input_duplicates_blocks(self):
+class TestHermitianSvec:
+    def test_real_input_has_no_imaginary_coordinates(self):
         m = np.array([[2.0, 1.0], [1.0, 0.0]])
-        e = hermitian_embed(m)
-        assert np.allclose(e[:2, :2], m)
-        assert np.allclose(e[2:, 2:], m)
-        assert np.allclose(e[:2, 2:], 0)
+        assert np.allclose(svec(m), [2.0, 0.0, np.sqrt(2.0), 0.0])
 
-    def test_pauli_y_eigenvalues(self):
+    def test_pauli_y_coordinates(self):
         y = np.array([[0.0, -1j], [1j, 0.0]])
-        w = np.linalg.eigvalsh(hermitian_embed(y))
-        assert np.allclose(w, [-1.0, -1.0, 1.0, 1.0])
+        assert np.allclose(svec(y), [0.0, 0.0, 0.0, -np.sqrt(2.0)])
+        assert np.allclose(np.linalg.eigvalsh(smat(svec(y), 2)), [-1.0, 1.0])
 
-    def test_spectrum_doubles(self):
-        gen = rng(2)
-        h = random_hermitian(4, gen)
-        we = np.linalg.eigvalsh(hermitian_embed(h))
-        wh = np.linalg.eigvalsh(h)
-        assert np.max(np.abs(we - np.repeat(np.sort(wh), 2))) <= 1e-10
-
-    def test_unembed_roundtrip(self):
+    def test_hermitian_roundtrip(self):
         gen = rng(3)
         h = random_hermitian(3, gen)
-        assert np.max(np.abs(hermitian_unembed(hermitian_embed(h)) - h)) <= 1e-14
+        assert np.max(np.abs(smat(svec(h), 3) - h)) <= 1e-14
+
+    def test_basis_is_orthonormal_in_svec_order(self):
+        basis = _herm_basis(3)
+        assert np.allclose(svec(basis), np.eye(9))
+        assert np.allclose(basis, basis.conj().transpose(0, 2, 1))
 
 
 class TestSmallProblems:
     def test_max_trace_below_identity(self):
         p = SdpProblem()
-        x = p.add_block(2, "herm")
-        s = p.add_block(2, "herm")
+        x = p.add_block(2)
+        s = p.add_block(2)
         p.set_objective({x: np.eye(2)}, sense="max")
         p.add_matrix_equality({x: 1.0, s: 1.0}, np.eye(2))
         sol = solve(p)
@@ -88,16 +82,16 @@ class TestSmallProblems:
         assert abs(sol.primal_objective - 2.0) <= 1e-7
 
     def test_scalar_lp(self):
-        # min x subject to x >= 3, with x a free scalar and a slack block
+        # min x subject to x >= 3, with x and its slack nonnegative 1x1 blocks
         p = SdpProblem()
-        x = p.add_block(1, "free")
-        s = p.add_block(1, "sym")
-        p.set_objective({x: [1.0]}, sense="min")
-        p.add_scalar_constraint({x: [1.0], s: [[-1.0]]}, 3.0)
+        x = p.add_block(1)
+        s = p.add_block(1)
+        p.set_objective({x: [[1.0]]}, sense="min")
+        p.add_scalar_constraint({x: [[1.0]], s: [[-1.0]]}, 3.0)
         sol = solve(p)
         assert sol.status == "optimal"
         assert abs(sol.primal_objective - 3.0) <= 1e-7
-        assert abs(sol.x[0][0] - 3.0) <= 1e-6
+        assert abs(sol.x[0][0, 0] - 3.0) <= 1e-6
 
     def test_extremal_eigenvalues(self):
         gen = rng(4)
@@ -105,7 +99,7 @@ class TestSmallProblems:
         w = np.linalg.eigvalsh(c)
         for sense, target in (("max", w[-1]), ("min", w[0])):
             p = SdpProblem()
-            x = p.add_block(4, "herm")
+            x = p.add_block(4)
             p.set_objective({x: c}, sense=sense)
             p.add_scalar_constraint({x: np.eye(4)}, 1.0)
             sol = solve(p)
@@ -115,7 +109,7 @@ class TestSmallProblems:
     def test_primal_infeasible_certificate(self):
         # tr X = -1 cannot hold for X >= 0
         p = SdpProblem()
-        x = p.add_block(2, "herm")
+        x = p.add_block(2)
         p.set_objective({x: np.eye(2)}, sense="min")
         p.add_scalar_constraint({x: np.eye(2)}, -1.0)
         sol = solve(p)
@@ -125,7 +119,7 @@ class TestSmallProblems:
     def test_dual_infeasible_certificate(self):
         # max x11 with only x22 pinned is unbounded above
         p = SdpProblem()
-        x = p.add_block(2, "sym")
+        x = p.add_block(2)
         p.set_objective({x: np.array([[1.0, 0.0], [0.0, 0.0]])}, sense="max")
         p.add_scalar_constraint({x: np.array([[0.0, 0.0], [0.0, 1.0]])}, 1.0)
         sol = solve(p)
@@ -158,7 +152,7 @@ def constructed_problem(n, m, gen, complex_blocks):
     opt = float(np.trace(c @ x_star).real)
 
     p = SdpProblem()
-    x = p.add_block(n, "herm" if complex_blocks else "sym")
+    x = p.add_block(n)
     p.set_objective({x: c}, sense="min")
     for ak in a_mats:
         p.add_scalar_constraint({x: ak}, float(np.trace(ak @ x_star).real))
@@ -211,8 +205,8 @@ class TestDualSlackConvention:
         g = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
         g = 0.5 * (g + g.conj().T)
         p = SdpProblem()
-        xb = p.add_block(n, "herm")
-        tb = p.add_block(n, "herm")
+        xb = p.add_block(n)
+        tb = p.add_block(n)
         p.set_objective({xb: np.eye(n)}, sense="min")
         p.add_matrix_equality({xb: 1.0, tb: -1.0}, g)
         sol = solve(p, tol=1e-9)
@@ -220,7 +214,7 @@ class TestDualSlackConvention:
         opt = float(np.clip(np.linalg.eigvalsh(g), 0.0, None).sum())
         assert abs(sol.primal_objective - opt) <= 1e-6 * (1.0 + abs(opt))
 
-        basis = list(_herm_basis(n, complex_blocks=True))
+        basis = _herm_basis(n)
         y_mat = sum(yk * bk for yk, bk in zip(sol.y, basis))
         assert np.max(np.abs(sol.s[1] - y_mat)) <= 1e-6
         assert np.max(np.abs(sol.s[0] - (np.eye(n) - y_mat))) <= 1e-6
@@ -255,10 +249,8 @@ class TestIterateProperties:
         assert all(np.array_equal(xa, xb) for xa, xb in zip(a.x, b.x))
 
 
-def _random_coefficient(n, kind, gen):
-    if kind == "free":
-        return gen.standard_normal(n)
-    if kind == "herm":
+def _random_coefficient(n, real, gen):
+    if not real:
         return random_hermitian(n, gen)
     m = gen.standard_normal((n, n))
     return 0.5 * (m + m.T)
@@ -266,27 +258,27 @@ def _random_coefficient(n, kind, gen):
 
 class TestSchurComplement:
     def test_matches_dense_symmetric_kronecker(self):
-        # herm blocks of two sizes, a sym block, and a free block that
-        # becomes 1x1 sym pairs; the herm 2 blocks touch 4, 4 and 3 rows,
-        # so their group is multiplied in two batches
+        # blocks of four sizes, one of them with real data; the three
+        # blocks of size 2 touch 5, 3 and 2 rows, so their group is
+        # multiplied in several batches
         gen = rng(31)
-        shapes = [(2, "herm"), (2, "herm"), (3, "herm"), (2, "herm"), (2, "sym"), (2, "free")]
+        shapes = [(2, False), (2, False), (3, False), (2, False), (4, True), (1, True)]
         touched = [{0, 1, 2, 4, 5}, {0, 1, 3}, {0, 2, 5}, {1, 4}, {0, 1, 2, 3, 4, 5}, {3, 5}]
         p = SdpProblem()
-        for n, kind in shapes:
-            p.add_block(n, kind)
+        for n, _ in shapes:
+            p.add_block(n)
         for row in touched:
             p.add_scalar_constraint({i: _random_coefficient(*shapes[i], gen) for i in sorted(row)},
                                     float(gen.standard_normal()))
-        layout = _Layout(_expand_free(p)[0])
-        assert {(g.kind, g.edim) for g in layout.groups} == {
-            ("herm", 4), ("herm", 6), ("sym", 2), ("sym", 1)}
+        layout = _Layout(p)
+        assert {g.dim for g in layout.groups} == {1, 2, 3, 4}
         assert max(len(g.batches) for g in layout.groups) >= 2
 
         ws = []
         for g in layout.groups:
-            f = gen.standard_normal((len(g.members), g.edim, g.edim))
-            ws.append(f @ f.transpose(0, 2, 1) + 0.1 * np.eye(g.edim))
+            f = (gen.standard_normal((len(g.members), g.dim, g.dim))
+                 + 1j * gen.standard_normal((len(g.members), g.dim, g.dim)))
+            ws.append(f @ f.conj().transpose(0, 2, 1) + 0.1 * np.eye(g.dim))
         got = _schur_complement(layout, ws)
 
         k = np.zeros((layout.total, layout.total))
@@ -294,7 +286,7 @@ class TestSchurComplement:
             for wb, i in zip(w, g.members):
                 lo, hi = layout.offsets[i], layout.offsets[i + 1]
                 k[lo:hi, lo:hi] = np.column_stack(
-                    [svec(wb @ smat(e, g.edim) @ wb) for e in np.eye(hi - lo)])
+                    [svec(wb @ smat(e, g.dim) @ wb) for e in np.eye(hi - lo)])
         ref = layout.a_mat @ k @ layout.a_mat.T
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -302,20 +294,20 @@ class TestSchurComplement:
 def mixed_problem(gen, shapes):
     """Known-optimum problem over several blocks of different shapes.
 
-    Each block gets complementary primal and dual solutions of
-    complementary rank; every row touches all blocks except the last two
-    rows, which touch one block each, so blocks differ in row count."""
+    shapes lists (dimension, real data) pairs. Each block gets
+    complementary primal and dual solutions of complementary rank; every
+    row touches all blocks except the last two rows, which touch one block
+    each, so blocks differ in row count."""
     x_stars, s_stars = [], []
-    for n, kind in shapes:
+    for n, real in shapes:
         g = gen.standard_normal((n, n))
-        if kind == "herm":
+        if not real:
             g = g + 1j * gen.standard_normal((n, n))
         q, _ = np.linalg.qr(g)
         r = n // 2 or 1
         x_stars.append(q[:, :r] @ np.diag(gen.uniform(0.5, 2.0, r)) @ dagger(q[:, :r]))
         s_stars.append(q[:, r:] @ np.diag(gen.uniform(0.5, 2.0, n - r)) @ dagger(q[:, r:]))
-    faces = sum((n // 2) ** 2 if kind == "herm" else (n // 2) * (n // 2 + 1) // 2
-                for n, kind in shapes)
+    faces = sum((n // 2) * (n // 2 + 1) // 2 if real else (n // 2) ** 2 for n, real in shapes)
     rows = [list(range(len(shapes)))] * (faces + 2) + [[0], [len(shapes) - 1]]
     a_rows = [{i: _random_coefficient(*shapes[i], gen) for i in row} for row in rows]
     y_star = gen.standard_normal(len(rows))
@@ -324,8 +316,8 @@ def mixed_problem(gen, shapes):
     opt = sum(float(np.trace(ci @ xi).real) for ci, xi in zip(c, x_stars))
 
     p = SdpProblem()
-    for n, kind in shapes:
-        p.add_block(n, kind)
+    for n, _ in shapes:
+        p.add_block(n)
     p.set_objective(dict(enumerate(c)), sense="min")
     for ak in a_rows:
         p.add_scalar_constraint(ak, sum(float(np.trace(m @ x_stars[i]).real) for i, m in ak.items()))
@@ -335,7 +327,7 @@ def mixed_problem(gen, shapes):
 class TestMixedShapes:
     def test_known_optimum_across_groups(self):
         gen = rng(32)
-        p, opt, x_stars = mixed_problem(gen, [(2, "herm"), (3, "herm"), (2, "sym")])
+        p, opt, x_stars = mixed_problem(gen, [(2, False), (3, False), (2, True)])
         sol = solve(p, tol=1e-9)
         assert sol.status == "optimal"
         assert abs(sol.primal_objective - opt) <= 1e-6 * (1.0 + abs(opt))
@@ -413,7 +405,7 @@ class TestAgainstAdmmOracle:
             c = s0 + sum(yk * ak for yk, ak in zip(y0, a_mats))
 
             p = SdpProblem()
-            x = p.add_block(n, "herm")
+            x = p.add_block(n)
             p.set_objective({x: c}, sense="min")
             for ak, bk in zip(a_mats, b):
                 p.add_scalar_constraint({x: ak}, bk)
