@@ -280,7 +280,7 @@ def _cmd_game(args, config: RunConfig):
     if args.game == "kv":
         game = kv_game(args.n, args.eta)
         fam = kv_measurements(args.n)
-        frac = kv_fraction(args.n, args.eta)
+        frac = kv_fraction(args.n, args.eta, game=game)
         return {
             "kind": "kv",
             "n": game.n,

@@ -43,29 +43,22 @@ KV_CONSTANT = 4.0 * math.exp(-4.0)
 KG3_LOW = 1.4172
 KG3_HIGH = 1.5163
 
-_H_EXACT_MAX = 1_000_000
-_h_cache = [0.0, 1.0]
-_h_compensation = [0.0, 0.0]
-
 
 def harmonic(d: int) -> float:
-    """Harmonic number H_d, exact by compensated summation up to 10^6 and
-    by asymptotic expansion beyond (where the expansion error is far
-    below double precision)."""
+    """Harmonic number H_d, within 2 ulp of the exact rational sum.
+
+    Below d = 64 it is the correctly rounded sum of the floats 1/i; from
+    there on the asymptotic expansion through d^-6, whose truncation error
+    (under 1/(240 d^8)) is far below double precision. 1/d is taken as
+    exp(-ln d) so that integers beyond the float range still work."""
     if d < 1:
         raise ValueError("harmonic numbers need d >= 1")
-    if d <= _H_EXACT_MAX:
-        while len(_h_cache) <= d:
-            i = len(_h_cache)
-            total, comp = _h_cache[-1], _h_compensation[-1]
-            term = 1.0 / i - comp
-            new_total = total + term
-            _h_compensation.append((new_total - total) - term)
-            _h_cache.append(new_total)
-        return _h_cache[d]
+    if d < 64:
+        return math.fsum(1.0 / i for i in range(1, d + 1))
     log_d = math.log(d)
     inv = math.exp(-log_d)
-    return log_d + EULER_GAMMA + inv / 2.0 - inv * inv / 12.0 + inv**4 / 120.0
+    inv2 = inv * inv
+    return log_d + EULER_GAMMA + (inv / 2.0 - inv2 / 12.0 + inv2 * inv2 / 120.0 - inv2**3 / 252.0)
 
 
 def kappa(d: int) -> float:

@@ -96,6 +96,15 @@ class KvGame:
     coefficients: BellFunctional
 
 
+def _resolve_eta(n: int, eta: float | None) -> float:
+    """The bias a game on n outcomes is built with: eta, or 1/2 - 1/ln(n)."""
+    if eta is None:
+        if n < 8:
+            raise ValueError("the default bias 1/2 - 1/ln(n) needs n >= 8; pass eta")
+        eta = 0.5 - 1.0 / np.log(n)
+    return eta
+
+
 def kv_game(n: int, eta: float | None = None) -> KvGame:
     """Build the game's coefficient table by summing over noise strings.
 
@@ -104,10 +113,7 @@ def kv_game(n: int, eta: float | None = None) -> KvGame:
     """
     if not _is_power_of_two(n):
         raise ValueError("outcome count must be a power of 2, at least 2")
-    if eta is None:
-        if n < 8:
-            raise ValueError("the default bias 1/2 - 1/ln(n) needs n >= 8; pass eta")
-        eta = 0.5 - 1.0 / np.log(n)
+    eta = _resolve_eta(n, eta)
     if not 0.0 <= eta <= 0.5:
         raise ValueError("eta must lie in [0, 1/2]")
     subgroup = _hadamard_subgroup(n)
@@ -177,14 +183,19 @@ class KvFraction:
     estimate: float
 
 
-def kv_fraction(n: int, eta: float | None = None) -> KvFraction:
+def kv_fraction(n: int, eta: float | None = None, *, game: KvGame | None = None) -> KvFraction:
     """Play the game on a maximally entangled pair with the sign-vector
     measurements on both sides and compare against classical play.
 
-    The reported `estimate` is the asymptotic guarantee 4e^-4 * n/(ln n)^2;
-    it undershoots 1 for every enumerable n and is informational only.
+    `game` reuses a table already built by kv_game(n, eta) instead of
+    building it again; a game built for another n or eta is rejected. The reported `estimate` is the asymptotic guarantee
+    4e^-4 * n/(ln n)^2; it undershoots 1 for every enumerable n and is
+    informational only.
     """
-    game = kv_game(n, eta)
+    if game is None:
+        game = kv_game(n, eta)
+    elif game.n != n or game.eta != float(_resolve_eta(n, eta)):
+        raise ValueError("the game was built for another outcome count or bias")
     fam = kv_measurements(n)
     corr = correlation_from(max_entangled(n), fam, fam)
     value = float(np.sum(game.coefficients.coefficients * corr.table))

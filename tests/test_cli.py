@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import steerkit.cli
+import steerkit.games
 from steerkit.assemblages import MeasurementFamily
 from steerkit.cli import run
 from steerkit.functionals import correlation_from
@@ -189,6 +191,19 @@ class TestGame:
         expected = (1 - 2 * 0.25) ** 2 + 4 * 0.25 * 0.75 / 2
         assert abs(report["report"]["value"] - expected) < 1e-12
         assert report["bell"]["settings"] == [2, 2]
+
+    def test_kv_builds_the_game_once(self, tmp_path, monkeypatch):
+        builds = []
+
+        def counted(*args, real=steerkit.games.kv_game):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(steerkit.cli, "kv_game", counted)
+        monkeypatch.setattr(steerkit.games, "kv_game", counted)
+        code, _ = run_json(tmp_path, "game", "kv", "--n", "4", "--eta", "0.25")
+        assert code == 0
+        assert builds == [(4, 0.25)]
 
     def test_kv_needs_eta_for_small_n(self, tmp_path):
         code, report = run_json(tmp_path, "game", "kv", "--n", "2")

@@ -1,6 +1,7 @@
 """Closed-form criteria: thresholds, bounds, copy-count search, planner."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,19 @@ class TestHarmonic:
 
     def test_asymptotic_leading_term(self):
         d = 10**12
+        assert abs(harmonic(d) - (math.log(d) + EULER_GAMMA)) < 1e-12
+
+    def test_within_two_ulp_of_exact_sum(self):
+        # both branches: the float sum below d = 64, the series from there
+        exact = Fraction(0)
+        for d in range(1, 1001):
+            exact += Fraction(1, d)
+            if d <= 200 or d == 1000:
+                err = abs(Fraction(harmonic(d)) - exact)
+                assert err <= 2 * Fraction(math.ulp(float(exact))), d
+
+    def test_integers_beyond_float_range(self):
+        d = 10**400
         assert abs(harmonic(d) - (math.log(d) + EULER_GAMMA)) < 1e-12
 
     def test_invalid(self):

@@ -216,6 +216,22 @@ class TestKvFraction:
         assert abs(frac_steer.numerator - fr.value) <= 1e-10
         assert fr.fraction <= frac_steer.value + 1e-9
 
+    def test_prebuilt_game_gives_the_same_report(self):
+        game = kv_game(4, 0.25)
+        assert kv_fraction(4, 0.25, game=game) == kv_fraction(4, 0.25)
+        with pytest.raises(ValueError, match="outcome count or bias"):
+            kv_fraction(2, 0.25, game=game)
+        with pytest.raises(ValueError, match="outcome count or bias"):
+            kv_fraction(4, 0.1, game=game)
+        with pytest.raises(ValueError, match="pass eta"):
+            kv_fraction(4, game=game)
+
+    def test_prebuilt_default_bias_game(self):
+        game = kv_game(8)
+        assert kv_fraction(8, game=game) == kv_fraction(8)
+        with pytest.raises(ValueError, match="outcome count or bias"):
+            kv_fraction(8, 0.3, game=game)
+
 
 class TestCglmp:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])

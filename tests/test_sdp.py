@@ -9,16 +9,21 @@ first-order method implemented at the bottom of this module.
 import numpy as np
 import pytest
 
+from steerkit.assemblages import MeasurementFamily, steer
 from steerkit.linalg import dagger
+from steerkit.monotones import steering_robustness
 from steerkit.sdp import (
+    _TRI_BLOCK,
     SdpProblem,
     _herm_basis,
     _Layout,
     _schur_complement,
+    _tri_solve,
     smat,
     solve,
     svec,
 )
+from steerkit.states import isotropic
 
 
 def rng(seed=0):
@@ -289,6 +294,61 @@ class TestSchurComplement:
                     [svec(wb @ smat(e, g.dim) @ wb) for e in np.eye(hi - lo)])
         ref = layout.a_mat @ k @ layout.a_mat.T
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _spd(n, cond, gen):
+    """Symmetric positive definite n x n matrix with condition number cond."""
+    q, _ = np.linalg.qr(gen.standard_normal((n, n)))
+    m = (q * np.logspace(0, np.log10(cond), n)) @ q.T
+    return 0.5 * (m + m.T)
+
+
+class TestTriangularSolve:
+    SIZES = (1, 16, 63, 64, 65, 130, 256)
+
+    @pytest.mark.parametrize("cond", [1e1, 1e12])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_lower_and_upper_factor_solves(self, n, cond):
+        gen = rng(40 + n)
+        chol = np.linalg.cholesky(_spd(n, cond, gen))
+        v = gen.standard_normal(n)
+        for t, lower in ((chol, True), (np.ascontiguousarray(chol.T), False)):
+            x = _tri_solve(t, v, lower)
+            ref = np.linalg.solve(t, v)
+            if n <= _TRI_BLOCK:
+                # one block: the very same LAPACK call
+                assert np.array_equal(x, ref)
+            if cond < 1e3:
+                assert np.linalg.norm(t @ x - v) <= 1e-12 * np.linalg.norm(v)
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+            else:
+                assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+class TestSeveralSchurBlocks:
+    def test_fraction_program_with_81_rows(self):
+        # the steering-fraction program of a qutrit assemblage in two
+        # settings: 3^2 strategies of 9 rows each, so the Schur factor is
+        # solved in two row blocks
+        gen = rng(48)
+        bases = [np.linalg.qr(random_hermitian(3, gen) + 1j * np.eye(3))[0] for _ in range(2)]
+        sigma = steer(isotropic(3, 0.85), MeasurementFamily.from_bases(bases))
+        members = sigma.members
+        p = SdpProblem()
+        f = [[p.add_block(3) for _ in range(3)] for _ in range(2)]
+        p.set_objective({f[x][a]: members[x, a] for x in range(2) for a in range(3)}, sense="max")
+        for a0 in range(3):
+            for a1 in range(3):
+                p.add_matrix_equality({f[0][a0]: 1.0, f[1][a1]: 1.0, p.add_block(3): 1.0}, np.eye(3))
+        assert p.n_constraints == 81 > _TRI_BLOCK
+
+        a, b = solve(p, tol=1e-9), solve(p, tol=1e-9)
+        assert a.status == b.status == "optimal"
+        assert a.iterations == b.iterations
+        assert a.primal_objective == b.primal_objective
+        assert np.array_equal(a.y, b.y)
+        assert all(np.array_equal(xa, xb) for xa, xb in zip(a.x, b.x))
+        assert abs((a.primal_objective - 1.0) - steering_robustness(sigma).value) <= 1e-8
 
 
 def mixed_problem(gen, shapes):
