@@ -64,7 +64,7 @@ p_outcome[:, :] = np.array([[0.9, 0.1], [0.1, 0.9]])
 noisy_relabel = Instrument1W(
     (InstrumentBranch(np.eye(2, dtype=complex), WiringMap(p_setting, p_outcome)),)
 )
-report = monotonicity_audit(sigma, [damping, noisy_relabel], threads=2)
+report = monotonicity_audit(sigma, [damping, noisy_relabel])
 print(f"\nbase value {report.base_value:.6f}")
 for row in report.rows:
     name = ("amplitude damping", "wired relabeling")[row.index]

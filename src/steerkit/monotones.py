@@ -16,14 +16,15 @@ slack yields a violated functional for nonmembers.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .assemblages import MEMBERSHIP_CAP_BITS, Assemblage, Instrument1W, apply_instrument
 from .linalg import herm
-from .sdp import SdpProblem, solve
+from .sdp import SdpProblem, solve, solve_many
 from .strategies import all_strategies, indicator
 
 __all__ = [
@@ -144,11 +145,18 @@ class AuditReport:
         return all(r.holds_average and r.holds_branches for r in self.rows)
 
 
-def _solve_fraction(members: np.ndarray, dim: int, tol: float):
+class _FractionProgram(NamedTuple):
+    problem: SdpProblem
+    functional: list   # block index of F_{a|x}, by x then a
+    cover: list        # block index of the slack T_k of strategy k
+    ind: np.ndarray
+
+
+def _fraction_program(members: np.ndarray, dim: int) -> _FractionProgram:
     """max sum tr(F sigma) over F >= 0 with every strategy sum of F below 1.
 
-    Returns the solver solution, the optimal functional table, and the
-    per-strategy dual matrices (PSD by construction).
+    The constraint rows depend only on the shape of the member table, so
+    tables of one shape give programs that `solve_many` batches.
     """
     m, o = members.shape[0], members.shape[1]
     strat, ind = _strategy_data(m, o)
@@ -164,14 +172,7 @@ def _solve_fraction(members: np.ndarray, dim: int, tol: float):
         terms = {f_idx[x][d_map[x]]: 1.0 for x in range(m)}
         terms[t_idx[k]] = 1.0
         p.add_matrix_equality(terms, eye)
-    sol = solve(p, tol=tol)
-    if sol.status != "optimal":
-        return sol, None, None, ind
-    functional = np.stack(
-        [np.stack([sol.x[f_idx[x][a]] for a in range(o)]) for x in range(m)]
-    )
-    duals = np.stack([sol.s[i] for i in t_idx])
-    return sol, functional, duals, ind
+    return _FractionProgram(p, f_idx, t_idx, ind)
 
 
 def _solve_weight(members: np.ndarray, dim: int, tol: float):
@@ -222,21 +223,26 @@ def _solve_robustness(members: np.ndarray, dim: int, tol: float):
     return sol, xi, witness, ind
 
 
-def _fraction_report(members: np.ndarray, dim: int, tol: float):
-    sol, functional, duals, ind = _solve_fraction(members, dim, tol)
+def _fraction_outcome(members: np.ndarray, prog: _FractionProgram, sol):
+    """S_O report and unclamped supremum (NaN unless the solve is optimal)."""
     if sol.status != "optimal":
-        return MonotoneReport("S_O", float("nan"), float("nan"), sol.status, {}), None
+        return MonotoneReport("S_O", float("nan"), float("nan"), sol.status, {}), float("nan")
+    dim = members.shape[-1]
+    m, o = members.shape[0], members.shape[1]
+    functional = np.stack([np.stack([sol.x[prog.functional[x][a]] for a in range(o)]) for x in range(m)])
+    # the per-strategy dual matrices, PSD by construction
+    duals = np.stack([sol.s[i] for i in prog.cover])
     supremum = float(sol.primal_objective)
     value = _clamped(supremum - 1.0)
-    cert_value = _clamped(_fraction_of(members, functional, ind) - 1.0)
+    cert_value = _clamped(_fraction_of(members, functional, prog.ind) - 1.0)
     # Dual side: the per-strategy matrices Y_k form an exact cover of sigma
     # after compensating their feasibility slack, and sum tr(Y) bounds the
     # supremum from above.
-    cover = np.einsum("kxa,kij->xaij", ind, duals)
+    cover = np.einsum("kxa,kij->xaij", prog.ind, duals)
     feas = min(
         float(np.linalg.eigvalsh(herm(cover[x, a] - members[x, a], tol=1e-6))[0])
-        for x in range(members.shape[0])
-        for a in range(members.shape[1])
+        for x in range(m)
+        for a in range(o)
     )
     dual_total = float(np.einsum("kii->", duals).real)
     dual_value = _clamped(dual_total + max(0.0, -feas) * dim * len(duals) - 1.0)
@@ -250,6 +256,26 @@ def _fraction_report(members: np.ndarray, dim: int, tol: float):
         dual_value=dual_value,
     )
     return report, supremum
+
+
+def _fraction_report(members: np.ndarray, dim: int, tol: float):
+    prog = _fraction_program(members, dim)
+    return _fraction_outcome(members, prog, solve(prog.problem, tol=tol))
+
+
+def _fraction_reports(tables: list[np.ndarray], tol: float) -> list:
+    """`_fraction_report` of every member table; tables of one shape give
+    programs with the same rows, and each such group is solved in one batch."""
+    by_shape: dict[tuple, list[int]] = {}
+    for i, t in enumerate(tables):
+        by_shape.setdefault(t.shape, []).append(i)
+    out: list = [None] * len(tables)
+    for idx in by_shape.values():
+        progs = [_fraction_program(tables[i], tables[i].shape[-1]) for i in idx]
+        sols = solve_many([p.problem for p in progs], tol=tol)
+        for i, prog, sol in zip(idx, progs, sols):
+            out[i] = _fraction_outcome(tables[i], prog, sol)
+    return out
 
 
 def optimal_steering_fraction(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
@@ -437,26 +463,6 @@ def check_proposition_robustness(sigma: Assemblage, slack_tol: float = 1e-5) -> 
     )
 
 
-def _audit_row(args) -> AuditRow:
-    index, sigma, ins, base_value, base_sup, tol = args
-    weights, values, suprema = [], [], []
-    for weight, branch in apply_instrument(sigma, ins):
-        rep, sup = _fraction_report(branch.members, branch.dim, tol=1e-9)
-        weights.append(weight)
-        values.append(rep.value)
-        suprema.append(sup)
-    average = float(np.dot(weights, values))
-    return AuditRow(
-        index=index,
-        branch_weights=tuple(weights),
-        branch_values=tuple(values),
-        branch_suprema=tuple(suprema),
-        average=average,
-        holds_average=(average <= base_value + tol),
-        holds_branches=all(s <= base_sup + tol for s in suprema),
-    )
-
-
 def monotonicity_audit(
     sigma: Assemblage,
     instruments: list[Instrument1W],
@@ -467,23 +473,41 @@ def monotonicity_audit(
 
     Each instrument contributes one row comparing the weighted average of
     the branch values against the input's value, plus a per-branch check
-    that no single branch exceeds the input's unclamped supremum.  Rows
-    are independent solves, so they fan out over a thread pool when
-    `threads` asks for one, and join in submission order.
+    that no single branch exceeds the input's unclamped supremum.  The
+    fraction programs of the input and of every branch share their
+    constraint rows whenever their member tables have one shape, so they
+    are solved together in batches (`sdp.solve_many`).  A solve that does
+    not end optimal gives a NaN value and supremum, and its row fails.
+
+    `threads` does nothing; it is kept, with a DeprecationWarning when
+    given, only until the benchmark harness stops passing it.
     """
-    base_report, base_sup = _fraction_report(sigma.members, sigma.dim, tol=1e-9)
-    jobs = [
-        (i, sigma, ins, base_report.value, base_sup, tol)
-        for i, ins in enumerate(instruments)
-    ]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(_audit_row, jobs))
-    else:
-        rows = tuple(map(_audit_row, jobs))
+    if threads is not None:
+        warnings.warn("monotonicity_audit ignores `threads`: its solves run as one batch",
+                      DeprecationWarning, stacklevel=2)
+    branches = [apply_instrument(sigma, ins) for ins in instruments]
+    tables = [sigma.members] + [br.members for row in branches for _, br in row]
+    (base_report, base_sup), *outcomes = _fraction_reports(tables, tol=1e-9)
+    rows = []
+    for index, row in enumerate(branches):
+        weights = [weight for weight, _ in row]
+        mine, outcomes = outcomes[:len(row)], outcomes[len(row):]
+        values = [rep.value for rep, _ in mine]
+        suprema = [sup for _, sup in mine]
+        average = float(np.dot(weights, values))
+        rows.append(AuditRow(
+            index=index,
+            branch_weights=tuple(weights),
+            branch_values=tuple(values),
+            branch_suprema=tuple(suprema),
+            average=average,
+            # NaN (a solve that did not end optimal) fails both comparisons
+            holds_average=(average <= base_report.value + tol),
+            holds_branches=all(s <= base_sup + tol for s in suprema),
+        ))
     return AuditReport(
         base_value=base_report.value,
         base_supremum=base_sup,
-        rows=rows,
+        rows=tuple(rows),
         tol=tol,
     )

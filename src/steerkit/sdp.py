@@ -22,9 +22,11 @@ solutions come out at the caller's scale.
 Stacked blocks. At set-up the blocks are grouped by dimension, and each
 group keeps the positions of its blocks' coordinates in the svec vector.
 Splitting a vector into matrices is one gather per group giving a
-(B, n, n) complex stack, and joining is one scatter per group. Every per-block step of an
-iteration (NT scaling, step length, corrector, the line-search Cholesky
-test) is one batched numpy call per group.
+(B, n, n) complex stack; joining concatenates the groups' coordinates and
+puts them back in block order with one gather (none when all blocks have
+one dimension). Every per-block step of an iteration (NT scaling, step
+length, corrector, the line-search Cholesky test) is one batched numpy call
+per group.
 
 Schur complement. With W_b the NT scaling point of block b, the Schur matrix
 is M = sum_b A_b K_b A_b^T, where K_b is the svec matrix of X -> W_b X W_b,
@@ -45,14 +47,28 @@ the end of a solve. Programs of at most _TRI_BLOCK rows take a single LAPACK
 solve per triangle. If the factorization fails, least squares on M is the
 fallback.
 
+Batched problems. `solve_many` solves problems that share their blocks and
+constraint rows, and differ only in b and in the objective, in one call
+(the batched primal-dual interior-point pattern of Amos & Kolter, "OptNet",
+ICML 2017). They share one layout. Every iterate and block stack gets a
+leading problem axis; tau, kappa, mu, sigma, the step length, the line
+search, the exit tests and the trace are kept per problem; the P Schur
+matrices come from one bincount with per-problem bins and one batched
+Cholesky factorization. Each iteration works on the problems still running
+only: a problem that finishes leaves the stacks, and one that fails
+numerically stops alone. Matrix-vector products and inner products are one
+BLAS call per problem, so no result depends on the batch. `solve` is
+`solve_many` of one problem.
+
 The solver is deterministic: identical problem data produce bit-identical
-iterates and solutions.
+iterates and solutions, alone or in any batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+import math
+from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -198,13 +214,25 @@ class _Group:
     batches: list[tuple[np.ndarray, np.ndarray]]
 
 
+def _row_data(problem: SdpProblem) -> tuple[list, np.ndarray]:
+    """The constraint rows term for term: the block indices of each row and
+    every coefficient matrix, flattened into one array."""
+    keys = [tuple(terms) for terms, _ in problem._rows]
+    coefs = np.concatenate([np.zeros(0)] + [m.ravel() for terms, _ in problem._rows
+                                            for m in terms.values()])
+    return keys, coefs
+
+
 class _Layout:
-    """Problem data in svec coordinates, grouped into stacks."""
+    """Blocks and constraint rows in svec coordinates, grouped into stacks.
+
+    A layout is built from one problem and serves every problem with the
+    same blocks and rows; `data` reads a problem's own b and c."""
 
     def __init__(self, problem: SdpProblem):
         dims = problem.blocks
+        self.source = problem
         self.blocks = dims
-        self.sign = 1.0 if problem.sense == "min" else -1.0
         self.offsets = np.concatenate([[0], np.cumsum([n * n for n in dims])]).astype(int)
         self.total = int(self.offsets[-1])
         self.nu = float(sum(dims))
@@ -214,14 +242,10 @@ class _Layout:
         for r, (terms, _) in enumerate(problem._rows):
             for i, m in terms.items():
                 touching[i].append((r, m))
-        self.b = np.array([rhs for _, rhs in problem._rows], dtype=float)
-        self.c = np.zeros(self.total)
         self.a_mat = np.zeros((nrows, self.total))
         rows_of, coef_of = [], []
         for i, n in enumerate(dims):
             sl = slice(self.offsets[i], self.offsets[i + 1])
-            if i in problem._objective:
-                self.c[sl] = self.sign * svec(problem._objective[i])
             rows = np.array([r for r, _ in touching[i]], dtype=int)
             coef = svec(np.stack([m for _, m in touching[i]])) if len(rows) else np.zeros((0, n * n))
             self.a_mat[rows, sl] = coef
@@ -252,19 +276,51 @@ class _Layout:
                 coords=start[:, np.newaxis] + np.arange(n * n),
                 gather=start[:, np.newaxis, np.newaxis, np.newaxis] + unpack, scale=scale))
         self.schur_index = np.concatenate(schur_index or [np.zeros(0, dtype=int)])
+        # join: the groups' svec coordinates, concatenated, put back in block
+        # order (None when they already are)
+        order = np.argsort(np.concatenate([g.coords.ravel() for g in self.groups]))
+        self.join_order = None if np.array_equal(order, np.arange(self.total)) else order
+        self._bins = {1: self.schur_index}
+
+    def schur_bins(self, count: int) -> np.ndarray:
+        """Flat Schur-matrix bin of every block product of `count` stacked
+        problems: each problem's products land in its own n x n bins, in
+        the order they have when it is solved alone."""
+        if count not in self._bins:
+            n2 = self.nrows * self.nrows
+            self._bins[count] = (self.schur_index + n2 * np.arange(count)[:, np.newaxis]).ravel()
+        return self._bins[count]
+
+    @cached_property
+    def _source_rows(self) -> tuple[list, np.ndarray]:
+        return _row_data(self.source)
+
+    def data(self, problem: SdpProblem) -> tuple[np.ndarray, np.ndarray, float]:
+        """b, c (sign-adjusted to minimization) and that sign for a problem
+        with this layout's blocks and rows; ValueError for any other."""
+        if problem is not self.source:
+            if problem.blocks != self.blocks:
+                raise ValueError("batched problems need the same block dimensions")
+            keys, coefs = _row_data(problem)
+            if keys != self._source_rows[0] or not np.array_equal(coefs, self._source_rows[1]):
+                raise ValueError("batched problems need the same constraint rows")
+        sign = 1.0 if problem.sense == "min" else -1.0
+        c = np.zeros(self.total)
+        for i, m in problem._objective.items():
+            c[self.offsets[i]:self.offsets[i + 1]] = sign * svec(m)
+        return np.array([rhs for _, rhs in problem._rows], dtype=float), c, sign
 
     def split(self, vec: np.ndarray) -> list[np.ndarray]:
-        """One (B, n, n) stack of Hermitian matrices per group (smat with one gather)."""
-        return [(vec[g.gather] * g.scale).view(np.complex128)[..., 0] for g in self.groups]
+        """One (..., B, n, n) stack of Hermitian matrices per group (smat with one gather)."""
+        return [(vec.take(g.gather, axis=-1) * g.scale).view(np.complex128)[..., 0] for g in self.groups]
 
     def join(self, stacks: list[np.ndarray]) -> np.ndarray:
-        out = np.empty(self.total)
-        for g, m in zip(self.groups, stacks):
-            out[g.coords] = svec(m)
-        return out
+        lead = stacks[0].shape[:-3]
+        out = np.concatenate([svec(m).reshape(lead + (-1,)) for m in stacks], axis=-1)
+        return out if self.join_order is None else out.take(self.join_order, axis=-1)
 
     def caller_blocks(self, vec: np.ndarray) -> list[np.ndarray]:
-        """Blocks in the caller's order."""
+        """Blocks of one problem's vector, in the caller's order."""
         out: list = [None] * len(self.blocks)
         for g, m in zip(self.groups, self.split(vec)):
             for j, i in enumerate(g.members):
@@ -272,28 +328,46 @@ class _Layout:
         return out
 
 
+# a @ v and <u, v> for every vector of a (P, n) stack, one BLAS call per
+# vector, so that a problem's arithmetic is the same whatever it is batched
+# with; numpy 2.2 has them as gufuncs, older numpy gets the same BLAS calls
+# from stacked matmul.
+if hasattr(np, "matvec"):
+    _mv, _dot = np.matvec, np.vecdot
+else:
+    def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.matmul(a, v[..., np.newaxis])[..., 0]
+
+    def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.matmul(u[..., np.newaxis, :], v[..., np.newaxis])[..., 0, 0]
+
+
 def _schur_complement(layout: _Layout, ws: list[np.ndarray]) -> np.ndarray:
-    """M = sum_b A_b K_b A_b^T for the per-group stacks ws of scaling points W_b."""
+    """M = sum_b A_b K_b A_b^T for the per-group (..., B, n, n) stacks ws of
+    scaling points W_b, one nrows x nrows matrix per leading index."""
+    lead = ws[0].shape[:-3]
+    count = math.prod(lead)
     parts = []
     for g, w in zip(layout.groups, ws):
         n, t = g.dim, g.dim * g.dim
+        w = w.reshape(-1, n, n)
         # W [E_1 ... E_t], then the W E_p stacked into rows times W: batched
         # complex products cost one BLAS call per matrix, so this makes two
         # calls per block rather than two per block and basis element
         we = w @ _herm_basis(n).transpose(1, 0, 2).reshape(n, t * n)
         wew = we.reshape(-1, n, t, n).transpose(0, 2, 1, 3).reshape(-1, t * n, n) @ w
-        k = svec(wew.reshape(-1, t, n, n))   # (B, t, t), symmetric
+        k = svec(wew.reshape(count, -1, t, n, n))   # (P, B, t, t), symmetric
         for sel, coef in g.batches:
-            parts.append((coef @ k[sel] @ coef.swapaxes(-1, -2)).ravel())
+            parts.append((coef @ k[:, sel] @ coef.swapaxes(-1, -2)).reshape(count, -1))
     n = layout.nrows
-    weights = np.concatenate(parts or [np.zeros(0)])
-    return np.bincount(layout.schur_index, weights, minlength=n * n).reshape(n, n)
+    weights = np.concatenate(parts, axis=1) if parts else np.zeros((count, 0))
+    return np.bincount(layout.schur_bins(count), weights.ravel(),
+                       minlength=count * n * n).reshape(lead + (n, n))
 
 
 class _Nt(NamedTuple):
     """NT scaling of a stack: R with R^H S R = R^-1 X R^-H = diag(lam), W = R R^H."""
-    lx_inv: np.ndarray   # inverses of the Cholesky factors of X and S
-    ls_inv: np.ndarray
+    l_inv: np.ndarray    # inverses of the Cholesky factors of X, then of S (2B blocks)
     r: np.ndarray
     rinv: np.ndarray
     w: np.ndarray
@@ -301,45 +375,115 @@ class _Nt(NamedTuple):
 
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray) -> _Nt:
-    lx = np.linalg.cholesky(x)
-    ls = np.linalg.cholesky(s)
+    nb = x.shape[-3]
+    factors = np.linalg.cholesky(np.concatenate([x, s], axis=-3))
+    lx, ls = factors[..., :nb, :, :], factors[..., nb:, :, :]
     u, lam, vh = np.linalg.svd(_ct(ls) @ lx)
     lam = np.maximum(lam, 1e-300)
     isq = 1.0 / np.sqrt(lam)
-    r = lx @ _ct(vh) * isq[:, np.newaxis, :]
-    rinv = (isq[:, :, np.newaxis] * _ct(u)) @ _ct(ls)
-    return _Nt(np.linalg.inv(lx), np.linalg.inv(ls), r, rinv, r @ _ct(r), lam)
+    r = lx @ _ct(vh) * isq[..., np.newaxis, :]
+    rinv = (isq[..., :, np.newaxis] * _ct(u)) @ _ct(ls)
+    return _Nt(np.linalg.inv(factors), r, rinv, r @ _ct(r), lam)
 
 
-def _min_eig_along(l_inv: np.ndarray, d: np.ndarray) -> float:
-    """Smallest eigenvalue of L^-1 D L^-H over a stack; M + alpha D stays PSD
-    (M = L L^H) up to alpha = -1 / that value when it is negative."""
+def _min_eig_along(l_inv: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per problem, the smallest eigenvalue of L^-1 D L^-H over its stack of
+    blocks; M + alpha D stays PSD (M = L L^H) up to alpha = -1 / that value
+    when it is negative."""
     g = l_inv @ d @ _ct(l_inv)
-    return float(np.linalg.eigvalsh(0.5 * (g + _ct(g)))[:, 0].min())
+    return np.linalg.eigvalsh(0.5 * (g + _ct(g)))[..., 0].min(axis=-1)
 
 
 def _diag(v: np.ndarray) -> np.ndarray:
     return v[..., np.newaxis] * np.eye(v.shape[-1])
 
 
+def _has_cholesky(m: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _positive_definite(stacks: list[np.ndarray]) -> bool | np.ndarray:
+    """Whether every matrix of each problem's slice of the (P, ...) stacks has
+    a Cholesky factor: True when all do (one batched call per stack), else a
+    (P,) mask from one call per problem."""
+    try:
+        for m in stacks:
+            np.linalg.cholesky(m)
+        return True
+    except np.linalg.LinAlgError:
+        return np.array([all(_has_cholesky(m[j]) for m in stacks) for j in range(len(stacks[0]))])
+
+
+def _max_step(wmin: float, tau: float, dtau: float, kappa: float, dkappa: float) -> float:
+    """Largest step that keeps the blocks PSD (given the smallest scaled
+    eigenvalue wmin of the direction) and tau, kappa positive."""
+    a = np.inf if wmin >= 0.0 else -1.0 / wmin
+    if dtau < 0:
+        a = min(a, -tau / dtau)
+    if dkappa < 0:
+        a = min(a, -kappa / dkappa)
+    return a
+
+
 def _tri_solve(t: np.ndarray, v: np.ndarray, lower: bool) -> np.ndarray:
-    """Solve T x = v for a triangular T by block substitution.
+    """Solve T x = v for a triangular T by block substitution, for one
+    system or a stack of them ((..., n, n) and (..., n)).
 
     Each diagonal block of at most _TRI_BLOCK rows is one LAPACK solve, and
     its coupling to the blocks already solved is one matrix-vector product.
-    Up to _TRI_BLOCK rows this is np.linalg.solve(t, v) itself."""
-    n = len(v)
+    Up to _TRI_BLOCK rows this is the LAPACK call of np.linalg.solve(t, v)."""
+    n = v.shape[-1]
     starts = range(0, n, _TRI_BLOCK)
-    x = np.empty(n)
+    x = np.empty(v.shape)
     for i0 in (starts if lower else reversed(starts)):
         i1 = min(i0 + _TRI_BLOCK, n)
-        r = v[i0:i1]
+        r = v[..., i0:i1]
         if lower and i0:
-            r = r - t[i0:i1, :i0] @ x[:i0]
+            r = r - _mv(t[..., i0:i1, :i0], x[..., :i0])
         elif not lower and i1 < n:
-            r = r - t[i0:i1, i1:] @ x[i1:]
-        x[i0:i1] = np.linalg.solve(t[i0:i1, i0:i1], r)
+            r = r - _mv(t[..., i0:i1, i1:], x[..., i1:])
+        x[..., i0:i1] = np.linalg.solve(t[..., i0:i1, i0:i1], r[..., np.newaxis])[..., 0]
     return x
+
+
+def _farkas(lay: _Layout, tol: float, b, c, x, y) -> tuple[str, dict | None]:
+    """Status and certificate of a problem whose tau has collapsed."""
+    by = float(b @ y)
+    cx = float(c @ x)
+    if by > tol:
+        yhat = y / by
+        wmin = min(float(np.linalg.eigvalsh(m)[:, 0].min()) for m in lay.split(-(lay.a_mat.T @ yhat)))
+        if wmin > -1e-6:
+            return "primal_infeasible", {"y": yhat, "min_eig_slack": wmin}
+    if cx < -tol:
+        xhat = x / (-cx)
+        axn = float(np.abs(lay.a_mat @ xhat).max(initial=0.0))
+        if axn < 1e-6:
+            return "dual_infeasible", {"x": lay.caller_blocks(xhat), "primal_residual": axn}
+    return "indeterminate", None
+
+
+@dataclass
+class _Running:
+    """Data and iterates of the problems still running, stacked on axis 0."""
+    ids: np.ndarray     # positions in the caller's list
+    b: np.ndarray
+    c: np.ndarray
+    sign: np.ndarray
+    bnorm: np.ndarray
+    cnorm: np.ndarray
+    x: np.ndarray
+    s: np.ndarray
+    y: np.ndarray
+    tau: np.ndarray
+    kappa: np.ndarray
+
+    def take(self, keep: np.ndarray) -> _Running:
+        return _Running(*(getattr(self, f.name)[keep] for f in fields(self)))
 
 
 def solve(problem: SdpProblem, tol: float = 1e-8, max_iters: int = 100) -> SdpSolution:
@@ -350,164 +494,214 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iters: int = 100) -> SdpSo
     max_iters. The iterate trace (mu, residuals, objectives, <x,s>) is kept
     on the solution for auditing.
     """
-    assert problem.blocks, "problem has no variables"
-    assert problem.n_constraints >= 1, "problem has no constraints"
+    return solve_many([problem], tol=tol, max_iters=max_iters)[0]
 
-    lay = _Layout(problem)
-    sign, nu, nrows = lay.sign, lay.nu, lay.nrows
-    a_mat, b, c = lay.a_mat, lay.b, lay.c
+
+def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
+               max_iters: int = 100) -> list[SdpSolution]:
+    """Solve problems with the same blocks and constraint rows in one batch.
+
+    b, the objective and its sense may differ between the problems; a
+    problem whose blocks or rows differ from the first one's raises
+    ValueError. Each solution is the one `solve` returns for its problem
+    alone, bit for bit.
+    """
+    problems = list(problems)
+    assert problems, "no problems to solve"
+    assert problems[0].blocks, "problem has no variables"
+    assert problems[0].n_constraints >= 1, "problem has no constraints"
+
+    lay = _Layout(problems[0])
+    nu, nrows, a_mat = lay.nu, lay.nrows, lay.a_mat
     split, join = lay.split, lay.join
+    bs, cs, signs = zip(*(lay.data(p) for p in problems))
 
-    # HSD starting point.
-    x = join([np.broadcast_to(np.eye(g.dim), (len(g.members), g.dim, g.dim)) for g in lay.groups])
-    s = x / _PAIR
-    y = np.zeros(nrows)
-    tau, kappa = 1.0, 1.0
-    mu0 = (x @ s + tau * kappa) / (nu + _PAIR)
+    # HSD starting point, the same for every problem.
+    x0 = join([np.broadcast_to(np.eye(g.dim), (len(g.members), g.dim, g.dim)) for g in lay.groups])
+    mu0 = (x0 @ (x0 / _PAIR) + 1.0) / (nu + _PAIR)
+    count = len(problems)
+    b, c = np.array(bs), np.array(cs)
+    x = np.tile(x0, (count, 1))
+    run = _Running(
+        ids=np.arange(count), b=b, c=c, sign=np.array(signs),
+        bnorm=1.0 + np.abs(b).max(axis=1, initial=0.0), cnorm=1.0 + np.abs(c).max(axis=1, initial=0.0),
+        x=x, s=x / _PAIR, y=np.zeros((count, nrows)), tau=np.ones(count), kappa=np.ones(count))
 
-    bnorm = 1.0 + float(np.abs(b).max(initial=0.0))
-    cnorm = 1.0 + float(np.abs(c).max(initial=0.0))
-    trace_rows: list[dict] = []
+    traces: list[list[dict]] = [[] for _ in problems]
+    out: list[SdpSolution | None] = [None] * count
 
-    def finish(status, iters, **extra):
-        return SdpSolution(status=status, iterations=iters, trace=trace_rows, **extra)
+    def finish(j, status, iters, **extra):
+        i = run.ids[j]
+        out[i] = SdpSolution(status=status, iterations=iters, trace=traces[i], **extra)
 
     for it in range(max_iters):
-        rp = a_mat @ x - b * tau
-        rd = -(a_mat.T @ y) + c * tau - s
-        rg = b @ y - c @ x - kappa
-        mu = (x @ s + tau * kappa) / (nu + _PAIR)
+        b, c, x, s, y, tau, kappa = run.b, run.c, run.x, run.s, run.y, run.tau, run.kappa
+        tau_col = tau[:, np.newaxis]
+        rp = _mv(a_mat, x) - b * tau_col
+        rd = -_mv(a_mat.T, y) + c * tau_col - s
+        by, cx, xs = _dot(b, y), _dot(c, x), _dot(x, s)
+        rg = by - cx - kappa
+        mu = (xs + tau * kappa) / (nu + _PAIR)
 
-        pres = float(np.abs(a_mat @ (x / tau) - b).max(initial=0.0)) / bnorm
-        dres = float(np.abs(a_mat.T @ (y / tau) + s / tau - c).max(initial=0.0)) / cnorm
-        pobj = float(c @ x / tau)
-        dobj = float(b @ y / tau)
-        relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        trace_rows.append({"iter": it, "mu": mu, "tau": tau, "kappa": kappa,
-                           "pres": pres, "dres": dres, "pobj": sign * pobj, "dobj": sign * dobj,
-                           "xs_inner": float(x @ s)})
-
-        if pres <= tol and dres <= tol and relgap <= tol:
+        pres = np.abs(_mv(a_mat, x / tau_col) - b).max(axis=1, initial=0.0) / run.bnorm
+        dres = np.abs(_mv(a_mat.T, y / tau_col) + s / tau_col - c).max(axis=1, initial=0.0) / run.cnorm
+        # Per problem, in Python floats: the trace row and the exit tests.
+        finished = []
+        rows = zip(run.sign.tolist(), mu.tolist(), tau.tolist(), kappa.tolist(), pres.tolist(),
+                   dres.tolist(), cx.tolist(), by.tolist(), xs.tolist())
+        for j, (sign, mu_j, tau_j, kappa_j, pres_j, dres_j, cx_j, by_j, xs_j) in enumerate(rows):
+            pobj, dobj = cx_j / tau_j, by_j / tau_j
+            relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
             po, do = sign * pobj, sign * dobj
-            return finish("optimal", it, x=lay.caller_blocks(x / tau), y=sign * y / tau,
-                          s=lay.caller_blocks(s / tau), primal_objective=po,
-                          dual_objective=do, gap=abs(po - do), rel_gap=relgap)
+            traces[run.ids[j]].append({"iter": it, "mu": mu_j, "tau": tau_j, "kappa": kappa_j,
+                                       "pres": pres_j, "dres": dres_j, "pobj": po, "dobj": do,
+                                       "xs_inner": xs_j})
+            if pres_j <= tol and dres_j <= tol and relgap <= tol:
+                finish(j, "optimal", it, x=lay.caller_blocks(x[j] / tau_j), y=sign * y[j] / tau_j,
+                       s=lay.caller_blocks(s[j] / tau_j), primal_objective=po,
+                       dual_objective=do, gap=abs(po - do), rel_gap=relgap)
+                finished.append(j)
+            # Infeasibility: test Farkas certificates once tau collapses.
+            elif tau_j < 1e-8 * min(1.0, kappa_j) or (mu_j < 1e-10 * mu0 and tau_j < 1e-6):
+                status, certificate = _farkas(lay, tol, b[j], c[j], x[j], y[j])
+                finish(j, status, it, certificate=certificate)
+                finished.append(j)
 
-        # Infeasibility: test Farkas certificates once tau collapses.
-        if tau < 1e-8 * min(1.0, kappa) or (mu < 1e-10 * mu0 and tau < 1e-6):
-            by = float(b @ y)
-            cx = float(c @ x)
-            if by > tol:
-                yhat = y / by
-                wmin = min(float(np.linalg.eigvalsh(m)[:, 0].min())
-                           for m in split(-(a_mat.T @ yhat)))
-                if wmin > -1e-6:
-                    return finish("primal_infeasible", it,
-                                  certificate={"y": yhat, "min_eig_slack": wmin})
-            if cx < -tol:
-                xhat = x / (-cx)
-                axn = float(np.abs(a_mat @ xhat).max(initial=0.0))
-                if axn < 1e-6:
-                    return finish("dual_infeasible", it,
-                                  certificate={"x": lay.caller_blocks(xhat), "primal_residual": axn})
-            return finish("indeterminate", it)
+        if finished:
+            keep = np.ones(len(x), dtype=bool)
+            keep[finished] = False
+            run = run.take(keep)
+            if not len(run.ids):
+                break
+            rp, rd, rg, mu = rp[keep], rd[keep], rg[keep], mu[keep]
+            b, c, x, s, y, tau, kappa = run.b, run.c, run.x, run.s, run.y, run.tau, run.kappa
 
-        # NT scalings, one per group.
+        # NT scalings, one per group. A problem whose blocks cannot be scaled
+        # stops at the end of this iteration, without a step; until then it
+        # sits at the HSD starting point, so that the batch scales.
+        def scalings(xv, sv):
+            return [_nt_scaling(xb, sb) for xb, sb in zip(split(xv), split(sv))]
+
+        stop = np.zeros(len(x), dtype=bool)
         try:
-            nts = [_nt_scaling(xb, sb) for xb, sb in zip(split(x), split(s))]
+            nts = scalings(x, s)
         except np.linalg.LinAlgError:
-            return finish("indeterminate", it)
+            for j in range(len(x)):
+                try:
+                    scalings(x[j], s[j])
+                except np.linalg.LinAlgError:
+                    stop[j] = True
+            x[stop], s[stop] = x0, x0 / _PAIR
+            nts = scalings(x, s)
 
         def apply_w_vec(vec):
             return join([nt.w @ m @ nt.w for nt, m in zip(nts, split(vec))])
 
         m_schur = _schur_complement(lay, [nt.w for nt in nts])
-        m_schur = 0.5 * (m_schur + m_schur.T)
+        m_schur = 0.5 * (m_schur + m_schur.swapaxes(-1, -2))
+        shift = 1e-14 * np.trace(m_schur, axis1=-2, axis2=-1) / nrows
+        shifted = m_schur + shift[:, np.newaxis, np.newaxis] * np.eye(nrows)
         try:
-            chol = np.linalg.cholesky(m_schur + 1e-14 * np.trace(m_schur) / nrows * np.eye(nrows))
-            chol_t = np.ascontiguousarray(chol.T)
+            chol = np.linalg.cholesky(shifted)
+            failed = []
         except np.linalg.LinAlgError:
-            chol = None
+            # a problem whose Schur matrix does not factor solves by least squares
+            failed = [j for j, m in enumerate(shifted) if not _has_cholesky(m)]
+            shifted[failed] = np.eye(nrows)
+            chol = np.linalg.cholesky(shifted)
+        chol_t = np.ascontiguousarray(chol.swapaxes(-1, -2))
 
         def schur_solve(v):
-            if chol is not None:
-                return _tri_solve(chol_t, _tri_solve(chol, v, lower=True), lower=False)
-            return np.linalg.lstsq(m_schur, v, rcond=None)[0]
+            sol = _tri_solve(chol_t, _tri_solve(chol, v, lower=True), lower=False)
+            for j in failed:
+                sol[j] = np.linalg.lstsq(m_schur[j], v[j], rcond=None)[0]
+            return sol
 
         wc = apply_w_vec(c)
-        awc = a_mat @ wc
+        awc = _mv(a_mat, wc)
         g1 = awc + b
         g2 = b - awc
-        alpha_sc = float(c @ wc) + kappa / tau
+        alpha_sc = _dot(c, wc) + kappa / tau
         q2 = schur_solve(g1)
-        denom = float(g2 @ q2) + alpha_sc
-        if abs(denom) < 1e-300:
-            return finish("indeterminate", it)
+        denom = _dot(g2, q2) + alpha_sc
+        stop |= np.abs(denom) < 1e-300
+        denom[stop] = 1.0
 
         def newton(p1, p2, p3, p4, p5):
             h = join([nt.r @ (p4b + _ct(nt.r) @ p2b @ nt.r) @ _ct(nt.r)
                       for nt, p4b, p2b in zip(nts, split(p4), split(p2))])
-            v1 = p1 - a_mat @ h
+            v1 = p1 - _mv(a_mat, h)
             q1 = schur_solve(v1)
-            rhs2 = p3 + float(c @ h) + p5 / tau
-            dtau = (rhs2 - float(g2 @ q1)) / denom
-            dy = q1 + q2 * dtau
-            dx = h + apply_w_vec(a_mat.T @ dy) - wc * dtau
-            ds = -(a_mat.T @ dy) + c * dtau - p2
+            rhs2 = p3 + _dot(c, h) + p5 / tau
+            dtau = (rhs2 - _dot(g2, q1)) / denom
+            dy = q1 + q2 * dtau[:, np.newaxis]
+            aty = _mv(a_mat.T, dy)
+            dx = h + apply_w_vec(aty) - wc * dtau[:, np.newaxis]
+            ds = -aty + c * dtau[:, np.newaxis] - p2
             dkappa = (p5 - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa
 
         def max_alpha(dx, ds, dtau, dkappa):
-            wmin = min(min(_min_eig_along(nt.lx_inv, dxb), _min_eig_along(nt.ls_inv, dsb))
-                       for nt, dxb, dsb in zip(nts, split(dx), split(ds)))
-            a = np.inf if wmin >= 0.0 else -1.0 / wmin
-            if dtau < 0:
-                a = min(a, -tau / dtau)
-            if dkappa < 0:
-                a = min(a, -kappa / dkappa)
-            return a
+            wmin = reduce(np.minimum, [_min_eig_along(nt.l_inv, np.concatenate([dxb, dsb], axis=-3))
+                                       for nt, dxb, dsb in zip(nts, split(dx), split(ds))])
+            return np.array([_max_step(*v) for v in zip(wmin.tolist(), tau.tolist(), dtau.tolist(),
+                                                        kappa.tolist(), dkappa.tolist())])
 
         # Predictor (affine scaling direction).
         p4_aff = join([_diag(-nt.lam) for nt in nts])
         dx_a, dy_a, ds_a, dtau_a, dkap_a = newton(-rp, -rd, -rg, p4_aff, -tau * kappa)
-        alpha_aff = min(1.0, max_alpha(dx_a, ds_a, dtau_a, dkap_a))
-        mu_aff = ((x + alpha_aff * dx_a) @ (s + alpha_aff * ds_a)
+        alpha_aff = np.minimum(1.0, max_alpha(dx_a, ds_a, dtau_a, dkap_a))
+        step = alpha_aff[:, np.newaxis]
+        mu_aff = (_dot(x + step * dx_a, s + step * ds_a)
                   + (tau + alpha_aff * dtau_a) * (kappa + alpha_aff * dkap_a)) / (nu + _PAIR)
-        sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
+        # np.float_power is libm pow element by element, as for a scalar;
+        # the array ** 3 takes a SIMD path that rounds differently
+        sigma = np.minimum(1.0, np.maximum(0.0, np.float_power(mu_aff / mu, 3)))
 
         # Corrector (combined direction).
         p4_mats = []
+        target_mu = (sigma * mu)[:, np.newaxis, np.newaxis, np.newaxis]
         for nt, dxb, dsb in zip(nts, split(dx_a), split(ds_a)):
             dxs = nt.rinv @ dxb @ _ct(nt.rinv)
             dss = _ct(nt.r) @ dsb @ nt.r
             hcorr = 0.5 * (dxs @ dss + dss @ dxs)
             lam = nt.lam
-            target = sigma * mu * np.eye(lam.shape[1]) - _diag(lam * lam) - hcorr
-            p4_mats.append(target / (0.5 * (lam[:, :, np.newaxis] + lam[:, np.newaxis, :])))
+            target = target_mu * np.eye(lam.shape[-1]) - _diag(lam * lam) - hcorr
+            p4_mats.append(target / (0.5 * (lam[..., :, np.newaxis] + lam[..., np.newaxis, :])))
         p4 = join(p4_mats)
         p5 = _PAIR * sigma * mu - tau * kappa - dtau_a * dkap_a
         eta = 1.0 - sigma
-        dx, dy, ds, dtau, dkappa = newton(-eta * rp, -eta * rd, -eta * rg, p4, p5)
+        dx, dy, ds, dtau, dkappa = newton(-eta[:, np.newaxis] * rp, -eta[:, np.newaxis] * rd,
+                                          -eta * rg, p4, p5)
 
-        alpha = min(1.0, _STEP_FRACTION * max_alpha(dx, ds, dtau, dkappa))
+        # Line search: each problem halves its step until its iterate is
+        # interior. Every try evaluates the whole batch; a problem keeps the
+        # candidate of the step it accepted.
+        alpha = np.minimum(1.0, _STEP_FRACTION * max_alpha(dx, ds, dtau, dkappa))
+        searching = ~stop
         for _ in range(40):
             tau_new = tau + alpha * dtau
             kappa_new = kappa + alpha * dkappa
-            x_new, s_new = x + alpha * dx, s + alpha * ds
-            ok = tau_new > 0 and kappa_new > 0
-            if ok:
-                try:
-                    for m in split(x_new) + split(s_new):
-                        np.linalg.cholesky(m)
-                except np.linalg.LinAlgError:
-                    ok = False
-            if ok:
-                x, s = x_new, s_new
-                tau, kappa = tau_new, kappa_new
-                y = y + alpha * dy
+            x_new = x + alpha[:, np.newaxis] * dx
+            s_new = s + alpha[:, np.newaxis] * ds
+            ok = (tau_new > 0) & (kappa_new > 0) & _positive_definite(
+                [np.concatenate([xb, sb], axis=-3) for xb, sb in zip(split(x_new), split(s_new))])
+            searching &= ~ok
+            if not searching.any():
                 break
-            alpha *= 0.5
-        else:
-            return finish("indeterminate", it)
+            alpha[searching] *= 0.5
+        stop |= searching
+        # a stopped problem leaves the batch with whatever candidate it had
+        run.x, run.s, run.tau, run.kappa = x_new, s_new, tau_new, kappa_new
+        run.y = y + alpha[:, np.newaxis] * dy
+        if stop.any():
+            for j in np.flatnonzero(stop):
+                finish(j, "indeterminate", it)
+            run = run.take(~stop)
+            if not len(run.ids):
+                break
 
-    return finish("indeterminate", max_iters)
+    else:
+        for j in range(len(run.ids)):
+            finish(j, "indeterminate", max_iters)
+    return out

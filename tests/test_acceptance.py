@@ -6,7 +6,6 @@ prints a short `criterion N PASS` summary with its headline numbers.
 
 import json
 import math
-import os
 import time
 
 import numpy as np
@@ -52,7 +51,6 @@ from steerkit.states import (
 )
 
 SQRT2 = math.sqrt(2.0)
-THREADS = min(4, os.cpu_count() or 1)
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -166,7 +164,7 @@ def test_criterion_04_monotonicity_audit():
     for i in range(20):
         rho = random_density_matrix(2, 2, rng=gen)
         fam = random_projective_family(2, 2, gen)
-        report = monotonicity_audit(steer(rho, fam), instruments, tol=1e-5, threads=THREADS)
+        report = monotonicity_audit(steer(rho, fam), instruments, tol=1e-5)
         assert report.holds
         assert len(report.rows) == 50
     print("criterion 4 PASS: 50 instruments x 20 assemblages never raise S_O")

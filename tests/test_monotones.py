@@ -21,7 +21,9 @@ from steerkit.monotones import (
     steerable_weight,
     steering_robustness,
 )
+from steerkit import monotones
 from steerkit.games import mub
+from steerkit.sdp import SdpSolution
 from steerkit.states import isotropic, max_entangled, random_density_matrix
 
 SQRT2 = np.sqrt(2.0)
@@ -354,11 +356,58 @@ class TestAudit:
             assert row.average <= report.base_value + 1e-5
 
     def test_threaded_audit_matches_sequential(self):
+        # `threads` is inert: the same rows, and a DeprecationWarning
         gen = rng(7)
         sig = steer(isotropic(2, 0.9), zx_family())
         instruments = [random_instrument(2, gen) for _ in range(4)]
         seq = monotonicity_audit(sig, instruments)
-        par = monotonicity_audit(sig, instruments, threads=2)
-        for r1, r2 in zip(seq.rows, par.rows):
-            assert r1.branch_weights == r2.branch_weights
-            assert np.allclose(r1.branch_values, r2.branch_values, atol=1e-12)
+        with pytest.warns(DeprecationWarning, match="threads"):
+            par = monotonicity_audit(sig, instruments, threads=2)
+        assert par.rows == seq.rows
+        assert (par.base_value, par.base_supremum) == (seq.base_value, seq.base_supremum)
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_non_optimal_solve_fails_the_audit_without_raising(self, monkeypatch, failing):
+        # one batch of three programs: 0 is the input's, 1 the branch of the
+        # identity instrument, 2 the branch of the coarse graining. A branch
+        # that does not solve fails its row; an input that does not solve
+        # fails every row.
+        real = monotones.solve_many
+
+        def one_indeterminate(problems, **kwargs):
+            sols = real(problems, **kwargs)
+            assert len(sols) == 3
+            sols[failing] = SdpSolution(status="indeterminate", iterations=sols[failing].iterations)
+            return sols
+
+        monkeypatch.setattr(monotones, "solve_many", one_indeterminate)
+        sig = steer(max_entangled(2), zx_family())
+        report = monotonicity_audit(sig, [identity_instrument(2, 2, 2), coarse_graining_instrument(2)])
+        assert not report.holds
+        if failing == 0:
+            assert np.isnan(report.base_value) and np.isnan(report.base_supremum)
+            assert not any(r.holds_average or r.holds_branches for r in report.rows)
+            return
+        bad, good = report.rows[failing - 1], report.rows[2 - failing]
+        assert np.isnan(bad.branch_suprema[0]) and np.isnan(bad.average)
+        assert not bad.holds_branches and not bad.holds_average
+        assert good.holds_average and good.holds_branches
+
+
+def random_unitary(d, gen):
+    q, r = np.linalg.qr(gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestLocalUnitaryInvariance:
+    @pytest.mark.parametrize("seed", [91, 92, 93])
+    def test_robustness_and_weight_of_a_qutrit_assemblage(self, seed):
+        # sigma_{a|x} -> U sigma_{a|x} U^dag on the steered side
+        gen = rng(seed)
+        sig = steer(random_density_matrix(3, 3, rng=gen), random_projective_family(3, 2, gen))
+        u = random_unitary(3, gen)
+        turned = Assemblage(3, np.einsum("ij,xajk,lk->xail", u, sig.members, u.conj()))
+        for monotone in (steering_robustness, steerable_weight):
+            before, after = monotone(sig), monotone(turned)
+            assert before.status == after.status == "optimal"
+            assert abs(after.value - before.value) <= 1e-7

@@ -21,9 +21,10 @@ from steerkit.sdp import (
     _tri_solve,
     smat,
     solve,
+    solve_many,
     svec,
 )
-from steerkit.states import isotropic
+from steerkit.states import isotropic, random_density_matrix
 
 
 def rng(seed=0):
@@ -349,6 +350,90 @@ class TestSeveralSchurBlocks:
         assert np.array_equal(a.y, b.y)
         assert all(np.array_equal(xa, xb) for xa, xb in zip(a.x, b.x))
         assert abs((a.primal_objective - 1.0) - steering_robustness(sigma).value) <= 1e-8
+
+
+def fraction_program(members, rhs=None):
+    """The steering-fraction program of a qubit assemblage in two settings
+    with two outcomes: the rows of every such program are the same."""
+    p = SdpProblem()
+    f = [[p.add_block(2) for _ in range(2)] for _ in range(2)]
+    p.set_objective({f[x][a]: members[x, a] for x in range(2) for a in range(2)}, sense="max")
+    for a0 in range(2):
+        for a1 in range(2):
+            p.add_matrix_equality({f[0][a0]: 1.0, f[1][a1]: 1.0, p.add_block(2): 1.0},
+                                  np.eye(2) if rhs is None else rhs)
+    return p
+
+
+def random_members(gen):
+    bases = [np.linalg.qr(random_hermitian(2, gen) + 1j * np.eye(2))[0] for _ in range(2)]
+    return steer(random_density_matrix(2, 2, rng=gen), MeasurementFamily.from_bases(bases)).members
+
+
+def assert_same_solution(a, b, tol=1e-12):
+    assert a.status == b.status
+    assert a.iterations == b.iterations
+    if a.status == "optimal":
+        assert abs(a.primal_objective - b.primal_objective) <= tol
+        assert abs(a.dual_objective - b.dual_objective) <= tol
+        assert np.max(np.abs(a.y - b.y)) <= tol
+        for xa, xb in zip(a.x, b.x):
+            assert np.max(np.abs(xa - xb)) <= tol
+
+
+class TestSolveMany:
+    def programs(self, seed, count):
+        gen = rng(seed)
+        return [fraction_program(random_members(gen)) for _ in range(count)]
+
+    def test_each_problem_matches_its_solo_solve(self):
+        problems = self.programs(64, 6)
+        batch = solve_many(problems, tol=1e-9)
+        assert len({s.iterations for s in batch}) > 1   # some leave the batch early
+        for p, sol in zip(problems, batch):
+            assert sol.status == "optimal"
+            assert_same_solution(sol, solve(p, tol=1e-9))
+            assert [r["iter"] for r in sol.trace] == list(range(sol.iterations + 1))
+
+    def test_result_does_not_depend_on_the_partners(self):
+        target = self.programs(61, 1)[0]
+        alone = solve(target, tol=1e-9)
+        for partners in (self.programs(62, 2), self.programs(63, 4)):
+            for where in (0, len(partners)):
+                batch = partners[:where] + [target] + partners[where:]
+                assert_same_solution(solve_many(batch, tol=1e-9)[where], alone)
+
+    def test_infeasible_problem_gets_its_own_status(self):
+        # the same rows with b = svec(-I): F, T >= 0 cannot sum to -I
+        gen = rng(64)
+        tables = [random_members(gen) for _ in range(3)]
+        problems = [fraction_program(tables[0]), fraction_program(tables[1], rhs=-np.eye(2)),
+                    fraction_program(tables[2])]
+        batch = solve_many(problems)
+        assert [s.status for s in batch] == ["optimal", "primal_infeasible", "optimal"]
+        cert = batch[1].certificate
+        assert cert["min_eig_slack"] > -1e-6
+        assert batch[0].certificate is None and batch[2].certificate is None
+        for i in (0, 1, 2):
+            assert_same_solution(batch[i], solve(problems[i]))
+
+    def test_problems_with_other_rows_or_blocks_raise(self):
+        gen = rng(65)
+        members = random_members(gen)
+        base = fraction_program(members)
+        scaled = fraction_program(members, rhs=np.eye(2))
+        scaled._rows[3][0][0] = 2.0 * scaled._rows[3][0][0]   # one coefficient of one row
+        with pytest.raises(ValueError, match="rows"):
+            solve_many([base, scaled])
+        fewer = fraction_program(members)
+        fewer._rows.pop()
+        with pytest.raises(ValueError, match="rows"):
+            solve_many([base, fewer])
+        wider = SdpProblem()
+        for n in (2, 2, 2, 2, 3, 2, 2, 2):
+            wider.add_block(n)
+        with pytest.raises(ValueError, match="block"):
+            solve_many([base, wider])
 
 
 def mixed_problem(gen, shapes):
