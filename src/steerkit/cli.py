@@ -146,7 +146,12 @@ def build_parser() -> _Parser:
     c = crit_subs.add_parser("upper-bounds", help="violation ceilings of the maximally entangled state")
     c.add_argument("--d", type=int, required=True)
     _common(c)
-    c = crit_subs.add_parser("amplify", help="dimension planner for a target multi-copy violation")
+    c = crit_subs.add_parser(
+        "amplify", help="dimension planner for a target multi-copy violation",
+        description="Smallest isotropic dimension d meeting both targets. d is an exact "
+                    "JSON integer, or an exact hexadecimal string (\"0x...\", read back "
+                    "with int(s, 16)) when it has more decimal digits than Python "
+                    "converts (4300 by default).")
     c.add_argument("--eps", type=float, required=True)
     c.add_argument("--delta", type=float, required=True)
     c.add_argument("--k", type=int, default=3)

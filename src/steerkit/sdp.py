@@ -43,9 +43,16 @@ rows (`_tri_solve`): a LAPACK solve on each diagonal block and one
 matrix-vector product for its coupling to the blocks already solved, O(n^2)
 per right-hand side once L is known. No inverse of M or of L is formed: an
 explicit inverse loses accuracy on the ill-conditioned Schur matrices near
-the end of a solve. Programs of at most _TRI_BLOCK rows take a single LAPACK
-solve per triangle. If the factorization fails, least squares on M is the
-fallback.
+the end of a solve. The factor is built on the same tiles (`_cholesky`, a
+left-looking block Cholesky): one LAPACK factorization per diagonal tile,
+one LAPACK solve per tile column for the rows below it, and products of
+single tile pairs for the updates. At the sizes of these programs (up to a
+few hundred rows) threads cannot pay, and calls this small run on the
+calling thread, whereas one LAPACK call on the whole matrix starts
+OpenBLAS's thread pool from about 128 rows: its workers then spin on the
+other cores, and waking them adds latency. Programs of at most _TRI_BLOCK
+rows take a single LAPACK call per factorization and per triangle. If the
+factorization fails, least squares on M is the fallback.
 
 Batched problems. `solve_many` solves problems that share their blocks and
 constraint rows, and differ only in b and in the objective, in one call
@@ -76,7 +83,9 @@ import numpy as np
 from .linalg import herm
 
 _STEP_FRACTION = 0.98
-# Row-block size of the triangular solves on the Schur factor.
+# Tile size of the Schur factorization and of the triangular solves on its
+# factor. OpenBLAS runs a matrix product of at most 64^3 multiply-adds and a
+# Cholesky factorization of fewer than 128 rows on the calling thread.
 _TRI_BLOCK = 64
 # Weight of the homogenizing pair (tau, kappa) in the duality measure
 # mu = (<x, s> + tau kappa) / (nu + _PAIR): the central path is X S = mu I on
@@ -400,7 +409,7 @@ def _diag(v: np.ndarray) -> np.ndarray:
 
 def _has_cholesky(m: np.ndarray) -> bool:
     try:
-        np.linalg.cholesky(m)
+        _cholesky(m)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -427,6 +436,36 @@ def _max_step(wmin: float, tau: float, dtau: float, kappa: float, dkappa: float)
     if dkappa < 0:
         a = min(a, -kappa / dkappa)
     return a
+
+
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a positive definite (real or Hermitian)
+    matrix or (..., n, n) stack, by left-looking block Cholesky over tiles
+    of _TRI_BLOCK rows.
+
+    Per tile column: the update from the columns already factored is one
+    stacked product of tile pairs, the diagonal tile is one LAPACK
+    factorization, and the rows below it are one LAPACK solve against that
+    factor. Up to _TRI_BLOCK rows this is the LAPACK call of
+    np.linalg.cholesky(m). Raises LinAlgError when a matrix is not positive
+    definite."""
+    n = m.shape[-1]
+    lead = m.shape[:-2]
+    size = min(n, _TRI_BLOCK)
+    count = -(-n // size)
+    # the factor, padded with zeros to whole tiles, and its tile view
+    fac = np.zeros(lead + (count * size, count * size), dtype=m.dtype)
+    tiles = fac.reshape(lead + (count, size, count, size)).swapaxes(-3, -2)
+    for k in range(count):
+        i0, i1 = k * size, min(k * size + size, n)
+        col = m[..., i0:, i0:i1]
+        if k:
+            update = (tiles[..., k:, :k, :, :] @ _ct(tiles[..., k:k + 1, :k, :, :])).sum(axis=-3)
+            col = col - update.reshape(lead + (-1, size))[..., :n - i0, :i1 - i0]
+        diag = fac[..., i0:i1, i0:i1] = np.linalg.cholesky(col[..., :i1 - i0, :])
+        if i1 < n:
+            fac[..., i1:n, i0:i1] = _ct(np.linalg.solve(diag, _ct(col[..., i1 - i0:, :])))
+    return fac[..., :n, :n]
 
 
 def _tri_solve(t: np.ndarray, v: np.ndarray, lower: bool) -> np.ndarray:
@@ -602,13 +641,13 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
         shift = 1e-14 * np.trace(m_schur, axis1=-2, axis2=-1) / nrows
         shifted = m_schur + shift[:, np.newaxis, np.newaxis] * np.eye(nrows)
         try:
-            chol = np.linalg.cholesky(shifted)
+            chol = _cholesky(shifted)
             failed = []
         except np.linalg.LinAlgError:
             # a problem whose Schur matrix does not factor solves by least squares
             failed = [j for j, m in enumerate(shifted) if not _has_cholesky(m)]
             shifted[failed] = np.eye(nrows)
-            chol = np.linalg.cholesky(shifted)
+            chol = _cholesky(shifted)
         chol_t = np.ascontiguousarray(chol.swapaxes(-1, -2))
 
         def schur_solve(v):

@@ -203,8 +203,17 @@ def jsonify(obj):
     Numpy scalars and arrays become Python numbers and nested lists,
     complex leaves become [re, im] pairs, and non-finite floats become
     null (log-space companion fields stay finite where they exist).
+    An integer that Python's limit on int-to-str conversion (4300 digits
+    by default) refuses, which json.dumps would fail on, becomes its exact
+    hexadecimal string "0x..."; int(s, 16) reads it back with no limit.
     """
-    if obj is None or isinstance(obj, (bool, str, int)):
+    if obj is None or isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, int):
+        try:
+            str(obj)
+        except ValueError:
+            return hex(obj)
         return obj
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None

@@ -10,6 +10,7 @@ import steerkit.cli
 import steerkit.games
 from steerkit.assemblages import MeasurementFamily
 from steerkit.cli import run
+from steerkit.criteria import amplification_plan
 from steerkit.functionals import correlation_from
 from steerkit.games import cglmp, mub, mub_functional
 from steerkit.serialize import (
@@ -257,6 +258,14 @@ class TestCriteria:
         assert report["log_bound"] > math.log(10.0)
         assert report["p"] == 0.0
         assert report["unsteerable_projective"] is True
+
+    @pytest.mark.parametrize("eps, delta", [("0.4", "10"), ("0.3", "5")])
+    def test_amplify_past_the_digit_limit(self, tmp_path, eps, delta):
+        code, report = run_json(tmp_path, "criteria", "amplify", "--eps", eps, "--delta", delta)
+        assert code == 0
+        d = report["d"]
+        assert d.startswith("0x")
+        assert int(d, 16) == amplification_plan(float(eps), float(delta)).d
 
     def test_superactivate(self, tmp_path):
         code, report = run_json(tmp_path, "criteria", "superactivate", "--d", "5", "--p", "0.25")

@@ -6,15 +6,20 @@ solutions fixed first, data derived from them), and a long-run ADMM
 first-order method implemented at the bottom of this module.
 """
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
+from steerkit import sdp
 from steerkit.assemblages import MeasurementFamily, steer
 from steerkit.linalg import dagger
 from steerkit.monotones import steering_robustness
 from steerkit.sdp import (
     _TRI_BLOCK,
     SdpProblem,
+    _cholesky,
     _herm_basis,
     _Layout,
     _schur_complement,
@@ -326,21 +331,75 @@ class TestTriangularSolve:
                 assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
+class TestTiledCholesky:
+    SIZES = (1, 63, 64, 65, 128, 243, 256)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_lapack(self, n):
+        gen = rng(50 + n)
+        single = _spd(n, 1e1, gen)
+        stack = np.stack([_spd(n, 1e1, gen) for _ in range(3)])
+        for m in (single, stack):
+            got, ref = _cholesky(m), np.linalg.cholesky(m)
+            if n <= _TRI_BLOCK:
+                # one tile: the very same LAPACK call
+                assert np.array_equal(got, ref)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.array_equal(np.triu(got, 1), np.zeros_like(got))
+        # a matrix's factor does not depend on the stack it is in
+        batched = _cholesky(stack)
+        assert all(np.array_equal(batched[j], _cholesky(stack[j])) for j in range(3))
+
+    @pytest.mark.parametrize("n", (3, 64, 65, 130))
+    def test_complex_hermitian(self, n):
+        gen = rng(54 + n)
+        q, _ = np.linalg.qr(gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n)))
+        m = (q * np.logspace(0, 1, n)) @ q.conj().T
+        m = 0.5 * (m + m.conj().T)
+        got, ref = _cholesky(m), np.linalg.cholesky(m)
+        if n <= _TRI_BLOCK:
+            assert np.array_equal(got, ref)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_line_search_test_of_complex_blocks(self):
+        # the per-problem test behind a failed batched Cholesky of the
+        # iterates' blocks goes through the tiled factor
+        stack = np.stack([np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sdp._positive_definite([stack[:, np.newaxis]]).tolist() == [True, False]
+
+    @pytest.mark.parametrize("n", (64, 65, 243))
+    def test_indefinite_last_tile_raises(self, n):
+        gen = rng(57 + n)
+        m = _spd(n, 1e1, gen)
+        m[-1, -1] = -1.0   # every leading minor but the last is positive
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky(m)
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky(np.stack([_spd(n, 1e1, gen), m]))
+
+
+def qutrit_fraction_program(settings, gen):
+    """The steering-fraction program of a qutrit assemblage: one block per
+    member and one per deterministic strategy, 9 rows per strategy."""
+    bases = [np.linalg.qr(random_hermitian(3, gen) + 1j * np.eye(3))[0] for _ in range(settings)]
+    sigma = steer(isotropic(3, 0.85), MeasurementFamily.from_bases(bases))
+    members = sigma.members
+    p = SdpProblem()
+    f = [[p.add_block(3) for _ in range(3)] for _ in range(settings)]
+    p.set_objective({f[x][a]: members[x, a] for x in range(settings) for a in range(3)}, sense="max")
+    for strategy in itertools.product(range(3), repeat=settings):
+        p.add_matrix_equality({**{f[x][a]: 1.0 for x, a in enumerate(strategy)}, p.add_block(3): 1.0},
+                              np.eye(3))
+    return p, sigma
+
+
 class TestSeveralSchurBlocks:
     def test_fraction_program_with_81_rows(self):
-        # the steering-fraction program of a qutrit assemblage in two
-        # settings: 3^2 strategies of 9 rows each, so the Schur factor is
+        # two settings: 3^2 strategies of 9 rows each, so the Schur factor is
         # solved in two row blocks
-        gen = rng(48)
-        bases = [np.linalg.qr(random_hermitian(3, gen) + 1j * np.eye(3))[0] for _ in range(2)]
-        sigma = steer(isotropic(3, 0.85), MeasurementFamily.from_bases(bases))
-        members = sigma.members
-        p = SdpProblem()
-        f = [[p.add_block(3) for _ in range(3)] for _ in range(2)]
-        p.set_objective({f[x][a]: members[x, a] for x in range(2) for a in range(3)}, sense="max")
-        for a0 in range(3):
-            for a1 in range(3):
-                p.add_matrix_equality({f[0][a0]: 1.0, f[1][a1]: 1.0, p.add_block(3): 1.0}, np.eye(3))
+        p, sigma = qutrit_fraction_program(2, rng(48))
         assert p.n_constraints == 81 > _TRI_BLOCK
 
         a, b = solve(p, tol=1e-9), solve(p, tol=1e-9)
@@ -350,6 +409,28 @@ class TestSeveralSchurBlocks:
         assert np.array_equal(a.y, b.y)
         assert all(np.array_equal(xa, xb) for xa, xb in zip(a.x, b.x))
         assert abs((a.primal_objective - 1.0) - steering_robustness(sigma).value) <= 1e-8
+
+    def test_no_lapack_call_past_one_tile(self, monkeypatch):
+        # larger factorizations and solves start OpenBLAS's thread pool
+        p, _ = qutrit_fraction_program(3, rng(49))
+        assert p.n_constraints == 243
+        rows = []
+        for name in ("cholesky", "solve"):
+            def spy(a, *args, _call=getattr(np.linalg, name), **kwargs):
+                rows.append(np.shape(a)[-2])
+                return _call(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        assert solve(p, tol=1e-9).status == "optimal"
+        assert rows and max(rows) <= _TRI_BLOCK
+
+    def test_repeated_row_gives_a_singular_schur_matrix(self):
+        p, _ = qutrit_fraction_program(3, rng(49))
+        repeated, _ = qutrit_fraction_program(3, rng(49))
+        repeated.add_scalar_constraint(*repeated._rows[100])
+        assert repeated.n_constraints == 244
+        a, b = solve(p, tol=1e-9), solve(repeated, tol=1e-9)
+        assert a.status == b.status == "optimal"
+        assert abs(a.primal_objective - b.primal_objective) <= 1e-9
 
 
 def fraction_program(members, rhs=None):
@@ -416,6 +497,33 @@ class TestSolveMany:
         assert batch[0].certificate is None and batch[2].certificate is None
         for i in (0, 1, 2):
             assert_same_solution(batch[i], solve(problems[i]))
+
+    def test_failed_schur_factor_solves_by_least_squares(self, monkeypatch):
+        # in the first iteration problem 0's Schur matrix does not factor, so
+        # its Newton systems are solved by least squares
+        problems = self.programs(66, 3)
+        solo = [solve(p, tol=1e-9) for p in problems]
+        nrows = problems[0].n_constraints
+        real = sdp._cholesky
+        refused = []
+
+        def cholesky(m):
+            # refuse the first batched Schur factorization, then problem 0's own
+            if m.shape[-1] == nrows and len(refused) < 2:
+                refused.append(m.ndim)
+                raise np.linalg.LinAlgError("refused")
+            return real(m)
+
+        monkeypatch.setattr(sdp, "_cholesky", cholesky)
+        batch = solve_many(problems, tol=1e-9)
+        assert refused == [3, 2]
+        # least squares on a well-conditioned matrix gives the same step to
+        # rounding, so problem 0 follows its solo path
+        assert batch[0].status == solo[0].status == "optimal"
+        assert batch[0].iterations == solo[0].iterations
+        assert abs(batch[0].primal_objective - solo[0].primal_objective) <= 1e-10
+        for i in (1, 2):
+            assert_same_solution(batch[i], solo[i], tol=0.0)
 
     def test_problems_with_other_rows_or_blocks_raise(self):
         gen = rng(65)

@@ -200,6 +200,11 @@ class TestJsonify:
         huge = 2**14_000 + 12_345
         assert jsonify({"d": huge}) == {"d": huge}
 
+    def test_integers_past_the_digit_limit_become_exact_hex(self):
+        huge = 3**10_000 + 1   # 4,772 decimal digits
+        assert jsonify({"d": huge, "e": [-huge]}) == {"d": hex(huge), "e": [hex(-huge)]}
+        assert int(json.loads(render_report({"d": huge}))["d"], 16) == huge
+
 
 class TestRenderReport:
     def test_deterministic_bytes(self):
