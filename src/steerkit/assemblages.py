@@ -275,12 +275,6 @@ def lhs_membership(sigma: Assemblage, tol: float = 1e-7) -> MembershipResult:
     witnesses are verified against the exact enumeration bound before
     being returned.
     """
-    m, o = sigma.settings, sigma.outcomes
-    if m * np.log2(o) > MEMBERSHIP_CAP_BITS:
-        raise ValueError(
-            f"membership enumeration needs {o}^{m} hidden states; "
-            f"cap is settings*log2(outcomes) <= {MEMBERSHIP_CAP_BITS}"
-        )
     from .monotones import robustness_program
 
     report = robustness_program(sigma)
@@ -298,7 +292,7 @@ def lhs_membership(sigma: Assemblage, tol: float = 1e-7) -> MembershipResult:
             residual=residual,
         )
 
-    from .functionals import SteeringFunctional, steering_bound, steering_fraction
+    from .functionals import SteeringFunctional, steering_bound
 
     witness = SteeringFunctional(sigma.dim, report.witness)
     bound = steering_bound(witness).value

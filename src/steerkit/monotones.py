@@ -9,6 +9,11 @@ response strategies of the measured side, and each solve returns both a
 primal certificate (a decomposition or an optimal functional) and a dual
 certificate whose independent evaluation reproduces the value.
 
+The steerable weight and the steering robustness are one program over
+PSD hidden states, one per strategy: a PSD slack holds their mixture below
+sigma when the weight maximizes their total trace, above it when the
+robustness minimizes it.
+
 The robustness program doubles as the membership engine for the LHS set:
 its optimal hidden-state table is the model for members, and its dual
 slack yields a violated functional for nonmembers.
@@ -55,8 +60,8 @@ def _clamped(v: float) -> float:
 def _strategy_data(settings: int, outcomes: int) -> tuple[np.ndarray, np.ndarray]:
     if settings * np.log2(outcomes) > MEMBERSHIP_CAP_BITS:
         raise ValueError(
-            f"monotone programs enumerate {outcomes}^{settings} strategies; "
-            f"cap is settings*log2(outcomes) <= {MEMBERSHIP_CAP_BITS}"
+            f"the monotone and LHS-membership programs enumerate {outcomes}^{settings} "
+            f"strategies; cap is settings*log2(outcomes) <= {MEMBERSHIP_CAP_BITS}"
         )
     strat = all_strategies(settings, outcomes)
     return strat, indicator(strat, outcomes)
@@ -175,52 +180,28 @@ def _fraction_program(members: np.ndarray, dim: int) -> _FractionProgram:
     return _FractionProgram(p, f_idx, t_idx, ind)
 
 
-def _solve_weight(members: np.ndarray, dim: int, tol: float):
-    """max sum tr(pi_k) over PSD pi with the strategy mixture below sigma."""
+def _solve_hidden_states(members: np.ndarray, dim: int, tol: float, sense: str):
+    """Optimize sum tr(pi_k) over PSD hidden states, one per strategy, with
+    the strategy mixture below sigma (sense "max", the weight program) or
+    above it (sense "min", the robustness program)."""
     m, o = members.shape[0], members.shape[1]
     strat, ind = _strategy_data(m, o)
+    slack = 1.0 if sense == "max" else -1.0
     p = SdpProblem()
     pi_idx = [p.add_block(dim) for _ in range(len(strat))]
     s_idx = [[p.add_block(dim) for _ in range(o)] for _ in range(m)]
-    eye = np.eye(dim)
-    p.set_objective({i: eye for i in pi_idx}, sense="max")
+    p.set_objective({i: np.eye(dim) for i in pi_idx}, sense=sense)
     for x in range(m):
         for a in range(o):
             terms = {pi_idx[k]: 1.0 for k in range(len(strat)) if strat[k, x] == a}
-            terms[s_idx[x][a]] = 1.0
+            terms[s_idx[x][a]] = slack
             p.add_matrix_equality(terms, herm(members[x, a], tol=1e-8))
     sol = solve(p, tol=tol)
     if sol.status != "optimal":
         return sol, None, None, ind
     pi = np.stack([sol.x[i] for i in pi_idx])
-    witness = np.stack(
-        [np.stack([sol.s[s_idx[x][a]] for a in range(o)]) for x in range(m)]
-    )
+    witness = np.stack([np.stack([sol.s[s_idx[x][a]] for a in range(o)]) for x in range(m)])
     return sol, pi, witness, ind
-
-
-def _solve_robustness(members: np.ndarray, dim: int, tol: float):
-    """min sum tr(xi_k) over PSD xi with the strategy mixture above sigma."""
-    m, o = members.shape[0], members.shape[1]
-    strat, ind = _strategy_data(m, o)
-    p = SdpProblem()
-    xi_idx = [p.add_block(dim) for _ in range(len(strat))]
-    s_idx = [[p.add_block(dim) for _ in range(o)] for _ in range(m)]
-    eye = np.eye(dim)
-    p.set_objective({i: eye for i in xi_idx}, sense="min")
-    for x in range(m):
-        for a in range(o):
-            terms = {xi_idx[k]: 1.0 for k in range(len(strat)) if strat[k, x] == a}
-            terms[s_idx[x][a]] = -1.0
-            p.add_matrix_equality(terms, herm(members[x, a], tol=1e-8))
-    sol = solve(p, tol=tol)
-    if sol.status != "optimal":
-        return sol, None, None, ind
-    xi = np.stack([sol.x[i] for i in xi_idx])
-    witness = np.stack(
-        [np.stack([sol.s[s_idx[x][a]] for a in range(o)]) for x in range(m)]
-    )
-    return sol, xi, witness, ind
 
 
 def _fraction_outcome(members: np.ndarray, prog: _FractionProgram, sol):
@@ -297,7 +278,7 @@ def steerable_weight(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
     (sigma - mixture) / weight.
     """
     members, dim = sigma.members, sigma.dim
-    sol, pi, witness, ind = _solve_weight(members, dim, tol)
+    sol, pi, witness, ind = _solve_hidden_states(members, dim, tol, "max")
     if sol.status != "optimal":
         return MonotoneReport("S_W", float("nan"), float("nan"), sol.status, {})
     unsteerable = np.einsum("kxa,kij->xaij", ind, pi)
@@ -341,7 +322,7 @@ def robustness_program(sigma: Assemblage, tol: float = 1e-9) -> RobustnessProgra
     stays near 1.
     """
     members, dim = sigma.members, sigma.dim
-    sol, xi, witness, ind = _solve_robustness(members, dim, tol)
+    sol, xi, witness, ind = _solve_hidden_states(members, dim, tol, "min")
     if sol.status != "optimal":
         return RobustnessProgram(status=sol.status, value=float("nan"), gap=sol.gap)
     raw = float(sol.primal_objective) - 1.0

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: reports, round trips, exit codes."""
 
+import dataclasses
 import json
 import math
 
@@ -8,12 +9,14 @@ import pytest
 
 import steerkit.cli
 import steerkit.games
-from steerkit.assemblages import MeasurementFamily
+import steerkit.monotones
+from steerkit.assemblages import MeasurementFamily, steer
 from steerkit.cli import run
 from steerkit.criteria import amplification_plan
 from steerkit.functionals import correlation_from
 from steerkit.games import cglmp, mub, mub_functional
 from steerkit.serialize import (
+    encode_assemblage,
     encode_bell,
     encode_correlation,
     encode_functional,
@@ -105,6 +108,22 @@ class TestSteerAndMonotone:
         code, sr = run_json(tmp_path, "monotone", "--assemblage", asm_path, "--which", "S_R")
         assert code == 0
         assert sr["value"] > 1e-3
+
+    @pytest.mark.parametrize("which", ["S_W", "S_R"])
+    def test_indeterminate_solve_is_solver_exit(self, tmp_path, monkeypatch, which):
+        # the program runs to the end and only its status is replaced
+        real = steerkit.monotones.solve
+
+        def indeterminate(problem, **kwargs):
+            return dataclasses.replace(real(problem, **kwargs), status="indeterminate")
+
+        monkeypatch.setattr(steerkit.monotones, "solve", indeterminate)
+        asm = write(tmp_path, "asm.json", encode_assemblage(steer(max_entangled(2), zx_family())))
+        code, report = run_json(tmp_path, "monotone", "--which", which, "--assemblage", asm)
+        assert code == 2
+        assert report["monotone"] == which
+        assert report["status"] == "indeterminate"
+        assert report["value"] is None
 
 
 class TestBound:

@@ -1,5 +1,7 @@
 """Steering monotones: values, certificates, propositions, audits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,13 +90,60 @@ class TestValues:
             sr = steering_robustness(sig)
             assert abs(so.value - sr.value) <= 1e-5 + so.gap + sr.gap
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
         members = np.zeros((13, 2, 2, 2), dtype=complex)
         members[:, 0] = np.diag([0.5, 0.0])
         members[:, 1] = np.diag([0.0, 0.5])
         sig = Assemblage(2, members)
-        with pytest.raises(ValueError, match="cap"):
-            optimal_steering_fraction(sig)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran past the enumeration cap")
+
+        # every entry point refuses the table before any solve
+        monkeypatch.setattr(monotones, "solve", no_solve)
+        entries = (optimal_steering_fraction, steerable_weight, steering_robustness, lhs_membership)
+        for entry in entries:
+            with pytest.raises(ValueError, match="cap"):
+                entry(sig)
+
+
+class TestNonOptimalSolve:
+    """A solve that ends short of optimal gives a NaN value or an
+    `indeterminate` membership, never a traceback."""
+
+    @pytest.fixture(autouse=True)
+    def indeterminate_solves(self, monkeypatch):
+        # every program still runs to the end; only its status is replaced
+        real = monotones.solve
+        calls = []
+
+        def indeterminate(problem, **kwargs):
+            calls.append(problem)
+            return dataclasses.replace(real(problem, **kwargs), status="indeterminate")
+
+        monkeypatch.setattr(monotones, "solve", indeterminate)
+        yield
+        assert calls
+
+    @pytest.mark.parametrize(
+        "entry", [steerable_weight, steering_robustness, optimal_steering_fraction],
+        ids=["S_W", "S_R", "S_O"],
+    )
+    def test_monotone_value_is_nan(self, entry):
+        report = entry(steer(max_entangled(2), zx_family()))
+        assert report.status == "indeterminate"
+        assert np.isnan(report.value)
+
+    def test_robustness_program_value_is_nan(self):
+        prog = robustness_program(steer(max_entangled(2), zx_family()))
+        assert prog.status == "indeterminate"
+        assert np.isnan(prog.value)
+        assert prog.model is None and prog.witness is None
+
+    def test_membership_is_indeterminate(self):
+        res = lhs_membership(steer(max_entangled(2), zx_family()))
+        assert res.status == "indeterminate"
+        assert res.robustness is None
 
 
 # Largest eigenvalue of the LHS bound of the m-setting Pauli steering
