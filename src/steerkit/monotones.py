@@ -14,6 +14,14 @@ PSD hidden states, one per strategy: a PSD slack holds their mixture below
 sigma when the weight maximizes their total trace, above it when the
 robustness minimizes it.
 
+The optimal steering fraction is the Lagrange dual of the robustness
+program, so both are read off one robustness solve: its dual slack is the
+optimal functional, its hidden states are the fraction's dual cover, and
+1 + robustness is the supremum.  A separate fraction program, with one
+matrix equality per strategy, remains as the fallback when the robustness
+solve stalls, for the monotonicity audit's batches, and for the fraction
+of the derived tables the proposition chains check.
+
 The robustness program doubles as the membership engine for the LHS set:
 its optimal hidden-state table is the model for members, and its dual
 slack yields a violated functional for nonmembers.
@@ -101,7 +109,8 @@ class MonotoneReport:
 
 @dataclass(frozen=True)
 class RobustnessProgram:
-    """Full detail of one robustness solve, reused for LHS membership."""
+    """Full detail of one robustness solve, reused for LHS membership and
+    for the optimal steering fraction."""
 
     status: str
     value: float
@@ -113,18 +122,44 @@ class RobustnessProgram:
     dual_value: float | None = None
     noise: np.ndarray | None = None               # (m, o, d, d), when value > 0
 
+    def _robustness_report(self) -> MonotoneReport:
+        """The S_R report of this solve (NaN unless it ended optimal)."""
+        if self.status != "optimal":
+            return MonotoneReport("S_R", float("nan"), float("nan"), self.status, {})
+        cert_value = _clamped(float(np.einsum("kii->", self.model).real) - 1.0)
+        return MonotoneReport(
+            monotone="S_R",
+            value=self.value,
+            gap=self.gap,
+            status=self.status,
+            certificate={
+                "model": self.model,
+                "noise": self.noise,
+                "witness": self.witness,
+                "strategy_indicator": self.strategy_indicator,
+            },
+            certificate_value=cert_value,
+            dual_value=self.dual_value,
+        )
+
 
 @dataclass(frozen=True)
 class PropositionReport:
-    """Checked inequality chain relating two monotones on one assemblage."""
+    """Checked inequality chain relating two monotones on one assemblage.
+
+    When a solve of the chain does not end optimal, `status` is that
+    solve's status, `steerable` is None, the chain does not hold, and every
+    term and slack that solve would have fixed is NaN.
+    """
 
     proposition: str
-    steerable: bool
+    steerable: bool | None
     terms: dict
     lower_slack: float
     upper_slack: float
     holds: bool
     window: tuple[float, float] | None = None
+    status: str = "optimal"
 
 
 @dataclass(frozen=True)
@@ -161,7 +196,12 @@ def _fraction_program(members: np.ndarray, dim: int) -> _FractionProgram:
     """max sum tr(F sigma) over F >= 0 with every strategy sum of F below 1.
 
     The constraint rows depend only on the shape of the member table, so
-    tables of one shape give programs that `solve_many` batches.
+    tables of one shape give programs that `solve_many` batches.  The
+    robustness program gives the same value with o^m / (m o) times fewer
+    rows; this one is kept for three uses: the fallback when a robustness
+    solve does not end optimal, the monotonicity audit's batches, and the
+    fraction of the steerable part and the noise in the proposition
+    chains, boundary tables on which the robustness program can stall.
     """
     m, o = members.shape[0], members.shape[1]
     strat, ind = _strategy_data(m, o)
@@ -204,37 +244,39 @@ def _solve_hidden_states(members: np.ndarray, dim: int, tol: float, sense: str):
     return sol, pi, witness, ind
 
 
-def _fraction_outcome(members: np.ndarray, prog: _FractionProgram, sol):
-    """S_O report and unclamped supremum (NaN unless the solve is optimal)."""
-    if sol.status != "optimal":
-        return MonotoneReport("S_O", float("nan"), float("nan"), sol.status, {}), float("nan")
+def _cover_bound(members: np.ndarray, ind: np.ndarray, cover_states: np.ndarray) -> float:
+    """Upper bound on S_O from PSD states, one per strategy, whose strategy
+    mixture covers sigma: sum tr(Y_k) - 1, after adding to every Y_k the
+    multiple of the identity that makes the cover exact."""
     dim = members.shape[-1]
     m, o = members.shape[0], members.shape[1]
-    functional = np.stack([np.stack([sol.x[prog.functional[x][a]] for a in range(o)]) for x in range(m)])
-    # the per-strategy dual matrices, PSD by construction
-    duals = np.stack([sol.s[i] for i in prog.cover])
-    supremum = float(sol.primal_objective)
-    value = _clamped(supremum - 1.0)
-    cert_value = _clamped(_fraction_of(members, functional, prog.ind) - 1.0)
-    # Dual side: the per-strategy matrices Y_k form an exact cover of sigma
-    # after compensating their feasibility slack, and sum tr(Y) bounds the
-    # supremum from above.
-    cover = np.einsum("kxa,kij->xaij", prog.ind, duals)
+    cover = np.einsum("kxa,kij->xaij", ind, cover_states)
     feas = min(
         float(np.linalg.eigvalsh(herm(cover[x, a] - members[x, a], tol=1e-6))[0])
         for x in range(m)
         for a in range(o)
     )
-    dual_total = float(np.einsum("kii->", duals).real)
-    dual_value = _clamped(dual_total + max(0.0, -feas) * dim * len(duals) - 1.0)
+    total = float(np.einsum("kii->", cover_states).real)
+    return _clamped(total + max(0.0, -feas) * dim * len(cover_states) - 1.0)
+
+
+def _fraction_outcome(members: np.ndarray, prog: _FractionProgram, sol):
+    """S_O report and unclamped supremum (NaN unless the solve is optimal)."""
+    if sol.status != "optimal":
+        return MonotoneReport("S_O", float("nan"), float("nan"), sol.status, {}), float("nan")
+    m, o = members.shape[0], members.shape[1]
+    functional = np.stack([np.stack([sol.x[prog.functional[x][a]] for a in range(o)]) for x in range(m)])
+    # the per-strategy dual matrices, PSD by construction
+    duals = np.stack([sol.s[i] for i in prog.cover])
+    supremum = float(sol.primal_objective)
     report = MonotoneReport(
         monotone="S_O",
-        value=value,
+        value=_clamped(supremum - 1.0),
         gap=float(sol.gap),
         status=sol.status,
         certificate={"functional": functional, "dual_cover": duals, "supremum": supremum},
-        certificate_value=cert_value,
-        dual_value=dual_value,
+        certificate_value=_clamped(_fraction_of(members, functional, prog.ind) - 1.0),
+        dual_value=_cover_bound(members, prog.ind, duals),
     )
     return report, supremum
 
@@ -259,15 +301,37 @@ def _fraction_reports(tables: list[np.ndarray], tol: float) -> list:
     return out
 
 
+def _fraction_from_robustness(sigma: Assemblage, prog: RobustnessProgram, tol: float) -> MonotoneReport:
+    """S_O report read off a robustness solve.
+
+    The robustness dual slack is an optimal functional and the hidden
+    states are an optimal dual cover.  Only when that solve did not end
+    optimal is the fraction program solved instead.
+    """
+    if prog.status != "optimal":
+        return _fraction_report(sigma.members, sigma.dim, tol)[0]
+    return MonotoneReport(
+        monotone="S_O",
+        value=prog.value,
+        gap=prog.gap,
+        status=prog.status,
+        certificate={"functional": prog.witness, "dual_cover": prog.model, "supremum": 1.0 + prog.raw_value},
+        # the enumerated fraction of the functional, which is the
+        # robustness program's own dual value
+        certificate_value=prog.dual_value,
+        dual_value=_cover_bound(sigma.members, prog.strategy_indicator, prog.model),
+    )
+
+
 def optimal_steering_fraction(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
     """Best steering-fraction excess over 1, maximized over functionals.
 
-    The optimizer normalizes the enumeration bound of the functional to 1,
-    so the objective itself is the fraction; the reported value is clamped
-    at 0, which every unsteerable assemblage attains.
+    The value is read off the robustness program, whose dual slack is the
+    optimal functional normalized to enumeration bound 1; it is clamped at
+    0, which every unsteerable assemblage attains.  When the robustness
+    solve does not end optimal, the fraction program is solved instead.
     """
-    report, _ = _fraction_report(sigma.members, sigma.dim, tol)
-    return report
+    return _fraction_from_robustness(sigma, robustness_program(sigma, tol=tol), tol)
 
 
 def steerable_weight(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
@@ -348,24 +412,17 @@ def robustness_program(sigma: Assemblage, tol: float = 1e-9) -> RobustnessProgra
 
 def steering_robustness(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
     """Minimal noise admixture that lands inside the LHS set."""
-    prog = robustness_program(sigma, tol=tol)
-    if prog.status != "optimal":
-        return MonotoneReport("S_R", float("nan"), float("nan"), prog.status, {})
-    cert_value = _clamped(float(np.einsum("kii->", prog.model).real) - 1.0)
-    return MonotoneReport(
-        monotone="S_R",
-        value=prog.value,
-        gap=prog.gap,
-        status=prog.status,
-        certificate={
-            "model": prog.model,
-            "noise": prog.noise,
-            "witness": prog.witness,
-            "strategy_indicator": prog.strategy_indicator,
-        },
-        certificate_value=cert_value,
-        dual_value=prog.dual_value,
-    )
+    return robustness_program(sigma, tol=tol)._robustness_report()
+
+
+def _stalled_chain(proposition: str, terms: dict, reports) -> PropositionReport | None:
+    """The report of a chain one of whose solves, in `reports` (None for a
+    solve the chain did not need), did not end optimal; None if all did."""
+    status = next((r.status for r in reports if r is not None and r.status != "optimal"), None)
+    if status is None:
+        return None
+    nan = float("nan")
+    return PropositionReport(proposition, None, terms, nan, nan, False, status=status)
 
 
 def check_proposition_weight(sigma: Assemblage, slack_tol: float = 1e-5) -> PropositionReport:
@@ -379,17 +436,24 @@ def check_proposition_weight(sigma: Assemblage, slack_tol: float = 1e-5) -> Prop
     sw_report = steerable_weight(sigma)
     so, sw = so_report.value, sw_report.value
     part = sw_report.certificate.get("steerable")
+    part_report = None if part is None else _fraction_report(part, sigma.dim, tol=1e-9)[0]
+    if part_report is not None:
+        so_part = part_report.value
+    else:
+        so_part = 0.0 if sw_report.status == "optimal" else float("nan")
+    terms = {"fraction": so, "weight": sw, "fraction_of_part": so_part}
+    stalled = _stalled_chain("weight", terms, (so_report, sw_report, part_report))
+    if stalled is not None:
+        return stalled
     if part is None:
         return PropositionReport(
             proposition="weight",
             steerable=False,
-            terms={"fraction": so, "weight": sw, "fraction_of_part": 0.0},
+            terms=terms,
             lower_slack=-so,
             upper_slack=so + 2.0 * (1.0 - sw),
             holds=(so <= slack_tol),
         )
-    part_report, _ = _fraction_report(part, sigma.dim, tol=1e-9)
-    so_part = part_report.value
     lower_slack = sw * so_part - so
     upper_slack = so + 2.0 * (1.0 - sw) - sw * so_part
     window = None
@@ -398,7 +462,7 @@ def check_proposition_weight(sigma: Assemblage, slack_tol: float = 1e-5) -> Prop
     return PropositionReport(
         proposition="weight",
         steerable=True,
-        terms={"fraction": so, "weight": sw, "fraction_of_part": so_part},
+        terms=terms,
         lower_slack=lower_slack,
         upper_slack=upper_slack,
         holds=(lower_slack >= -slack_tol and upper_slack >= -slack_tol),
@@ -410,24 +474,32 @@ def check_proposition_robustness(sigma: Assemblage, slack_tol: float = 1e-5) -> 
     """Chain linking the fraction monotone across a robustness mixture.
 
     With robustness r and noise part tau, the chain reads
-    r * value(tau) - 2 <= value(sigma) <= r * (value(tau) + 2).
+    r * value(tau) - 2 <= value(sigma) <= r * (value(tau) + 2).  One
+    robustness solve gives both r and value(sigma).
     """
-    so_report = optimal_steering_fraction(sigma)
-    sr_report = steering_robustness(sigma)
+    prog = robustness_program(sigma)
+    sr_report = prog._robustness_report()
+    so_report = _fraction_from_robustness(sigma, prog, tol=1e-9)
     so, sr = so_report.value, sr_report.value
-    noise = sr_report.certificate.get("noise")
+    noise = prog.noise
+    noise_report = None if noise is None else _fraction_report(noise, sigma.dim, tol=1e-9)[0]
+    if noise_report is not None:
+        so_noise = noise_report.value
+    else:
+        so_noise = 0.0 if sr_report.status == "optimal" else float("nan")
+    terms = {"fraction": so, "robustness": sr, "fraction_of_noise": so_noise}
+    stalled = _stalled_chain("robustness", terms, (sr_report, so_report, noise_report))
+    if stalled is not None:
+        return stalled
     if noise is None:
-        upper_slack = sr * 2.0 - so
         return PropositionReport(
             proposition="robustness",
             steerable=False,
-            terms={"fraction": so, "robustness": sr, "fraction_of_noise": 0.0},
+            terms=terms,
             lower_slack=so + 2.0,
-            upper_slack=upper_slack,
+            upper_slack=sr * 2.0 - so,
             holds=(so <= slack_tol),
         )
-    noise_report, _ = _fraction_report(noise, sigma.dim, tol=1e-9)
-    so_noise = noise_report.value
     lower_slack = so - (sr * so_noise - 2.0)
     upper_slack = sr * (so_noise + 2.0) - so
     window = None
@@ -436,7 +508,7 @@ def check_proposition_robustness(sigma: Assemblage, slack_tol: float = 1e-5) -> 
     return PropositionReport(
         proposition="robustness",
         steerable=True,
-        terms={"fraction": so, "robustness": sr, "fraction_of_noise": so_noise},
+        terms=terms,
         lower_slack=lower_slack,
         upper_slack=upper_slack,
         holds=(lower_slack >= -slack_tol and upper_slack >= -slack_tol),

@@ -33,6 +33,7 @@ from steerkit.functionals import (
 from steerkit.games import kv_game, kv_fraction, kv_measurements, mub, mub_functional
 from steerkit.linalg import haar_unitary, kron, dagger
 from steerkit.monotones import (
+    _fraction_report,
     check_proposition_robustness,
     check_proposition_weight,
     monotonicity_audit,
@@ -112,6 +113,13 @@ def test_criterion_01_reference_number_regression(tmp_path):
     print(f"criterion 1 PASS: {len(report['rows'])} reference rows in {elapsed:.1f}s")
 
 
+def fraction_program_value(sig):
+    """S_O from the separately solved fraction program, an oracle independent
+    of the robustness solve that `optimal_steering_fraction` reads."""
+    report, _ = _fraction_report(sig.members, sig.dim, 1e-9)
+    return report
+
+
 def test_criterion_02_fraction_equals_robustness():
     started = time.monotonic()
     gen = rng(2024)
@@ -128,14 +136,20 @@ def test_criterion_02_fraction_equals_robustness():
         sr = steering_robustness(sig)
         gap = abs(so.value - sr.value)
         assert gap <= 1e-5 + so.gap + sr.gap
-        worst = max(worst, gap)
+        fo = fraction_program_value(sig)
+        independent = abs(sr.value - fo.value)
+        assert independent <= 1e-5 + fo.gap + sr.gap
+        worst = max(worst, gap, independent)
     sig = steer(max_entangled(2), zx_family())
     so = optimal_steering_fraction(sig)
     sr = steering_robustness(sig)
+    fo = fraction_program_value(sig)
     assert abs(so.value - sr.value) <= 1e-5 + so.gap + sr.gap
+    assert abs(sr.value - fo.value) <= 1e-5 + fo.gap + sr.gap
     elapsed = time.monotonic() - started
     assert elapsed < 300.0
-    print(f"criterion 2 PASS: 200 assemblages, worst |S_O - S_R| = {worst:.2e}, {elapsed:.0f}s")
+    print(f"criterion 2 PASS: 201 assemblages, worst |S_O - S_R| = {worst:.2e} "
+          f"(S_O also from the fraction program), {elapsed:.0f}s")
 
 
 def test_criterion_03_proposition_chains():

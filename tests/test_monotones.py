@@ -26,7 +26,7 @@ from steerkit.monotones import (
 from steerkit import monotones
 from steerkit.games import mub
 from steerkit.sdp import SdpSolution
-from steerkit.states import isotropic, max_entangled, random_density_matrix
+from steerkit.states import DensityMatrix, isotropic, max_entangled, random_density_matrix
 
 SQRT2 = np.sqrt(2.0)
 
@@ -145,6 +145,18 @@ class TestNonOptimalSolve:
         assert res.status == "indeterminate"
         assert res.robustness is None
 
+    @pytest.mark.parametrize(
+        "chain", [check_proposition_weight, check_proposition_robustness],
+        ids=["weight", "robustness"],
+    )
+    def test_proposition_carries_the_status(self, chain):
+        rep = chain(steer(max_entangled(2), zx_family()))
+        assert rep.status == "indeterminate"
+        assert rep.steerable is None
+        assert not rep.holds
+        assert np.isnan(rep.lower_slack) and np.isnan(rep.upper_slack)
+        assert all(np.isnan(v) for v in rep.terms.values())
+
 
 # Largest eigenvalue of the LHS bound of the m-setting Pauli steering
 # functional, which sets the isotropic qubit anchors below.
@@ -194,6 +206,63 @@ class TestBoundaryStall:
         assert steering_robustness(noise).status == "optimal"
         assert steerable_weight(noise).status == "optimal"
         assert lhs_membership(noise).status != "indeterminate"
+
+
+def pure_qubit_draw(seed, draws):
+    """Last of `draws` rank-1 qubit assemblages in two random projective
+    bases, drawn as in acceptance criterion 3."""
+    gen = rng(seed)
+    for _ in range(draws):
+        rho = random_density_matrix(2, 2, rank=1, rng=gen)
+        eff = np.empty((2, 2, 2, 2), dtype=np.complex128)
+        for x in range(2):
+            q, _ = np.linalg.qr(gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2)))
+            for a in range(2):
+                eff[x, a] = np.outer(q[:, a], q[:, a].conj())
+        sig = steer(rho, MeasurementFamily(2, eff))
+    return sig
+
+
+class TestFractionFromRobustness:
+    """S_O is read off the robustness program; the fraction program is
+    solved only when the robustness solve does not end optimal."""
+
+    def test_fraction_on_input_where_the_fraction_program_stalls(self):
+        # a (d, m) = (3, 3) draw of the ROADMAP's non-optimal-exit scan at
+        # visibility 0.85, on which the fraction program ends indeterminate
+        gen = np.random.default_rng([85, 3, 3, 32])
+        rho = random_density_matrix(3, 3, rank=1, rng=gen)
+        mixed = DensityMatrix(3, 3, 0.85 * rho.matrix + 0.15 * np.eye(9) / 9)
+        eff = np.empty((3, 3, 3, 3), dtype=np.complex128)
+        for x in range(3):
+            q, _ = np.linalg.qr(gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3)))
+            for a in range(3):
+                eff[x, a] = np.outer(q[:, a], q[:, a].conj())
+        sig = steer(mixed, MeasurementFamily(3, eff))
+        so = optimal_steering_fraction(sig)
+        sr = steering_robustness(sig)
+        assert so.status == sr.status == "optimal"
+        assert abs(so.value - 0.0529789142) <= 1e-8
+        assert abs(sr.value - 0.0529789142) <= 1e-8
+
+    def test_fraction_of_boundary_noise_falls_back_to_the_fraction_program(self):
+        # the noise part of the seventh draw of criterion 3, on which the
+        # robustness program stalls and the fraction program does not
+        noise = Assemblage(2, robustness_program(pure_qubit_draw(33, 7)).noise)
+        so = optimal_steering_fraction(noise)
+        fallback, _ = monotones._fraction_report(noise.members, 2, 1e-9)
+        assert so.status == fallback.status == "optimal"
+        assert abs(so.value - fallback.value) <= 1e-9
+
+    def test_report_matches_the_robustness_solve(self):
+        sig = steer(isotropic(2, 0.9), zx_family())
+        so = optimal_steering_fraction(sig)
+        prog = robustness_program(sig)
+        assert so.value == prog.value
+        assert so.certificate["supremum"] == 1.0 + prog.raw_value
+        assert so.certificate_value == prog.dual_value
+        assert np.array_equal(so.certificate["functional"], prog.witness)
+        assert np.array_equal(so.certificate["dual_cover"], prog.model)
 
 
 class TestCertificates:
@@ -341,6 +410,39 @@ class TestPropositions:
         rep = check_proposition_robustness(sig)
         assert not rep.steerable
         assert rep.holds
+
+    def test_robustness_chain_solves_twice(self, monkeypatch):
+        # one robustness solve gives S_R and S_O of sigma; one fraction
+        # solve gives S_O of the noise part
+        real = monotones.solve
+        calls = []
+
+        def counted(problem, **kwargs):
+            calls.append(problem)
+            return real(problem, **kwargs)
+
+        monkeypatch.setattr(monotones, "solve", counted)
+        rep = check_proposition_robustness(steer(max_entangled(2), zx_family()))
+        assert rep.steerable and rep.holds
+        assert len(calls) == 2
+
+    def test_stalled_noise_solve_leaves_the_other_terms(self, monkeypatch):
+        # the second solve of the chain is the noise part's fraction program
+        real = monotones.solve
+        calls = []
+
+        def second_indeterminate(problem, **kwargs):
+            calls.append(problem)
+            sol = real(problem, **kwargs)
+            return dataclasses.replace(sol, status="indeterminate") if len(calls) == 2 else sol
+
+        monkeypatch.setattr(monotones, "solve", second_indeterminate)
+        rep = check_proposition_robustness(steer(max_entangled(2), zx_family()))
+        assert rep.status == "indeterminate"
+        assert rep.steerable is None and not rep.holds
+        assert rep.terms["robustness"] > 0.1 and rep.terms["fraction"] == rep.terms["robustness"]
+        assert np.isnan(rep.terms["fraction_of_noise"])
+        assert np.isnan(rep.lower_slack) and np.isnan(rep.upper_slack)
 
     def test_chains_on_random_steerable(self):
         gen = rng(5)
