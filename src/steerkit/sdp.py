@@ -30,12 +30,14 @@ per group.
 
 Schur complement. With W_b the NT scaling point of block b, the Schur matrix
 is M = sum_b A_b K_b A_b^T, where K_b is the svec matrix of X -> W_b X W_b,
-column p being svec(W_b E_p W_b). The constraint data are kept per block in
-compact form: A_b holds only the rows that touch block b. Blocks of one
-group with equal row counts are multiplied as one stack, and all the
-products are scattered into M by a single bincount. These are the block
-sparse formulas of Fujisawa, Kojima & Nakata (Math. Prog. 79, 1997) for the
-NT direction of Todd, Toh & Tutuncu (SIAM J. Optim. 8, 1998).
+column p being svec(W_b E_p W_b). The constraints are kept only as
+coordinate entries (row, block, svec coordinate, value), so A x and A^T y
+are a gather and a bincount, and A_b, read off the entries once, holds the
+rows that touch block b. Blocks of one group with equal row counts are
+multiplied as one stack, and all the products are scattered into M by a
+single bincount. These are the block sparse formulas of Fujisawa, Kojima &
+Nakata (Math. Prog. 79, 1997) for the NT direction of Todd, Toh & Tutuncu
+(SIAM J. Optim. 8, 1998).
 
 Schur solve. Each Newton system M dy = r is solved with the Cholesky factor
 M = L L^T by forward and back substitution over row blocks of _TRI_BLOCK
@@ -63,9 +65,9 @@ search, the exit tests and the trace are kept per problem; the P Schur
 matrices come from one bincount with per-problem bins and one batched
 Cholesky factorization. Each iteration works on the problems still running
 only: a problem that finishes leaves the stacks, and one that fails
-numerically stops alone. Matrix-vector products and inner products are one
-BLAS call per problem, so no result depends on the batch. `solve` is
-`solve_many` of one problem.
+numerically stops alone. Every bincount has bins per problem and inner
+products are one BLAS call per problem, so no result depends on the batch.
+`solve` is `solve_many` of one problem.
 
 The solver is deterministic: identical problem data produce bit-identical
 iterates and solutions, alone or in any batch.
@@ -75,7 +77,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -147,52 +149,70 @@ def _ct(m: np.ndarray) -> np.ndarray:
 
 
 class SdpProblem:
-    """Incremental problem builder.
+    """Incremental problem builder; input of the wrong shape raises ValueError.
 
     Blocks are Hermitian PSD variables; constraints are scalar rows or
     matrix equalities between scalar-weighted sums of blocks and a fixed
-    matrix (the matrix form is expanded into dim^2 scalar rows on an
-    orthonormal Hermitian basis, keeping the constraint matrix full row
-    rank).
-    """
+    matrix. A row is kept as its rhs and its entries (row, block, svec
+    coordinate, value). A matrix equality of dimension n is n^2 rows of full
+    rank, one per element E_p of the orthonormal Hermitian basis, each with
+    one entry per block (its coefficient, at coordinate p). A scalar row
+    has an entry per nonzero svec coordinate of its matrices."""
 
     def __init__(self):
         self.blocks: list[int] = []   # block dimensions
         self._objective: dict[int, np.ndarray] = {}
         self.sense = "min"
-        self._rows: list[tuple[dict[int, np.ndarray], float]] = []
+        self._rhs: list[float] = []
+        self._entries: list[np.ndarray] = []   # (4, k) chunks: rows, blocks, coordinates, values
 
     def add_block(self, dim: int) -> int:
         """Add a dim x dim Hermitian PSD variable; returns its index."""
-        assert dim >= 1
+        if dim < 1:
+            raise ValueError(f"block dimension {dim} is below 1")
         self.blocks.append(dim)
         return len(self.blocks) - 1
 
     def _check_coeff(self, idx: int, m) -> np.ndarray:
-        a = herm(np.asarray(m, dtype=np.complex128))
-        assert a.shape == (self.blocks[idx],) * 2
-        return a
+        a, n = np.asarray(m, dtype=np.complex128), self.blocks[idx]
+        if a.shape != (n, n):
+            raise ValueError(f"block {idx} is {n} x {n}, its matrix has shape {a.shape}")
+        return herm(a)
 
     def set_objective(self, terms: dict[int, np.ndarray], sense: str = "min"):
-        assert sense in ("min", "max")
+        if sense not in ("min", "max"):
+            raise ValueError(f"sense must be 'min' or 'max', not {sense!r}")
         self.sense = sense
         self._objective = {i: self._check_coeff(i, m) for i, m in terms.items()}
 
     def add_scalar_constraint(self, terms: dict[int, np.ndarray], rhs: float):
         """<A_i, X_i> summed over the given blocks equals rhs."""
-        self._rows.append(({i: self._check_coeff(i, m) for i, m in terms.items()}, float(rhs)))
+        if np.ndim(rhs):
+            raise ValueError(f"a scalar row needs a scalar rhs, not shape {np.shape(rhs)}")
+        for i, m in terms.items():
+            v = svec(self._check_coeff(i, m))
+            nz = np.flatnonzero(v)
+            self._entries.append(np.array([[len(self._rhs)] * len(nz), [i] * len(nz), nz, v[nz]]))
+        self._rhs.append(float(rhs))
 
     def add_matrix_equality(self, terms: dict[int, float], rhs: np.ndarray):
         """sum_i coeff_i * X_i = rhs, all blocks and rhs of one common dimension."""
         idxs = list(terms)
         dim = self.blocks[idxs[0]]
-        assert all(self.blocks[i] == dim for i in idxs), "matrix equality mixes block sizes"
-        for basis, value in zip(_herm_basis(dim), svec(self._check_coeff(idxs[0], rhs))):
-            self._rows.append(({i: float(terms[i]) * basis for i in idxs}, float(value)))
+        if any(self.blocks[i] != dim for i in idxs):
+            raise ValueError("matrix equality mixes block sizes")
+        b = svec(self._check_coeff(idxs[0], rhs))
+        coord = np.repeat(np.arange(dim * dim), len(idxs))
+        self._entries.append(np.array([len(self._rhs) + coord, idxs * (dim * dim), coord,
+                                       [float(terms[i]) for i in idxs] * (dim * dim)]))
+        self._rhs.extend(b.tolist())
 
     @property
     def n_constraints(self) -> int:
-        return len(self._rows)
+        return len(self._rhs)
+
+    def _coo(self) -> np.ndarray:   # the (4, nnz) entries, in the order they were added
+        return np.concatenate([np.zeros((4, 0))] + self._entries, axis=1)
 
 
 @dataclass
@@ -223,60 +243,40 @@ class _Group:
     batches: list[tuple[np.ndarray, np.ndarray]]
 
 
-def _row_data(problem: SdpProblem) -> tuple[list, np.ndarray]:
-    """The constraint rows term for term: the block indices of each row and
-    every coefficient matrix, flattened into one array."""
-    keys = [tuple(terms) for terms, _ in problem._rows]
-    coefs = np.concatenate([np.zeros(0)] + [m.ravel() for terms, _ in problem._rows
-                                            for m in terms.values()])
-    return keys, coefs
-
-
 class _Layout:
-    """Blocks and constraint rows in svec coordinates, grouped into stacks.
+    """Blocks and constraint entries in svec coordinates, grouped into stacks.
 
     A layout is built from one problem and serves every problem with the
-    same blocks and rows; `data` reads a problem's own b and c."""
+    same blocks and entries; `data` reads a problem's own b and c."""
 
     def __init__(self, problem: SdpProblem):
-        dims = problem.blocks
-        self.source = problem
-        self.blocks = dims
+        dims = self.blocks = problem.blocks
         self.offsets = np.concatenate([[0], np.cumsum([n * n for n in dims])]).astype(int)
         self.total = int(self.offsets[-1])
         self.nu = float(sum(dims))
         nrows = self.nrows = problem.n_constraints
+        self.entries = problem._coo()
+        row, blk, coord = self.entries[:3].astype(int)
+        self.rows, self.cols, self.values = row, self.offsets[blk] + coord, self.entries[3]
+        # compact rows A_b: the rows touching block b in order, each entry's slot among them
+        pairs = np.flatnonzero(np.bincount(blk * nrows + row))   # (block, row) pairs, in order
+        count = np.bincount(pairs // nrows, minlength=len(dims))
+        first = np.cumsum(count) - count
+        slot = np.searchsorted(pairs, blk * nrows + row) - first[blk]
 
-        touching: list[list[tuple[int, np.ndarray]]] = [[] for _ in dims]
-        for r, (terms, _) in enumerate(problem._rows):
-            for i, m in terms.items():
-                touching[i].append((r, m))
-        self.a_mat = np.zeros((nrows, self.total))
-        rows_of, coef_of = [], []
-        for i, n in enumerate(dims):
-            sl = slice(self.offsets[i], self.offsets[i + 1])
-            rows = np.array([r for r, _ in touching[i]], dtype=int)
-            coef = svec(np.stack([m for _, m in touching[i]])) if len(rows) else np.zeros((0, n * n))
-            self.a_mat[rows, sl] = coef
-            rows_of.append(rows)
-            coef_of.append(coef)
-
-        by_dim: dict[int, list[int]] = {}
-        for i, n in enumerate(dims):
-            by_dim.setdefault(n, []).append(i)
         self.groups: list[_Group] = []
         schur_index = []
-        for n, members in by_dim.items():
-            members = np.array(members)
-            by_count: dict[int, list[int]] = {}
-            for j, i in enumerate(members):
-                by_count.setdefault(len(rows_of[i]), []).append(j)
+        for n in dict.fromkeys(dims):
+            members = np.flatnonzero(np.array(dims) == n)
             batches = []
-            for count, sel in by_count.items():
-                if count == 0:
-                    continue
-                r = np.stack([rows_of[members[j]] for j in sel])
-                batches.append((np.array(sel), np.stack([coef_of[members[j]] for j in sel])))
+            for k in [k for k in dict.fromkeys(count[members].tolist()) if k]:   # row counts
+                sel = np.flatnonzero(count[members] == k)
+                mine = np.isin(blk, members[sel])
+                # each A_b column-major, as svec lays out a stack of rows
+                coef = np.zeros((len(sel), n * n, k))
+                coef[np.searchsorted(members[sel], blk[mine]), coord[mine], slot[mine]] = self.values[mine]
+                batches.append((sel, coef.swapaxes(1, 2)))
+                r = pairs[first[members[sel]][:, np.newaxis] + np.arange(k)] % nrows
                 schur_index.append((r[:, :, np.newaxis] * nrows + r[:, np.newaxis, :]).ravel())
             start = self.offsets[members]
             _, _, unpack, scale = _svec_index(n)
@@ -284,40 +284,40 @@ class _Layout:
                 dim=n, members=members, batches=batches,
                 coords=start[:, np.newaxis] + np.arange(n * n),
                 gather=start[:, np.newaxis, np.newaxis, np.newaxis] + unpack, scale=scale))
-        self.schur_index = np.concatenate(schur_index or [np.zeros(0, dtype=int)])
-        # join: the groups' svec coordinates, concatenated, put back in block
-        # order (None when they already are)
+        # join: the groups' svec coordinates back in block order (None when they already are)
         order = np.argsort(np.concatenate([g.coords.ravel() for g in self.groups]))
         self.join_order = None if np.array_equal(order, np.arange(self.total)) else order
-        self._bins = {1: self.schur_index}
+        self._index = {"schur": (np.concatenate(schur_index or [np.zeros(0, dtype=int)]), nrows * nrows),
+                       "rows": (self.rows, nrows), "cols": (self.cols, self.total)}
+        self._bins = {(kind, 1): index for kind, (index, _) in self._index.items()}
 
-    def schur_bins(self, count: int) -> np.ndarray:
-        """Flat Schur-matrix bin of every block product of `count` stacked
-        problems: each problem's products land in its own n x n bins, in
-        the order they have when it is solved alone."""
-        if count not in self._bins:
-            n2 = self.nrows * self.nrows
-            self._bins[count] = (self.schur_index + n2 * np.arange(count)[:, np.newaxis]).ravel()
-        return self._bins[count]
+    def scatter(self, kind: str, weights: np.ndarray) -> np.ndarray:
+        """Sum (..., k) weights into the bins of the Schur products ("schur"), of A x
+        ("rows") or of A^T y ("cols"), each leading index in bins of its own."""
+        index, size = self._index[kind]
+        lead = weights.shape[:-1]
+        count = math.prod(lead)
+        if (kind, count) not in self._bins:
+            self._bins[kind, count] = (index + size * np.arange(count)[:, np.newaxis]).ravel()
+        return np.bincount(self._bins[kind, count], weights.ravel(),
+                           minlength=count * size).reshape(lead + (size,))
 
-    @cached_property
-    def _source_rows(self) -> tuple[list, np.ndarray]:
-        return _row_data(self.source)
+    def a_dot(self, x: np.ndarray) -> np.ndarray:
+        """A x, for one vector or a (..., total) stack."""
+        return self.scatter("rows", x.take(self.cols, axis=-1) * self.values)
+
+    def at_dot(self, y: np.ndarray) -> np.ndarray:
+        """A^T y, for one vector or a (..., nrows) stack."""
+        return self.scatter("cols", y.take(self.rows, axis=-1) * self.values)
 
     def data(self, problem: SdpProblem) -> tuple[np.ndarray, np.ndarray, float]:
         """b, c (sign-adjusted to minimization) and that sign for a problem
-        with this layout's blocks and rows; ValueError for any other."""
-        if problem is not self.source:
-            if problem.blocks != self.blocks:
-                raise ValueError("batched problems need the same block dimensions")
-            keys, coefs = _row_data(problem)
-            if keys != self._source_rows[0] or not np.array_equal(coefs, self._source_rows[1]):
-                raise ValueError("batched problems need the same constraint rows")
+        with this layout's blocks and entries."""
         sign = 1.0 if problem.sense == "min" else -1.0
         c = np.zeros(self.total)
         for i, m in problem._objective.items():
             c[self.offsets[i]:self.offsets[i + 1]] = sign * svec(m)
-        return np.array([rhs for _, rhs in problem._rows], dtype=float), c, sign
+        return np.array(problem._rhs, dtype=float), c, sign
 
     def split(self, vec: np.ndarray) -> list[np.ndarray]:
         """One (..., B, n, n) stack of Hermitian matrices per group (smat with one gather)."""
@@ -330,11 +330,8 @@ class _Layout:
 
     def caller_blocks(self, vec: np.ndarray) -> list[np.ndarray]:
         """Blocks of one problem's vector, in the caller's order."""
-        out: list = [None] * len(self.blocks)
-        for g, m in zip(self.groups, self.split(vec)):
-            for j, i in enumerate(g.members):
-                out[i] = m[j]
-        return out
+        stacked = [m for stack in self.split(vec) for m in stack]
+        return [stacked[j] for j in np.argsort(np.concatenate([g.members for g in self.groups]))]
 
 
 # a @ v and <u, v> for every vector of a (P, n) stack, one BLAS call per
@@ -368,10 +365,8 @@ def _schur_complement(layout: _Layout, ws: list[np.ndarray]) -> np.ndarray:
         k = svec(wew.reshape(count, -1, t, n, n))   # (P, B, t, t), symmetric
         for sel, coef in g.batches:
             parts.append((coef @ k[:, sel] @ coef.swapaxes(-1, -2)).reshape(count, -1))
-    n = layout.nrows
     weights = np.concatenate(parts, axis=1) if parts else np.zeros((count, 0))
-    return np.bincount(layout.schur_bins(count), weights.ravel(),
-                       minlength=count * n * n).reshape(lead + (n, n))
+    return layout.scatter("schur", weights).reshape(lead + (layout.nrows,) * 2)
 
 
 class _Nt(NamedTuple):
@@ -491,16 +486,15 @@ def _tri_solve(t: np.ndarray, v: np.ndarray, lower: bool) -> np.ndarray:
 
 def _farkas(lay: _Layout, tol: float, b, c, x, y) -> tuple[str, dict | None]:
     """Status and certificate of a problem whose tau has collapsed."""
-    by = float(b @ y)
-    cx = float(c @ x)
+    by, cx = float(b @ y), float(c @ x)
     if by > tol:
         yhat = y / by
-        wmin = min(float(np.linalg.eigvalsh(m)[:, 0].min()) for m in lay.split(-(lay.a_mat.T @ yhat)))
+        wmin = min(float(np.linalg.eigvalsh(m)[:, 0].min()) for m in lay.split(-lay.at_dot(yhat)))
         if wmin > -1e-6:
             return "primal_infeasible", {"y": yhat, "min_eig_slack": wmin}
     if cx < -tol:
         xhat = x / (-cx)
-        axn = float(np.abs(lay.a_mat @ xhat).max(initial=0.0))
+        axn = float(np.abs(lay.a_dot(xhat)).max(initial=0.0))
         if axn < 1e-6:
             return "dual_infeasible", {"x": lay.caller_blocks(xhat), "primal_residual": axn}
     return "indeterminate", None
@@ -546,13 +540,18 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
     alone, bit for bit.
     """
     problems = list(problems)
-    assert problems, "no problems to solve"
-    assert problems[0].blocks, "problem has no variables"
-    assert problems[0].n_constraints >= 1, "problem has no constraints"
+    if not problems:
+        raise ValueError("no problems to solve")
+    if not problems[0].blocks:
+        raise ValueError("problem has no blocks")
+    if not problems[0].n_constraints:
+        raise ValueError("problem has no constraints")
 
     lay = _Layout(problems[0])
-    nu, nrows, a_mat = lay.nu, lay.nrows, lay.a_mat
-    split, join = lay.split, lay.join
+    if any(p.blocks != lay.blocks or p.n_constraints != lay.nrows
+           or not np.array_equal(p._coo(), lay.entries) for p in problems[1:]):
+        raise ValueError("batched problems need the same blocks and constraint rows")
+    nu, nrows, split, join, a_dot, at_dot = lay.nu, lay.nrows, lay.split, lay.join, lay.a_dot, lay.at_dot
     bs, cs, signs = zip(*(lay.data(p) for p in problems))
 
     # HSD starting point, the same for every problem.
@@ -576,14 +575,14 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
     for it in range(max_iters):
         b, c, x, s, y, tau, kappa = run.b, run.c, run.x, run.s, run.y, run.tau, run.kappa
         tau_col = tau[:, np.newaxis]
-        rp = _mv(a_mat, x) - b * tau_col
-        rd = -_mv(a_mat.T, y) + c * tau_col - s
+        rp = a_dot(x) - b * tau_col
+        rd = -at_dot(y) + c * tau_col - s
         by, cx, xs = _dot(b, y), _dot(c, x), _dot(x, s)
         rg = by - cx - kappa
         mu = (xs + tau * kappa) / (nu + _PAIR)
 
-        pres = np.abs(_mv(a_mat, x / tau_col) - b).max(axis=1, initial=0.0) / run.bnorm
-        dres = np.abs(_mv(a_mat.T, y / tau_col) + s / tau_col - c).max(axis=1, initial=0.0) / run.cnorm
+        pres = np.abs(a_dot(x / tau_col) - b).max(axis=1, initial=0.0) / run.bnorm
+        dres = np.abs(at_dot(y / tau_col) + s / tau_col - c).max(axis=1, initial=0.0) / run.cnorm
         # Per problem, in Python floats: the trace row and the exit tests.
         finished = []
         rows = zip(run.sign.tolist(), mu.tolist(), tau.tolist(), kappa.tolist(), pres.tolist(),
@@ -657,7 +656,7 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
             return sol
 
         wc = apply_w_vec(c)
-        awc = _mv(a_mat, wc)
+        awc = a_dot(wc)
         g1 = awc + b
         g2 = b - awc
         alpha_sc = _dot(c, wc) + kappa / tau
@@ -669,12 +668,12 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
         def newton(p1, p2, p3, p4, p5):
             h = join([nt.r @ (p4b + _ct(nt.r) @ p2b @ nt.r) @ _ct(nt.r)
                       for nt, p4b, p2b in zip(nts, split(p4), split(p2))])
-            v1 = p1 - _mv(a_mat, h)
+            v1 = p1 - a_dot(h)
             q1 = schur_solve(v1)
             rhs2 = p3 + _dot(c, h) + p5 / tau
             dtau = (rhs2 - _dot(g2, q1)) / denom
             dy = q1 + q2 * dtau[:, np.newaxis]
-            aty = _mv(a_mat.T, dy)
+            aty = at_dot(dy)
             dx = h + apply_w_vec(aty) - wc * dtau[:, np.newaxis]
             ds = -aty + c * dtau[:, np.newaxis] - p2
             dkappa = (p5 - kappa * dtau) / tau

@@ -138,6 +138,40 @@ class TestSmallProblems:
         assert sol.certificate["primal_residual"] <= 1e-6
 
 
+def _blocks(*dims):
+    p = SdpProblem()
+    for n in dims:
+        p.add_block(n)
+    return p
+
+
+# caller input that SdpProblem or solve_many refuses, with its message
+INVALID = {
+    "block_dim": ("block dimension 0 is below 1", lambda: SdpProblem().add_block(0)),
+    "coefficient_shape": (r"block 0 is 2 x 2, its matrix has shape \(3, 3\)",
+                          lambda: _blocks(2).add_scalar_constraint({0: np.eye(3)}, 1.0)),
+    "equality_rhs_shape": (r"block 0 is 2 x 2, its matrix has shape \(3, 3\)",
+                           lambda: _blocks(2, 2).add_matrix_equality({0: 1.0, 1: 1.0}, np.eye(3))),
+    "scalar_rhs_shape": (r"a scalar row needs a scalar rhs, not shape \(2,\)",
+                         lambda: _blocks(2).add_scalar_constraint({0: np.eye(2)}, np.ones(2))),
+    "mixed_sizes": ("matrix equality mixes block sizes",
+                    lambda: _blocks(2, 3).add_matrix_equality({0: 1.0, 1: 1.0}, np.eye(2))),
+    "sense": ("sense must be 'min' or 'max', not 'maximize'",
+              lambda: _blocks(2).set_objective({0: np.eye(2)}, sense="maximize")),
+    "no_problems": ("no problems to solve", lambda: solve_many([])),
+    "no_blocks": ("problem has no blocks", lambda: solve(SdpProblem())),
+    "no_rows": ("problem has no constraints", lambda: solve(_blocks(2))),
+}
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("case", list(INVALID))
+    def test_raises_value_error(self, case):
+        message, call = INVALID[case]
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def constructed_problem(n, m, gen, complex_blocks):
     """Random SDP with a known optimal pair, built from complementary
     primal and dual solutions of complementary rank."""
@@ -267,20 +301,29 @@ def _random_coefficient(n, real, gen):
     return 0.5 * (m + m.T)
 
 
+def schur_oracle_problem(gen):
+    """Rows over blocks of four sizes, one of them with real data, and the
+    dense constraint matrix of those rows: the three blocks of size 2 touch
+    5, 3 and 2 rows, so their group is multiplied in several batches."""
+    shapes = [(2, False), (2, False), (3, False), (2, False), (4, True), (1, True)]
+    touched = [{0, 1, 2, 4, 5}, {0, 1, 3}, {0, 2, 5}, {1, 4}, {0, 1, 2, 3, 4, 5}, {3, 5}]
+    offsets = np.cumsum([0] + [n * n for n, _ in shapes])
+    a = np.zeros((len(touched), offsets[-1]))
+    p = SdpProblem()
+    for n, _ in shapes:
+        p.add_block(n)
+    for r, row in enumerate(touched):
+        terms = {i: _random_coefficient(*shapes[i], gen) for i in sorted(row)}
+        for i, m in terms.items():
+            a[r, offsets[i]:offsets[i + 1]] = svec(m)
+        p.add_scalar_constraint(terms, float(gen.standard_normal()))
+    return p, a
+
+
 class TestSchurComplement:
     def test_matches_dense_symmetric_kronecker(self):
-        # blocks of four sizes, one of them with real data; the three
-        # blocks of size 2 touch 5, 3 and 2 rows, so their group is
-        # multiplied in several batches
         gen = rng(31)
-        shapes = [(2, False), (2, False), (3, False), (2, False), (4, True), (1, True)]
-        touched = [{0, 1, 2, 4, 5}, {0, 1, 3}, {0, 2, 5}, {1, 4}, {0, 1, 2, 3, 4, 5}, {3, 5}]
-        p = SdpProblem()
-        for n, _ in shapes:
-            p.add_block(n)
-        for row in touched:
-            p.add_scalar_constraint({i: _random_coefficient(*shapes[i], gen) for i in sorted(row)},
-                                    float(gen.standard_normal()))
+        p, a = schur_oracle_problem(gen)
         layout = _Layout(p)
         assert {g.dim for g in layout.groups} == {1, 2, 3, 4}
         assert max(len(g.batches) for g in layout.groups) >= 2
@@ -298,8 +341,24 @@ class TestSchurComplement:
                 lo, hi = layout.offsets[i], layout.offsets[i + 1]
                 k[lo:hi, lo:hi] = np.column_stack(
                     [svec(wb @ smat(e, g.dim) @ wb) for e in np.eye(hi - lo)])
-        ref = layout.a_mat @ k @ layout.a_mat.T
+        ref = a @ k @ a.T
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestConstraintProducts:
+    def test_match_dense_products_alone_and_stacked(self):
+        gen = rng(33)
+        p, a = schur_oracle_problem(gen)
+        layout = _Layout(p)
+        xs = gen.standard_normal((3, a.shape[1]))
+        ys = gen.standard_normal((3, a.shape[0]))
+        ax, aty = layout.a_dot(xs), layout.at_dot(ys)
+        assert np.max(np.abs(ax - xs @ a.T)) <= 1e-13 * np.max(np.abs(xs @ a.T))
+        assert np.max(np.abs(aty - ys @ a)) <= 1e-13 * np.max(np.abs(ys @ a))
+        # a problem's product does not depend on the stack it is in
+        for j in range(3):
+            assert np.array_equal(ax[j], layout.a_dot(xs[j]))
+            assert np.array_equal(aty[j], layout.at_dot(ys[j]))
 
 
 def _spd(n, cond, gen):
@@ -426,7 +485,13 @@ class TestSeveralSchurBlocks:
     def test_repeated_row_gives_a_singular_schur_matrix(self):
         p, _ = qutrit_fraction_program(3, rng(49))
         repeated, _ = qutrit_fraction_program(3, rng(49))
-        repeated.add_scalar_constraint(*repeated._rows[100])
+        # row 100: coordinate 1 of strategy 11's equality, rebuilt on the basis
+        strategy, coord = divmod(100, 9)
+        choice = list(itertools.product(range(3), repeat=3))[strategy]
+        basis = _herm_basis(3)[coord]
+        terms = {3 * x + a: basis for x, a in enumerate(choice)}
+        terms[9 + strategy] = basis   # the slack blocks follow the 9 member blocks
+        repeated.add_scalar_constraint(terms, float(svec(np.eye(3))[coord]))
         assert repeated.n_constraints == 244
         a, b = solve(p, tol=1e-9), solve(repeated, tol=1e-9)
         assert a.status == b.status == "optimal"
@@ -443,6 +508,23 @@ def fraction_program(members, rhs=None):
         for a1 in range(2):
             p.add_matrix_equality({f[0][a0]: 1.0, f[1][a1]: 1.0, p.add_block(2): 1.0},
                                   np.eye(2) if rhs is None else rhs)
+    return p
+
+
+def fraction_rows(members, scale=None, count=16):
+    """`fraction_program(members)` with its first `count` rows written one by
+    one as scalar rows on the Hermitian basis; `scale` maps (row, block) to
+    a coefficient other than 1."""
+    p = SdpProblem()
+    f = [[p.add_block(2) for _ in range(2)] for _ in range(2)]
+    t = [p.add_block(2) for _ in range(4)]
+    p.set_objective({f[x][a]: members[x, a] for x in range(2) for a in range(2)}, sense="max")
+    for row in range(count):
+        k, coord = divmod(row, 4)
+        blocks = [f[0][k // 2], f[1][k % 2], t[k]]
+        basis = _herm_basis(2)[coord]
+        p.add_scalar_constraint({i: (scale or {}).get((row, i), 1.0) * basis for i in blocks},
+                                float(svec(np.eye(2))[coord]))
     return p
 
 
@@ -529,12 +611,11 @@ class TestSolveMany:
         gen = rng(65)
         members = random_members(gen)
         base = fraction_program(members)
-        scaled = fraction_program(members, rhs=np.eye(2))
-        scaled._rows[3][0][0] = 2.0 * scaled._rows[3][0][0]   # one coefficient of one row
+        assert solve_many([base, fraction_rows(members)])[1].status == "optimal"
+        scaled = fraction_rows(members, scale={(3, 0): 2.0})   # one coefficient of one row
         with pytest.raises(ValueError, match="rows"):
             solve_many([base, scaled])
-        fewer = fraction_program(members)
-        fewer._rows.pop()
+        fewer = fraction_rows(members, count=15)
         with pytest.raises(ValueError, match="rows"):
             solve_many([base, fewer])
         wider = SdpProblem()
