@@ -318,8 +318,7 @@ def _optimal_povm_sdp(g: np.ndarray, tol: float) -> tuple[float, np.ndarray, flo
     sol = solve(p, tol=tol)
     if sol.status != "optimal":
         raise RuntimeError(f"POVM optimization ended {sol.status}")
-    effects = np.stack([np.asarray(x) for x in sol.x])
-    return float(sol.primal_objective), effects, float(sol.gap)
+    return float(sol.primal_objective), sol.x, float(sol.gap)
 
 
 def _repair_povm(effects: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def as_matrix(m) -> np.ndarray:
     """Coerce to a square complex128 array."""
     a = np.asarray(m, dtype=np.complex128)
-    assert a.ndim == 2 and a.shape[0] == a.shape[1], f"expected square matrix, got {a.shape}"
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected square matrix, got {a.shape}")
     return a
 
 

@@ -239,8 +239,7 @@ def _solve_hidden_states(members: np.ndarray, dim: int, tol: float, sense: str):
     sol = solve(p, tol=tol)
     if sol.status != "optimal":
         return sol, None, None, ind
-    pi = np.stack([sol.x[i] for i in pi_idx])
-    witness = np.stack([np.stack([sol.s[s_idx[x][a]] for a in range(o)]) for x in range(m)])
+    pi, witness = sol.x[pi_idx], sol.s[np.array(s_idx)]
     return sol, pi, witness, ind
 
 
@@ -264,10 +263,9 @@ def _fraction_outcome(members: np.ndarray, prog: _FractionProgram, sol):
     """S_O report and unclamped supremum (NaN unless the solve is optimal)."""
     if sol.status != "optimal":
         return MonotoneReport("S_O", float("nan"), float("nan"), sol.status, {}), float("nan")
-    m, o = members.shape[0], members.shape[1]
-    functional = np.stack([np.stack([sol.x[prog.functional[x][a]] for a in range(o)]) for x in range(m)])
+    functional = sol.x[np.array(prog.functional)]
     # the per-strategy dual matrices, PSD by construction
-    duals = np.stack([sol.s[i] for i in prog.cover])
+    duals = sol.s[prog.cover]
     supremum = float(sol.primal_objective)
     report = MonotoneReport(
         monotone="S_O",

@@ -11,7 +11,7 @@ supported.
 Standard form handled internally:
 
     minimize    <c, x>
-    subject to  A x = b,   x in K = H_+^{n_1} x ... x H_+^{n_k}
+    subject to  A x = b,   x in K = H_+^n x ... x H_+^n   (B blocks)
 
 Coordinates. A Hermitian n x n block is a real svec vector of length n^2:
 the diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper triangle,
@@ -19,25 +19,24 @@ so that svec(A) . svec(B) = tr(AB). The unit vectors of these coordinates
 are the orthonormal Hermitian basis E_p (`_herm_basis`). Data go in and
 solutions come out at the caller's scale.
 
-Stacked blocks. At set-up the blocks are grouped by dimension, and each
-group keeps the positions of its blocks' coordinates in the svec vector.
-Splitting a vector into matrices is one gather per group giving a
-(B, n, n) complex stack; joining concatenates the groups' coordinates and
-puts them back in block order with one gather (none when all blocks have
-one dimension). Every per-block step of an iteration (NT scaling, step
-length, corrector, the line-search Cholesky test) is one batched numpy call
-per group.
+Stacked blocks. All blocks of a problem have one dimension n: every
+variable of the package's programs is an operator on one party's space.
+The blocks are one (B, n, n) complex stack from the layout to the
+solution. Splitting a vector into that stack is one gather, and joining it
+back is one svec. Every per-block step of an iteration (NT scaling, step
+length, corrector, the line-search Cholesky test) is one batched numpy
+call.
 
 Schur complement. With W_b the NT scaling point of block b, the Schur matrix
 is M = sum_b A_b K_b A_b^T, where K_b is the svec matrix of X -> W_b X W_b,
 column p being svec(W_b E_p W_b). The constraints are kept only as
 coordinate entries (row, block, svec coordinate, value), so A x and A^T y
 are a gather and a bincount, and A_b, read off the entries once, holds the
-rows that touch block b. Blocks of one group with equal row counts are
-multiplied as one stack, and all the products are scattered into M by a
-single bincount. These are the block sparse formulas of Fujisawa, Kojima &
-Nakata (Math. Prog. 79, 1997) for the NT direction of Todd, Toh & Tutuncu
-(SIAM J. Optim. 8, 1998).
+rows that touch block b. Blocks with equal row counts are multiplied as
+one stack, and all the products are scattered into M by a single bincount.
+These are the block sparse formulas of Fujisawa, Kojima & Nakata (Math.
+Prog. 79, 1997) for the NT direction of Todd, Toh & Tutuncu (SIAM J. Optim.
+8, 1998).
 
 Schur solve. Each Newton system M dy = r is solved with the Cholesky factor
 M = L L^T by forward and back substitution over row blocks of _TRI_BLOCK
@@ -77,7 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -151,13 +150,13 @@ def _ct(m: np.ndarray) -> np.ndarray:
 class SdpProblem:
     """Incremental problem builder; input of the wrong shape raises ValueError.
 
-    Blocks are Hermitian PSD variables; constraints are scalar rows or
-    matrix equalities between scalar-weighted sums of blocks and a fixed
-    matrix. A row is kept as its rhs and its entries (row, block, svec
-    coordinate, value). A matrix equality of dimension n is n^2 rows of full
-    rank, one per element E_p of the orthonormal Hermitian basis, each with
-    one entry per block (its coefficient, at coordinate p). A scalar row
-    has an entry per nonzero svec coordinate of its matrices."""
+    Blocks are Hermitian PSD variables, all of one dimension n per problem;
+    constraints are scalar rows or matrix equalities between scalar-weighted
+    sums of blocks and a fixed n x n matrix. A row is kept as its rhs and
+    its entries (row, block, svec coordinate, value). A matrix equality is
+    n^2 rows of full rank, one per element E_p of the orthonormal Hermitian
+    basis, each with one entry per block (its coefficient, at coordinate p).
+    A scalar row has an entry per nonzero svec coordinate of its matrices."""
 
     def __init__(self):
         self.blocks: list[int] = []   # block dimensions
@@ -170,10 +169,14 @@ class SdpProblem:
         """Add a dim x dim Hermitian PSD variable; returns its index."""
         if dim < 1:
             raise ValueError(f"block dimension {dim} is below 1")
+        if self.blocks and dim != self.blocks[0]:
+            raise ValueError(f"block dimension {dim} differs from the problem's {self.blocks[0]}")
         self.blocks.append(dim)
         return len(self.blocks) - 1
 
     def _check_coeff(self, idx: int, m) -> np.ndarray:
+        if idx not in range(len(self.blocks)):
+            raise ValueError(f"no block {idx!r} among the problem's {len(self.blocks)}")
         a, n = np.asarray(m, dtype=np.complex128), self.blocks[idx]
         if a.shape != (n, n):
             raise ValueError(f"block {idx} is {n} x {n}, its matrix has shape {a.shape}")
@@ -189,18 +192,17 @@ class SdpProblem:
         """<A_i, X_i> summed over the given blocks equals rhs."""
         if np.ndim(rhs):
             raise ValueError(f"a scalar row needs a scalar rhs, not shape {np.shape(rhs)}")
-        for i, m in terms.items():
-            v = svec(self._check_coeff(i, m))
+        for i, v in [(i, svec(self._check_coeff(i, m))) for i, m in terms.items()]:   # check all, then add
             nz = np.flatnonzero(v)
             self._entries.append(np.array([[len(self._rhs)] * len(nz), [i] * len(nz), nz, v[nz]]))
         self._rhs.append(float(rhs))
 
     def add_matrix_equality(self, terms: dict[int, float], rhs: np.ndarray):
-        """sum_i coeff_i * X_i = rhs, all blocks and rhs of one common dimension."""
+        """sum_i coeff_i * X_i = rhs."""
         idxs = list(terms)
-        dim = self.blocks[idxs[0]]
-        if any(self.blocks[i] != dim for i in idxs):
-            raise ValueError("matrix equality mixes block sizes")
+        if not idxs or not all(i in range(len(self.blocks)) for i in idxs):
+            raise ValueError(f"a matrix equality needs blocks among the problem's {len(self.blocks)}")
+        dim = self.blocks[0]
         b = svec(self._check_coeff(idxs[0], rhs))
         coord = np.repeat(np.arange(dim * dim), len(idxs))
         self._entries.append(np.array([len(self._rhs) + coord, idxs * (dim * dim), coord,
@@ -218,9 +220,9 @@ class SdpProblem:
 @dataclass
 class SdpSolution:
     status: str                             # optimal | primal_infeasible | dual_infeasible | indeterminate
-    x: list[np.ndarray] | None = None       # primal blocks
+    x: np.ndarray | None = None             # (B, n, n) primal blocks
     y: np.ndarray | None = None             # equality multipliers
-    s: list[np.ndarray] | None = None       # dual slack blocks
+    s: np.ndarray | None = None             # (B, n, n) dual slack blocks
     primal_objective: float | None = None   # in the caller's sense
     dual_objective: float | None = None
     gap: float | None = None                # absolute duality gap, caller's sense
@@ -230,63 +232,42 @@ class SdpSolution:
     trace: list[dict] = field(default_factory=list)
 
 
-@dataclass
-class _Group:
-    """Blocks of one dimension, handled as one stack."""
-    dim: int
-    members: np.ndarray   # block indices, in problem order
-    coords: np.ndarray    # (B, n^2) positions of each block's svec coordinates
-    gather: np.ndarray    # (B, n, n, 2) coordinate read for each real and imaginary part
-    scale: np.ndarray     # (n, n, 2) factor applied to it
-    # Compact constraint rows: for the members sel with k rows each,
-    # coef[j] = A_b (k x n^2) for block members[sel[j]].
-    batches: list[tuple[np.ndarray, np.ndarray]]
-
-
 class _Layout:
-    """Blocks and constraint entries in svec coordinates, grouped into stacks.
+    """Blocks and constraint entries in svec coordinates, the blocks as one stack.
 
     A layout is built from one problem and serves every problem with the
     same blocks and entries; `data` reads a problem's own b and c."""
 
     def __init__(self, problem: SdpProblem):
-        dims = self.blocks = problem.blocks
-        self.offsets = np.concatenate([[0], np.cumsum([n * n for n in dims])]).astype(int)
-        self.total = int(self.offsets[-1])
-        self.nu = float(sum(dims))
+        self.blocks = problem.blocks
+        nb, n = len(self.blocks), self.blocks[0]
+        self.dim, t = n, n * n
+        self.total = nb * t
+        self.nu = float(nb * n)
         nrows = self.nrows = problem.n_constraints
         self.entries = problem._coo()
         row, blk, coord = self.entries[:3].astype(int)
-        self.rows, self.cols, self.values = row, self.offsets[blk] + coord, self.entries[3]
+        self.rows, self.cols, self.values = row, blk * t + coord, self.entries[3]
         # compact rows A_b: the rows touching block b in order, each entry's slot among them
         pairs = np.flatnonzero(np.bincount(blk * nrows + row))   # (block, row) pairs, in order
-        count = np.bincount(pairs // nrows, minlength=len(dims))
+        count = np.bincount(pairs // nrows, minlength=nb)
         first = np.cumsum(count) - count
         slot = np.searchsorted(pairs, blk * nrows + row) - first[blk]
 
-        self.groups: list[_Group] = []
+        # per row count k: the blocks sel with k rows, and coef[j] = A_b (k x n^2) of block sel[j]
+        self.batches: list[tuple[np.ndarray, np.ndarray]] = []
         schur_index = []
-        for n in dict.fromkeys(dims):
-            members = np.flatnonzero(np.array(dims) == n)
-            batches = []
-            for k in [k for k in dict.fromkeys(count[members].tolist()) if k]:   # row counts
-                sel = np.flatnonzero(count[members] == k)
-                mine = np.isin(blk, members[sel])
-                # each A_b column-major, as svec lays out a stack of rows
-                coef = np.zeros((len(sel), n * n, k))
-                coef[np.searchsorted(members[sel], blk[mine]), coord[mine], slot[mine]] = self.values[mine]
-                batches.append((sel, coef.swapaxes(1, 2)))
-                r = pairs[first[members[sel]][:, np.newaxis] + np.arange(k)] % nrows
-                schur_index.append((r[:, :, np.newaxis] * nrows + r[:, np.newaxis, :]).ravel())
-            start = self.offsets[members]
-            _, _, unpack, scale = _svec_index(n)
-            self.groups.append(_Group(
-                dim=n, members=members, batches=batches,
-                coords=start[:, np.newaxis] + np.arange(n * n),
-                gather=start[:, np.newaxis, np.newaxis, np.newaxis] + unpack, scale=scale))
-        # join: the groups' svec coordinates back in block order (None when they already are)
-        order = np.argsort(np.concatenate([g.coords.ravel() for g in self.groups]))
-        self.join_order = None if np.array_equal(order, np.arange(self.total)) else order
+        for k in [k for k in dict.fromkeys(count.tolist()) if k]:
+            sel = np.flatnonzero(count == k)
+            mine = np.isin(blk, sel)
+            # each A_b column-major, as svec lays out a stack of rows
+            coef = np.zeros((len(sel), t, k))
+            coef[np.searchsorted(sel, blk[mine]), coord[mine], slot[mine]] = self.values[mine]
+            self.batches.append((sel, coef.swapaxes(1, 2)))
+            r = pairs[first[sel][:, np.newaxis] + np.arange(k)] % nrows
+            schur_index.append((r[:, :, np.newaxis] * nrows + r[:, np.newaxis, :]).ravel())
+        _, _, unpack, self.scale = _svec_index(n)
+        self.gather = (t * np.arange(nb))[:, np.newaxis, np.newaxis, np.newaxis] + unpack
         self._index = {"schur": (np.concatenate(schur_index or [np.zeros(0, dtype=int)]), nrows * nrows),
                        "rows": (self.rows, nrows), "cols": (self.cols, self.total)}
         self._bins = {(kind, 1): index for kind, (index, _) in self._index.items()}
@@ -314,57 +295,49 @@ class _Layout:
         """b, c (sign-adjusted to minimization) and that sign for a problem
         with this layout's blocks and entries."""
         sign = 1.0 if problem.sense == "min" else -1.0
-        c = np.zeros(self.total)
+        c = np.zeros((len(self.blocks), self.dim * self.dim))
         for i, m in problem._objective.items():
-            c[self.offsets[i]:self.offsets[i + 1]] = sign * svec(m)
-        return np.array(problem._rhs, dtype=float), c, sign
+            c[i] = sign * svec(m)
+        return np.array(problem._rhs, dtype=float), c.ravel(), sign
 
-    def split(self, vec: np.ndarray) -> list[np.ndarray]:
-        """One (..., B, n, n) stack of Hermitian matrices per group (smat with one gather)."""
-        return [(vec.take(g.gather, axis=-1) * g.scale).view(np.complex128)[..., 0] for g in self.groups]
+    def split(self, vec: np.ndarray) -> np.ndarray:
+        """The (..., B, n, n) Hermitian stack of (..., total) svec vectors (smat with one gather)."""
+        return (vec.take(self.gather, axis=-1) * self.scale).view(np.complex128)[..., 0]
 
-    def join(self, stacks: list[np.ndarray]) -> np.ndarray:
-        lead = stacks[0].shape[:-3]
-        out = np.concatenate([svec(m).reshape(lead + (-1,)) for m in stacks], axis=-1)
-        return out if self.join_order is None else out.take(self.join_order, axis=-1)
-
-    def caller_blocks(self, vec: np.ndarray) -> list[np.ndarray]:
-        """Blocks of one problem's vector, in the caller's order."""
-        stacked = [m for stack in self.split(vec) for m in stack]
-        return [stacked[j] for j in np.argsort(np.concatenate([g.members for g in self.groups]))]
+    def join(self, stack: np.ndarray) -> np.ndarray:
+        return svec(stack).reshape(stack.shape[:-3] + (-1,))
 
 
 # a @ v and <u, v> for every vector of a (P, n) stack, one BLAS call per
 # vector, so that a problem's arithmetic is the same whatever it is batched
 # with; numpy 2.2 has them as gufuncs, older numpy gets the same BLAS calls
 # from stacked matmul.
-if hasattr(np, "matvec"):
-    _mv, _dot = np.matvec, np.vecdot
-else:
-    def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.matmul(a, v[..., np.newaxis])[..., 0]
-
-    def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.matmul(u[..., np.newaxis, :], v[..., np.newaxis])[..., 0, 0]
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.matmul(a, v[..., np.newaxis])[..., 0]
 
 
-def _schur_complement(layout: _Layout, ws: list[np.ndarray]) -> np.ndarray:
-    """M = sum_b A_b K_b A_b^T for the per-group (..., B, n, n) stacks ws of
-    scaling points W_b, one nrows x nrows matrix per leading index."""
-    lead = ws[0].shape[:-3]
+def _vecdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.matmul(u[..., np.newaxis, :], v[..., np.newaxis])[..., 0, 0]
+
+
+_mv, _dot = getattr(np, "matvec", _matvec), getattr(np, "vecdot", _vecdot)
+
+
+def _schur_complement(layout: _Layout, w: np.ndarray) -> np.ndarray:
+    """M = sum_b A_b K_b A_b^T for the (..., B, n, n) stack w of scaling
+    points W_b, one nrows x nrows matrix per leading index."""
+    lead = w.shape[:-3]
     count = math.prod(lead)
-    parts = []
-    for g, w in zip(layout.groups, ws):
-        n, t = g.dim, g.dim * g.dim
-        w = w.reshape(-1, n, n)
-        # W [E_1 ... E_t], then the W E_p stacked into rows times W: batched
-        # complex products cost one BLAS call per matrix, so this makes two
-        # calls per block rather than two per block and basis element
-        we = w @ _herm_basis(n).transpose(1, 0, 2).reshape(n, t * n)
-        wew = we.reshape(-1, n, t, n).transpose(0, 2, 1, 3).reshape(-1, t * n, n) @ w
-        k = svec(wew.reshape(count, -1, t, n, n))   # (P, B, t, t), symmetric
-        for sel, coef in g.batches:
-            parts.append((coef @ k[:, sel] @ coef.swapaxes(-1, -2)).reshape(count, -1))
+    n = layout.dim
+    t = n * n
+    w = w.reshape(-1, n, n)
+    # W [E_1 ... E_t], then the W E_p stacked into rows times W: batched
+    # complex products cost one BLAS call per matrix, so this makes two
+    # calls per block rather than two per block and basis element
+    we = w @ _herm_basis(n).transpose(1, 0, 2).reshape(n, t * n)
+    wew = we.reshape(-1, n, t, n).transpose(0, 2, 1, 3).reshape(-1, t * n, n) @ w
+    k = svec(wew.reshape(count, -1, t, n, n))   # (P, B, t, t), symmetric
+    parts = [(coef @ k[:, sel] @ coef.swapaxes(-1, -2)).reshape(count, -1) for sel, coef in layout.batches]
     weights = np.concatenate(parts, axis=1) if parts else np.zeros((count, 0))
     return layout.scatter("schur", weights).reshape(lead + (layout.nrows,) * 2)
 
@@ -410,16 +383,15 @@ def _has_cholesky(m: np.ndarray) -> bool:
     return True
 
 
-def _positive_definite(stacks: list[np.ndarray]) -> bool | np.ndarray:
-    """Whether every matrix of each problem's slice of the (P, ...) stacks has
-    a Cholesky factor: True when all do (one batched call per stack), else a
-    (P,) mask from one call per problem."""
+def _positive_definite(stack: np.ndarray) -> bool | np.ndarray:
+    """Whether every matrix of each problem's slice of the (P, ...) stack has
+    a Cholesky factor: True when all do (one batched call), else a (P,) mask
+    from one call per problem."""
     try:
-        for m in stacks:
-            np.linalg.cholesky(m)
+        np.linalg.cholesky(stack)
         return True
     except np.linalg.LinAlgError:
-        return np.array([all(_has_cholesky(m[j]) for m in stacks) for j in range(len(stacks[0]))])
+        return np.array([_has_cholesky(m) for m in stack])
 
 
 def _max_step(wmin: float, tau: float, dtau: float, kappa: float, dkappa: float) -> float:
@@ -489,14 +461,14 @@ def _farkas(lay: _Layout, tol: float, b, c, x, y) -> tuple[str, dict | None]:
     by, cx = float(b @ y), float(c @ x)
     if by > tol:
         yhat = y / by
-        wmin = min(float(np.linalg.eigvalsh(m)[:, 0].min()) for m in lay.split(-lay.at_dot(yhat)))
+        wmin = float(np.linalg.eigvalsh(lay.split(-lay.at_dot(yhat)))[:, 0].min())
         if wmin > -1e-6:
             return "primal_infeasible", {"y": yhat, "min_eig_slack": wmin}
     if cx < -tol:
         xhat = x / (-cx)
         axn = float(np.abs(lay.a_dot(xhat)).max(initial=0.0))
         if axn < 1e-6:
-            return "dual_infeasible", {"x": lay.caller_blocks(xhat), "primal_residual": axn}
+            return "dual_infeasible", {"x": lay.split(xhat), "primal_residual": axn}
     return "indeterminate", None
 
 
@@ -555,7 +527,7 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
     bs, cs, signs = zip(*(lay.data(p) for p in problems))
 
     # HSD starting point, the same for every problem.
-    x0 = join([np.broadcast_to(np.eye(g.dim), (len(g.members), g.dim, g.dim)) for g in lay.groups])
+    x0 = join(np.broadcast_to(np.eye(lay.dim), (len(lay.blocks), lay.dim, lay.dim)))
     mu0 = (x0 @ (x0 / _PAIR) + 1.0) / (nu + _PAIR)
     count = len(problems)
     b, c = np.array(bs), np.array(cs)
@@ -595,8 +567,8 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
                                        "pres": pres_j, "dres": dres_j, "pobj": po, "dobj": do,
                                        "xs_inner": xs_j})
             if pres_j <= tol and dres_j <= tol and relgap <= tol:
-                finish(j, "optimal", it, x=lay.caller_blocks(x[j] / tau_j), y=sign * y[j] / tau_j,
-                       s=lay.caller_blocks(s[j] / tau_j), primal_objective=po,
+                finish(j, "optimal", it, x=split(x[j] / tau_j), y=sign * y[j] / tau_j,
+                       s=split(s[j] / tau_j), primal_objective=po,
                        dual_objective=do, gap=abs(po - do), rel_gap=relgap)
                 finished.append(j)
             # Infeasibility: test Farkas certificates once tau collapses.
@@ -614,28 +586,25 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
             rp, rd, rg, mu = rp[keep], rd[keep], rg[keep], mu[keep]
             b, c, x, s, y, tau, kappa = run.b, run.c, run.x, run.s, run.y, run.tau, run.kappa
 
-        # NT scalings, one per group. A problem whose blocks cannot be scaled
-        # stops at the end of this iteration, without a step; until then it
-        # sits at the HSD starting point, so that the batch scales.
-        def scalings(xv, sv):
-            return [_nt_scaling(xb, sb) for xb, sb in zip(split(xv), split(sv))]
-
+        # NT scaling. A problem whose blocks cannot be scaled stops at the
+        # end of this iteration, without a step; until then it sits at the
+        # HSD starting point, so that the batch scales.
         stop = np.zeros(len(x), dtype=bool)
         try:
-            nts = scalings(x, s)
+            nt = _nt_scaling(split(x), split(s))
         except np.linalg.LinAlgError:
             for j in range(len(x)):
                 try:
-                    scalings(x[j], s[j])
+                    _nt_scaling(split(x[j]), split(s[j]))
                 except np.linalg.LinAlgError:
                     stop[j] = True
             x[stop], s[stop] = x0, x0 / _PAIR
-            nts = scalings(x, s)
+            nt = _nt_scaling(split(x), split(s))
 
         def apply_w_vec(vec):
-            return join([nt.w @ m @ nt.w for nt, m in zip(nts, split(vec))])
+            return join(nt.w @ split(vec) @ nt.w)
 
-        m_schur = _schur_complement(lay, [nt.w for nt in nts])
+        m_schur = _schur_complement(lay, nt.w)
         m_schur = 0.5 * (m_schur + m_schur.swapaxes(-1, -2))
         shift = 1e-14 * np.trace(m_schur, axis1=-2, axis2=-1) / nrows
         shifted = m_schur + shift[:, np.newaxis, np.newaxis] * np.eye(nrows)
@@ -666,8 +635,7 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
         denom[stop] = 1.0
 
         def newton(p1, p2, p3, p4, p5):
-            h = join([nt.r @ (p4b + _ct(nt.r) @ p2b @ nt.r) @ _ct(nt.r)
-                      for nt, p4b, p2b in zip(nts, split(p4), split(p2))])
+            h = join(nt.r @ (split(p4) + _ct(nt.r) @ split(p2) @ nt.r) @ _ct(nt.r))
             v1 = p1 - a_dot(h)
             q1 = schur_solve(v1)
             rhs2 = p3 + _dot(c, h) + p5 / tau
@@ -680,13 +648,12 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
             return dx, dy, ds, dtau, dkappa
 
         def max_alpha(dx, ds, dtau, dkappa):
-            wmin = reduce(np.minimum, [_min_eig_along(nt.l_inv, np.concatenate([dxb, dsb], axis=-3))
-                                       for nt, dxb, dsb in zip(nts, split(dx), split(ds))])
+            wmin = _min_eig_along(nt.l_inv, np.concatenate([split(dx), split(ds)], axis=-3))
             return np.array([_max_step(*v) for v in zip(wmin.tolist(), tau.tolist(), dtau.tolist(),
                                                         kappa.tolist(), dkappa.tolist())])
 
         # Predictor (affine scaling direction).
-        p4_aff = join([_diag(-nt.lam) for nt in nts])
+        p4_aff = join(_diag(-nt.lam))
         dx_a, dy_a, ds_a, dtau_a, dkap_a = newton(-rp, -rd, -rg, p4_aff, -tau * kappa)
         alpha_aff = np.minimum(1.0, max_alpha(dx_a, ds_a, dtau_a, dkap_a))
         step = alpha_aff[:, np.newaxis]
@@ -697,16 +664,13 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
         sigma = np.minimum(1.0, np.maximum(0.0, np.float_power(mu_aff / mu, 3)))
 
         # Corrector (combined direction).
-        p4_mats = []
+        dxs = nt.rinv @ split(dx_a) @ _ct(nt.rinv)
+        dss = _ct(nt.r) @ split(ds_a) @ nt.r
+        hcorr = 0.5 * (dxs @ dss + dss @ dxs)
+        lam = nt.lam
         target_mu = (sigma * mu)[:, np.newaxis, np.newaxis, np.newaxis]
-        for nt, dxb, dsb in zip(nts, split(dx_a), split(ds_a)):
-            dxs = nt.rinv @ dxb @ _ct(nt.rinv)
-            dss = _ct(nt.r) @ dsb @ nt.r
-            hcorr = 0.5 * (dxs @ dss + dss @ dxs)
-            lam = nt.lam
-            target = target_mu * np.eye(lam.shape[-1]) - _diag(lam * lam) - hcorr
-            p4_mats.append(target / (0.5 * (lam[..., :, np.newaxis] + lam[..., np.newaxis, :])))
-        p4 = join(p4_mats)
+        target = target_mu * np.eye(lay.dim) - _diag(lam * lam) - hcorr
+        p4 = join(target / (0.5 * (lam[..., :, np.newaxis] + lam[..., np.newaxis, :])))
         p5 = _PAIR * sigma * mu - tau * kappa - dtau_a * dkap_a
         eta = 1.0 - sigma
         dx, dy, ds, dtau, dkappa = newton(-eta[:, np.newaxis] * rp, -eta[:, np.newaxis] * rd,
@@ -723,7 +687,7 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
             x_new = x + alpha[:, np.newaxis] * dx
             s_new = s + alpha[:, np.newaxis] * ds
             ok = (tau_new > 0) & (kappa_new > 0) & _positive_definite(
-                [np.concatenate([xb, sb], axis=-3) for xb, sb in zip(split(x_new), split(s_new))])
+                np.concatenate([split(x_new), split(s_new)], axis=-3))
             searching &= ~ok
             if not searching.any():
                 break

@@ -46,16 +46,48 @@ def encode_matrix(matrix: np.ndarray) -> list:
     return paired.tolist()
 
 
+# Decoding checks the JSON types, so malformed input raises ValueError.
+def _object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return obj
+
+
+def _fields(obj: dict, what: str, *keys: str) -> list:
+    try:
+        return [obj[key] for key in keys]
+    except KeyError as missing:
+        raise ValueError(f"{what} is missing {missing}") from None
+
+
+def _scalar(value, kind: type, what: str):
+    """A JSON number of the given kind, int or float; a float field takes an integer too."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise ValueError(f"{what} must be {'an integer' if kind is int else 'a number'}, not {value!r}")
+    return kind(value)
+
+
+def _real_array(data, what: str) -> np.ndarray:
+    try:
+        return np.asarray(data, dtype=float)
+    except TypeError:
+        raise ValueError(f"{what} must be numbers") from None
+
+
 def decode_matrix(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    arr = _real_array(data, "matrix entries")
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValueError("matrix entries must be [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
 def _operator_table(block: dict, settings: int, outcomes: int, dim: int, what: str) -> np.ndarray:
-    table = np.zeros((settings, outcomes, dim, dim), dtype=np.complex128)
-    seen = set()
+    """The (settings, outcomes, dim, dim) table of an "a|x" block, allocated
+    only once every entry has been read, so its size is bounded by the input's."""
+    _object(block, f"{what} block")
+    if min(settings, outcomes, dim) < 1:
+        raise ValueError(f"{what} dim, settings and outcomes must be at least 1")
+    table = {}
     for key, entry in block.items():
         try:
             a_str, x_str = key.split("|")
@@ -68,10 +100,9 @@ def _operator_table(block: dict, settings: int, outcomes: int, dim: int, what: s
         if matrix.shape != (dim, dim):
             raise ValueError(f"{what} {key!r} must be a {dim}x{dim} matrix")
         table[x, a] = matrix
-        seen.add((a, x))
-    if len(seen) != settings * outcomes:
+    if len(table) != settings * outcomes:
         raise ValueError(f"{what} block must contain all {settings * outcomes} entries")
-    return table
+    return np.array([[table[x, a] for a in range(outcomes)] for x in range(settings)], dtype=np.complex128)
 
 
 def _encode_operator_table(table: np.ndarray) -> dict:
@@ -88,17 +119,13 @@ def encode_state(rho: DensityMatrix) -> dict:
 def decode_state(obj: dict) -> DensityMatrix:
     """Accepts the full descriptor or the isotropic shorthand
     {"isotropic": {"d": ..., "p": ...}}."""
-    if not isinstance(obj, dict):
-        raise ValueError("state descriptor must be a JSON object")
+    _object(obj, "state descriptor")
     if "isotropic" in obj:
-        spec = obj["isotropic"]
-        return isotropic(int(spec["d"]), float(spec["p"]))
-    try:
-        dA, dB = int(obj["dA"]), int(obj["dB"])
-        matrix = decode_matrix(obj["matrix"])
-    except KeyError as missing:
-        raise ValueError(f"state descriptor is missing {missing}") from None
-    return DensityMatrix(dA, dB, matrix)
+        spec = _object(obj["isotropic"], "isotropic shorthand")
+        d, p = _fields(spec, "isotropic shorthand", "d", "p")
+        return isotropic(_scalar(d, int, "isotropic d"), _scalar(p, float, "isotropic p"))
+    d_a, d_b, matrix = _fields(obj, "state descriptor", "dA", "dB", "matrix")
+    return DensityMatrix(_scalar(d_a, int, "state dA"), _scalar(d_b, int, "state dB"), decode_matrix(matrix))
 
 
 def encode_assemblage(sigma: Assemblage) -> dict:
@@ -120,14 +147,17 @@ def _unwrap(obj: dict, marker: str, *wrappers: str) -> dict:
     return obj
 
 
+def _table_descriptor(obj, what: str, key: str, *wrappers: str) -> tuple[int, np.ndarray]:
+    """dim and operator table of an assemblage, functional or measurement descriptor."""
+    obj = _object(_unwrap(obj, key, *wrappers), f"{what} descriptor")
+    names = ("dim", "settings", "outcomes")
+    *sizes, block = _fields(obj, f"{what} descriptor", *names, key)
+    dim, m, o = (_scalar(v, int, f"{what} {name}") for v, name in zip(sizes, names))
+    return dim, _operator_table(block, m, o, dim, what)
+
+
 def decode_assemblage(obj: dict) -> Assemblage:
-    obj = _unwrap(obj, "sigma", "assemblage")
-    try:
-        dim, m, o = int(obj["dim"]), int(obj["settings"]), int(obj["outcomes"])
-        block = obj["sigma"]
-    except KeyError as missing:
-        raise ValueError(f"assemblage descriptor is missing {missing}") from None
-    return Assemblage(dim, _operator_table(block, m, o, dim, "assemblage"))
+    return Assemblage(*_table_descriptor(obj, "assemblage", "sigma", "assemblage"))
 
 
 def encode_functional(func: SteeringFunctional) -> dict:
@@ -140,13 +170,7 @@ def encode_functional(func: SteeringFunctional) -> dict:
 
 
 def decode_functional(obj: dict) -> SteeringFunctional:
-    obj = _unwrap(obj, "operators", "functional")
-    try:
-        dim, m, o = int(obj["dim"]), int(obj["settings"]), int(obj["outcomes"])
-        block = obj["operators"]
-    except KeyError as missing:
-        raise ValueError(f"functional descriptor is missing {missing}") from None
-    return SteeringFunctional(dim, _operator_table(block, m, o, dim, "functional"))
+    return SteeringFunctional(*_table_descriptor(obj, "functional", "operators", "functional"))
 
 
 def encode_measurements(fam: MeasurementFamily) -> dict:
@@ -159,13 +183,7 @@ def encode_measurements(fam: MeasurementFamily) -> dict:
 
 
 def decode_measurements(obj: dict) -> MeasurementFamily:
-    obj = _unwrap(obj, "effects", "family", "measurements")
-    try:
-        dim, m, o = int(obj["dim"]), int(obj["settings"]), int(obj["outcomes"])
-        block = obj["effects"]
-    except KeyError as missing:
-        raise ValueError(f"measurement descriptor is missing {missing}") from None
-    return MeasurementFamily(dim, _operator_table(block, m, o, dim, "measurement"))
+    return MeasurementFamily(*_table_descriptor(obj, "measurement", "effects", "family", "measurements"))
 
 
 def encode_bell(bell: BellFunctional) -> dict:
@@ -177,12 +195,9 @@ def encode_bell(bell: BellFunctional) -> dict:
 
 
 def decode_bell(obj: dict) -> BellFunctional:
-    obj = _unwrap(obj, "coefficients", "bell")
-    try:
-        coeffs = np.asarray(obj["coefficients"], dtype=float)
-    except KeyError as missing:
-        raise ValueError(f"Bell descriptor is missing {missing}") from None
-    return BellFunctional(coeffs)
+    obj = _object(_unwrap(obj, "coefficients", "bell"), "Bell descriptor")
+    (coeffs,) = _fields(obj, "Bell descriptor", "coefficients")
+    return BellFunctional(_real_array(coeffs, "Bell coefficients"))
 
 
 def encode_correlation(corr: Correlation) -> dict:
@@ -190,11 +205,8 @@ def encode_correlation(corr: Correlation) -> dict:
 
 
 def decode_correlation(obj: dict) -> Correlation:
-    try:
-        table = np.asarray(obj["table"], dtype=float)
-    except KeyError as missing:
-        raise ValueError(f"correlation descriptor is missing {missing}") from None
-    return Correlation(table)
+    (table,) = _fields(_object(obj, "correlation descriptor"), "correlation descriptor", "table")
+    return Correlation(_real_array(table, "correlation table"))
 
 
 def jsonify(obj):

@@ -184,6 +184,8 @@ def twirl(rho: DensityMatrix) -> IsotropicState:
 
 def twirl_monte_carlo(rho: DensityMatrix, samples: int = 10_000, rng=None) -> DensityMatrix:
     """Empirical (U x U*) twirl from Haar samples, for cross-checking `twirl`."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     d = _require_square(rho)
     gen = np.random.default_rng(rng)
     acc = np.zeros_like(rho.matrix)

@@ -363,6 +363,34 @@ class TestErrorHandling:
         code, report = run_json(tmp_path, "fef", "--state", state, "--tol", "1e-15")
         assert code == 1
 
+    @pytest.mark.parametrize("argv, payload, message", [
+        (("fef", "--state"), {"dA": 1, "dB": 2, "matrix": [[[1, 0], [0, 0]]]}, "square matrix"),
+        (("monotone", "--assemblage"), {"dim": 2, "settings": 1, "outcomes": 1, "sigma": []},
+         "assemblage block must be a JSON object"),
+        (("monotone", "--assemblage"), {"dim": None, "settings": 1, "outcomes": 1, "sigma": {}},
+         "assemblage dim must be an integer, not None"),
+        (("monotone", "--assemblage"), [1, 2], "assemblage descriptor must be a JSON object"),
+        (("monotone", "--assemblage"), {"dim": 2.9, "settings": 1, "outcomes": 1, "sigma": {}},
+         "assemblage dim must be an integer, not 2.9"),
+        (("monotone", "--assemblage"), {"dim": 2, "settings": 0, "outcomes": 2, "sigma": {}},
+         "assemblage dim, settings and outcomes must be at least 1"),
+        (("monotone", "--assemblage"), {"dim": 10**8, "settings": 1, "outcomes": 1, "sigma": {}},
+         "assemblage block must contain all 1 entries"),
+    ], ids=["nonsquare_matrix", "sigma_list", "dim_null", "top_level_list", "dim_float", "no_settings",
+            "dim_beyond_the_entries"])
+    def test_malformed_descriptor_is_domain_error(self, tmp_path, argv, payload, message):
+        code, report = run_json(tmp_path, *argv, write(tmp_path, "bad.json", payload))
+        assert code == 1
+        assert report["error"]["kind"] == "domain"
+        assert message in report["error"]["message"]
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_twirl_needs_a_sample(self, tmp_path, samples):
+        state = write(tmp_path, "iso.json", {"isotropic": {"d": 2, "p": 0.5}})
+        code, report = run_json(tmp_path, "twirl", "--state", state, "--samples", samples)
+        assert code == 1
+        assert report["error"] == {"kind": "domain", "message": "samples must be at least 1"}
+
     def test_unknown_flag_prints_usage(self, capsys):
         assert run(["fef", "--state", "x.json", "--bogus"]) == 1
         captured = capsys.readouterr()

@@ -48,7 +48,8 @@ class TestHermEig:
             assert np.all(np.diff(w) >= -1e-12)
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(Exception):
+        # a ValueError, not an assert, so that python -O keeps the check
+        with pytest.raises(ValueError, match=r"expected square matrix, got \(2, 3\)"):
             herm_eig(np.ones((2, 3)))
 
 

@@ -91,6 +91,8 @@ class TestSmallProblems:
         sol = solve(p)
         assert sol.status == "optimal"
         assert abs(sol.primal_objective - 2.0) <= 1e-7
+        # the blocks come back as one stack
+        assert sol.x.shape == sol.s.shape == (2, 2, 2)
 
     def test_scalar_lp(self):
         # min x subject to x >= 3, with x and its slack nonnegative 1x1 blocks
@@ -136,6 +138,7 @@ class TestSmallProblems:
         sol = solve(p)
         assert sol.status == "dual_infeasible"
         assert sol.certificate["primal_residual"] <= 1e-6
+        assert sol.certificate["x"].shape == (1, 2, 2)
 
 
 def _blocks(*dims):
@@ -154,8 +157,15 @@ INVALID = {
                            lambda: _blocks(2, 2).add_matrix_equality({0: 1.0, 1: 1.0}, np.eye(3))),
     "scalar_rhs_shape": (r"a scalar row needs a scalar rhs, not shape \(2,\)",
                          lambda: _blocks(2).add_scalar_constraint({0: np.eye(2)}, np.ones(2))),
-    "mixed_sizes": ("matrix equality mixes block sizes",
-                    lambda: _blocks(2, 3).add_matrix_equality({0: 1.0, 1: 1.0}, np.eye(2))),
+    "second_dimension": ("block dimension 3 differs from the problem's 2", lambda: _blocks(2, 3)),
+    "unknown_block": ("a matrix equality needs blocks among the problem's 2",
+                      lambda: _blocks(2, 2).add_matrix_equality({0: 1.0, 2: 1.0}, np.eye(2))),
+    "unknown_objective_block": ("no block -1 among the problem's 2",
+                                lambda: _blocks(2, 2).set_objective({-1: np.eye(2)})),
+    "unknown_row_block": ("no block 2 among the problem's 2",
+                          lambda: _blocks(2, 2).add_scalar_constraint({0: np.eye(2), 2: np.eye(2)}, 1.0)),
+    "empty_terms": ("a matrix equality needs blocks among the problem's 1",
+                    lambda: _blocks(2).add_matrix_equality({}, np.eye(2))),
     "sense": ("sense must be 'min' or 'max', not 'maximize'",
               lambda: _blocks(2).set_objective({0: np.eye(2)}, sense="maximize")),
     "no_problems": ("no problems to solve", lambda: solve_many([])),
@@ -301,21 +311,19 @@ def _random_coefficient(n, real, gen):
     return 0.5 * (m + m.T)
 
 
-def schur_oracle_problem(gen):
-    """Rows over blocks of four sizes, one of them with real data, and the
-    dense constraint matrix of those rows: the three blocks of size 2 touch
-    5, 3 and 2 rows, so their group is multiplied in several batches."""
-    shapes = [(2, False), (2, False), (3, False), (2, False), (4, True), (1, True)]
-    touched = [{0, 1, 2, 4, 5}, {0, 1, 3}, {0, 2, 5}, {1, 4}, {0, 1, 2, 3, 4, 5}, {3, 5}]
-    offsets = np.cumsum([0] + [n * n for n, _ in shapes])
-    a = np.zeros((len(touched), offsets[-1]))
-    p = SdpProblem()
-    for n, _ in shapes:
-        p.add_block(n)
+def schur_oracle_problem(gen, n=3):
+    """Rows over six n x n blocks, three of them with real data, and the
+    dense constraint matrix of those rows: the blocks touch 4, 4, 3, 4, 6
+    and 2 rows, so they are multiplied in four batches."""
+    real = [False, True, False, True, False, True]
+    touched = [{0, 1, 2, 4}, {0, 1, 3, 4}, {0, 2, 4}, {1, 3, 4}, {0, 1, 2, 3, 4, 5}, {3, 4, 5}]
+    t = n * n
+    a = np.zeros((len(touched), len(real) * t))
+    p = _blocks(*[n] * len(real))
     for r, row in enumerate(touched):
-        terms = {i: _random_coefficient(*shapes[i], gen) for i in sorted(row)}
+        terms = {i: _random_coefficient(n, real[i], gen) for i in sorted(row)}
         for i, m in terms.items():
-            a[r, offsets[i]:offsets[i + 1]] = svec(m)
+            a[r, i * t:(i + 1) * t] = svec(m)
         p.add_scalar_constraint(terms, float(gen.standard_normal()))
     return p, a
 
@@ -325,24 +333,23 @@ class TestSchurComplement:
         gen = rng(31)
         p, a = schur_oracle_problem(gen)
         layout = _Layout(p)
-        assert {g.dim for g in layout.groups} == {1, 2, 3, 4}
-        assert max(len(g.batches) for g in layout.groups) >= 2
+        n, t = layout.dim, layout.dim ** 2
+        assert [len(sel) for sel, _ in layout.batches] == [3, 1, 1, 1]
 
-        ws = []
-        for g in layout.groups:
-            f = (gen.standard_normal((len(g.members), g.dim, g.dim))
-                 + 1j * gen.standard_normal((len(g.members), g.dim, g.dim)))
-            ws.append(f @ f.conj().transpose(0, 2, 1) + 0.1 * np.eye(g.dim))
-        got = _schur_complement(layout, ws)
+        f = gen.standard_normal((len(p.blocks), n, n)) + 1j * gen.standard_normal((len(p.blocks), n, n))
+        w = f @ f.conj().transpose(0, 2, 1) + 0.1 * np.eye(n)
+        got = _schur_complement(layout, w)
 
         k = np.zeros((layout.total, layout.total))
-        for g, w in zip(layout.groups, ws):
-            for wb, i in zip(w, g.members):
-                lo, hi = layout.offsets[i], layout.offsets[i + 1]
-                k[lo:hi, lo:hi] = np.column_stack(
-                    [svec(wb @ smat(e, g.dim) @ wb) for e in np.eye(hi - lo)])
+        for i, wb in enumerate(w):
+            k[i * t:(i + 1) * t, i * t:(i + 1) * t] = np.column_stack(
+                [svec(wb @ smat(e, n) @ wb) for e in np.eye(t)])
         ref = a @ k @ a.T
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # two stacked scaling points give the two matrices alone, bit for bit
+        both = _schur_complement(layout, np.stack([w, w[::-1]]))
+        assert np.array_equal(both[0], got)
+        assert np.array_equal(both[1], _schur_complement(layout, w[::-1]))
 
 
 class TestConstraintProducts:
@@ -359,6 +366,27 @@ class TestConstraintProducts:
         for j in range(3):
             assert np.array_equal(ax[j], layout.a_dot(xs[j]))
             assert np.array_equal(aty[j], layout.at_dot(ys[j]))
+
+
+class TestStackedVectorProducts:
+    @pytest.mark.parametrize("n", [7, 70])
+    @pytest.mark.parametrize("pair", ["selected", "matmul"])
+    def test_rows_match_solo_and_numpy(self, pair, n):
+        # the matmul pair is what numpy before 2.2 runs
+        mv, dot = (sdp._mv, sdp._dot) if pair == "selected" else (sdp._matvec, sdp._vecdot)
+        gen = rng(70 + n)
+        a = gen.standard_normal((5, n, n))
+        u, v = gen.standard_normal((2, 5, n))
+        got_mv, got_dot = mv(a, v), dot(u, v)
+        for j in range(5):
+            assert np.array_equal(got_mv[j], mv(a[j], v[j]))
+            assert np.array_equal(got_dot[j], dot(u[j], v[j]))
+        if hasattr(np, "matvec"):
+            ref_mv, ref_dot = np.matvec(a, v), np.vecdot(u, v)
+        else:
+            ref_mv, ref_dot = np.einsum("pij,pj->pi", a, v), np.einsum("pi,pi->p", u, v)
+        assert np.max(np.abs(got_mv - ref_mv)) <= 1e-14 * np.max(np.abs(ref_mv))
+        assert np.max(np.abs(got_dot - ref_dot)) <= 1e-14 * np.max(np.abs(ref_dot))
 
 
 def _spd(n, cond, gen):
@@ -426,7 +454,7 @@ class TestTiledCholesky:
         stack = np.stack([np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert sdp._positive_definite([stack[:, np.newaxis]]).tolist() == [True, False]
+            assert sdp._positive_definite(stack[:, np.newaxis]).tolist() == [True, False]
 
     @pytest.mark.parametrize("n", (64, 65, 243))
     def test_indefinite_last_tile_raises(self, n):
@@ -618,22 +646,21 @@ class TestSolveMany:
         fewer = fraction_rows(members, count=15)
         with pytest.raises(ValueError, match="rows"):
             solve_many([base, fewer])
-        wider = SdpProblem()
-        for n in (2, 2, 2, 2, 3, 2, 2, 2):
-            wider.add_block(n)
+        wider = fraction_program(members)
+        wider.add_block(2)   # a ninth block, in no row
         with pytest.raises(ValueError, match="block"):
             solve_many([base, wider])
 
 
-def mixed_problem(gen, shapes):
-    """Known-optimum problem over several blocks of different shapes.
+def mixed_problem(gen, n, shapes):
+    """Known-optimum problem over several n x n blocks of different data.
 
-    shapes lists (dimension, real data) pairs. Each block gets
+    shapes lists, per block, whether its data are real. Each block gets
     complementary primal and dual solutions of complementary rank; every
     row touches all blocks except the last two rows, which touch one block
     each, so blocks differ in row count."""
     x_stars, s_stars = [], []
-    for n, real in shapes:
+    for real in shapes:
         g = gen.standard_normal((n, n))
         if not real:
             g = g + 1j * gen.standard_normal((n, n))
@@ -641,17 +668,15 @@ def mixed_problem(gen, shapes):
         r = n // 2 or 1
         x_stars.append(q[:, :r] @ np.diag(gen.uniform(0.5, 2.0, r)) @ dagger(q[:, :r]))
         s_stars.append(q[:, r:] @ np.diag(gen.uniform(0.5, 2.0, n - r)) @ dagger(q[:, r:]))
-    faces = sum((n // 2) * (n // 2 + 1) // 2 if real else (n // 2) ** 2 for n, real in shapes)
+    faces = sum((n // 2) * (n // 2 + 1) // 2 if real else (n // 2) ** 2 for real in shapes)
     rows = [list(range(len(shapes)))] * (faces + 2) + [[0], [len(shapes) - 1]]
-    a_rows = [{i: _random_coefficient(*shapes[i], gen) for i in row} for row in rows]
+    a_rows = [{i: _random_coefficient(n, shapes[i], gen) for i in row} for row in rows]
     y_star = gen.standard_normal(len(rows))
     c = [s_stars[i] + sum(yk * ak[i] for yk, ak in zip(y_star, a_rows) if i in ak)
          for i in range(len(shapes))]
     opt = sum(float(np.trace(ci @ xi).real) for ci, xi in zip(c, x_stars))
 
-    p = SdpProblem()
-    for n, _ in shapes:
-        p.add_block(n)
+    p = _blocks(*[n] * len(shapes))
     p.set_objective(dict(enumerate(c)), sense="min")
     for ak in a_rows:
         p.add_scalar_constraint(ak, sum(float(np.trace(m @ x_stars[i]).real) for i, m in ak.items()))
@@ -661,7 +686,7 @@ def mixed_problem(gen, shapes):
 class TestMixedShapes:
     def test_known_optimum_across_groups(self):
         gen = rng(32)
-        p, opt, x_stars = mixed_problem(gen, [(2, False), (3, False), (2, True)])
+        p, opt, x_stars = mixed_problem(gen, 3, [False, True, False])
         sol = solve(p, tol=1e-9)
         assert sol.status == "optimal"
         assert abs(sol.primal_objective - opt) <= 1e-6 * (1.0 + abs(opt))

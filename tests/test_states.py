@@ -212,6 +212,11 @@ class TestTwirl:
         rho = random_density_matrix(3, 3, rng=8)
         assert abs(twirl(rho).fidelity - singlet_fidelity(rho)) <= 1e-12
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_monte_carlo_needs_a_sample(self, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            twirl_monte_carlo(max_entangled(2), samples=samples)
+
 
 class TestTensorCopies:
     def test_dimensions_and_fidelity_factorization(self):
