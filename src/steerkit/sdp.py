@@ -27,16 +27,16 @@ back is one svec. Every per-block step of an iteration (NT scaling, step
 length, corrector, the line-search Cholesky test) is one batched numpy
 call.
 
-Schur complement. With W_b the NT scaling point of block b, the Schur matrix
-is M = sum_b A_b K_b A_b^T, where K_b is the svec matrix of X -> W_b X W_b,
-column p being svec(W_b E_p W_b). The constraints are kept only as
-coordinate entries (row, block, svec coordinate, value), so A x and A^T y
-are a gather and a bincount, and A_b, read off the entries once, holds the
-rows that touch block b. Blocks with equal row counts are multiplied as
-one stack, and all the products are scattered into M by a single bincount.
-These are the block sparse formulas of Fujisawa, Kojima & Nakata (Math.
-Prog. 79, 1997) for the NT direction of Todd, Toh & Tutuncu (SIAM J. Optim.
-8, 1998).
+Constraints. The solver keeps the equalities' coefficient matrix C (B x E)
+and the scalar rows' svecs S (B x s x n^2) (see SdpProblem), and orders the
+rows equalities first. A x is C^T X on the (B, n^2) view of x followed by
+S x, and A^T y is C Y + S^T y_s. With W_b the NT scaling point of block b
+and K_b the svec matrix of X -> W_b X W_b, the Schur matrix is M = A K A^T.
+Its equality block sum_b (c_b c_b^T) x K_b is one product of the (E^2 x B)
+pairs c_be c_bf with the (B x n^4) stack of the K_b, then a transpose; the
+rest comes from the S_b K_b. These are the sparse formulas of Fujisawa,
+Kojima & Nakata (Math. Prog. 79, 1997) for scalar coefficients, for the NT
+direction of Todd, Toh & Tutuncu (SIAM J. Optim. 8, 1998).
 
 Schur solve. Each Newton system M dy = r is solved with the Cholesky factor
 M = L L^T by forward and back substitution over row blocks of _TRI_BLOCK
@@ -61,11 +61,11 @@ constraint rows, and differ only in b and in the objective, in one call
 ICML 2017). They share one layout. Every iterate and block stack gets a
 leading problem axis; tau, kappa, mu, sigma, the step length, the line
 search, the exit tests and the trace are kept per problem; the P Schur
-matrices come from one bincount with per-problem bins and one batched
-Cholesky factorization. Each iteration works on the problems still running
-only: a problem that finishes leaves the stacks, and one that fails
-numerically stops alone. Every bincount has bins per problem and inner
-products are one BLAS call per problem, so no result depends on the batch.
+matrices come from stacked products and one batched Cholesky
+factorization. Each iteration works on the problems still running only: a
+problem that finishes leaves the stacks, and one that fails numerically
+stops alone. Every product with the constraint data and every inner
+product is one BLAS call per problem, so no result depends on the batch.
 `solve` is `solve_many` of one problem.
 
 The solver is deterministic: identical problem data produce bit-identical
@@ -148,22 +148,21 @@ def _ct(m: np.ndarray) -> np.ndarray:
 
 
 class SdpProblem:
-    """Incremental problem builder; input of the wrong shape raises ValueError.
+    """Incremental problem builder; input of the wrong shape or not finite raises ValueError.
 
-    Blocks are Hermitian PSD variables, all of one dimension n per problem;
-    constraints are scalar rows or matrix equalities between scalar-weighted
-    sums of blocks and a fixed n x n matrix. A row is kept as its rhs and
-    its entries (row, block, svec coordinate, value). A matrix equality is
-    n^2 rows of full rank, one per element E_p of the orthonormal Hermitian
-    basis, each with one entry per block (its coefficient, at coordinate p).
-    A scalar row has an entry per nonzero svec coordinate of its matrices."""
+    Blocks are Hermitian PSD variables, all of one dimension n per problem.
+    A matrix equality sum_b c_b X_b = R is n^2 rows, one per element E_p of
+    the orthonormal Hermitian basis, kept as its first row, its scalar
+    coefficients c_b and svec(R); a scalar row sum_b <A_b, X_b> = r is kept
+    as its row, the svec(A_b) and r. Rows are numbered as they are added."""
 
     def __init__(self):
         self.blocks: list[int] = []   # block dimensions
         self._objective: dict[int, np.ndarray] = {}
         self.sense = "min"
-        self._rhs: list[float] = []
-        self._entries: list[np.ndarray] = []   # (4, k) chunks: rows, blocks, coordinates, values
+        self.n_constraints = 0
+        self._equalities: list[tuple] = []   # (first row, blocks, coefficients, svec(R))
+        self._scalars: list[tuple] = []      # (row, blocks, (k, n^2) svecs, r)
 
     def add_block(self, dim: int) -> int:
         """Add a dim x dim Hermitian PSD variable; returns its index."""
@@ -180,6 +179,8 @@ class SdpProblem:
         a, n = np.asarray(m, dtype=np.complex128), self.blocks[idx]
         if a.shape != (n, n):
             raise ValueError(f"block {idx} is {n} x {n}, its matrix has shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"the matrix of block {idx} must be finite")
         return herm(a)
 
     def set_objective(self, terms: dict[int, np.ndarray], sense: str = "min"):
@@ -192,29 +193,38 @@ class SdpProblem:
         """<A_i, X_i> summed over the given blocks equals rhs."""
         if np.ndim(rhs):
             raise ValueError(f"a scalar row needs a scalar rhs, not shape {np.shape(rhs)}")
-        for i, v in [(i, svec(self._check_coeff(i, m))) for i, m in terms.items()]:   # check all, then add
-            nz = np.flatnonzero(v)
-            self._entries.append(np.array([[len(self._rhs)] * len(nz), [i] * len(nz), nz, v[nz]]))
-        self._rhs.append(float(rhs))
+        if not terms:
+            raise ValueError(f"a scalar row needs blocks among the problem's {len(self.blocks)}")
+        if not np.isrealobj(rhs) or not np.isfinite(rhs):
+            raise ValueError(f"a scalar row needs a finite real rhs, not {rhs!r}")
+        svecs = np.array([svec(self._check_coeff(i, m)) for i, m in terms.items()])
+        self._scalars.append((self.n_constraints, list(terms), svecs, float(rhs)))
+        self.n_constraints += 1
 
     def add_matrix_equality(self, terms: dict[int, float], rhs: np.ndarray):
         """sum_i coeff_i * X_i = rhs."""
         idxs = list(terms)
         if not idxs or not all(i in range(len(self.blocks)) for i in idxs):
             raise ValueError(f"a matrix equality needs blocks among the problem's {len(self.blocks)}")
-        dim = self.blocks[0]
+        coef = np.asarray(list(terms.values()))
+        if not np.isrealobj(coef) or not np.isfinite(coef).all():
+            raise ValueError(f"a matrix equality needs finite real coefficients, not {coef}")
         b = svec(self._check_coeff(idxs[0], rhs))
-        coord = np.repeat(np.arange(dim * dim), len(idxs))
-        self._entries.append(np.array([len(self._rhs) + coord, idxs * (dim * dim), coord,
-                                       [float(terms[i]) for i in idxs] * (dim * dim)]))
-        self._rhs.extend(b.tolist())
+        self._equalities.append((self.n_constraints, idxs, coef, b))
+        self.n_constraints += len(b)
 
-    @property
-    def n_constraints(self) -> int:
-        return len(self._rhs)
-
-    def _coo(self) -> np.ndarray:   # the (4, nnz) entries, in the order they were added
-        return np.concatenate([np.zeros((4, 0))] + self._entries, axis=1)
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The constraints as arrays: the E equalities' first rows and their
+        coefficients C (B, E), the s scalar rows and their svecs S (B, s, n^2)."""
+        nb, t = len(self.blocks), self.blocks[0] ** 2
+        coef = np.zeros((nb, len(self._equalities)))
+        for e, (_, idxs, c, _) in enumerate(self._equalities):
+            coef[idxs, e] = c
+        scal = np.zeros((nb, len(self._scalars), t))
+        for s, (_, idxs, svecs, _) in enumerate(self._scalars):
+            scal[idxs, s] = svecs
+        return (np.array([eq[0] for eq in self._equalities], dtype=int), coef,
+                np.array([row[0] for row in self._scalars], dtype=int), scal)
 
 
 @dataclass
@@ -233,10 +243,11 @@ class SdpSolution:
 
 
 class _Layout:
-    """Blocks and constraint entries in svec coordinates, the blocks as one stack.
+    """Blocks and constraint coefficients in svec coordinates, the blocks as one stack.
 
-    A layout is built from one problem and serves every problem with the
-    same blocks and entries; `data` reads a problem's own b and c."""
+    Rows are ordered equalities first; `order` holds the position of each
+    caller's row. A layout is built from one problem and serves every problem
+    with the same blocks and rows; `data` reads a problem's own b and c."""
 
     def __init__(self, problem: SdpProblem):
         self.blocks = problem.blocks
@@ -244,61 +255,38 @@ class _Layout:
         self.dim, t = n, n * n
         self.total = nb * t
         self.nu = float(nb * n)
-        nrows = self.nrows = problem.n_constraints
-        self.entries = problem._coo()
-        row, blk, coord = self.entries[:3].astype(int)
-        self.rows, self.cols, self.values = row, blk * t + coord, self.entries[3]
-        # compact rows A_b: the rows touching block b in order, each entry's slot among them
-        pairs = np.flatnonzero(np.bincount(blk * nrows + row))   # (block, row) pairs, in order
-        count = np.bincount(pairs // nrows, minlength=nb)
-        first = np.cumsum(count) - count
-        slot = np.searchsorted(pairs, blk * nrows + row) - first[blk]
-
-        # per row count k: the blocks sel with k rows, and coef[j] = A_b (k x n^2) of block sel[j]
-        self.batches: list[tuple[np.ndarray, np.ndarray]] = []
-        schur_index = []
-        for k in [k for k in dict.fromkeys(count.tolist()) if k]:
-            sel = np.flatnonzero(count == k)
-            mine = np.isin(blk, sel)
-            # each A_b column-major, as svec lays out a stack of rows
-            coef = np.zeros((len(sel), t, k))
-            coef[np.searchsorted(sel, blk[mine]), coord[mine], slot[mine]] = self.values[mine]
-            self.batches.append((sel, coef.swapaxes(1, 2)))
-            r = pairs[first[sel][:, np.newaxis] + np.arange(k)] % nrows
-            schur_index.append((r[:, :, np.newaxis] * nrows + r[:, np.newaxis, :]).ravel())
+        self.nrows = problem.n_constraints
+        self.rows = problem._rows()
+        first, self.coef, scalar_rows, self.scal = self.rows   # C (B, E) and S (B, s, t)
+        self.neq = len(first) * t
+        self.order = np.argsort(np.concatenate([np.add.outer(first, np.arange(t)).ravel(), scalar_rows]))
+        # row e E + f: c_be c_bf over the blocks b
+        self.pairs = np.einsum("be,bf->efb", self.coef, self.coef).reshape(-1, nb)
+        self.scal_rows = self.scal.transpose(1, 0, 2).reshape(len(scalar_rows), self.total)   # (s, total)
         _, _, unpack, self.scale = _svec_index(n)
         self.gather = (t * np.arange(nb))[:, np.newaxis, np.newaxis, np.newaxis] + unpack
-        self._index = {"schur": (np.concatenate(schur_index or [np.zeros(0, dtype=int)]), nrows * nrows),
-                       "rows": (self.rows, nrows), "cols": (self.cols, self.total)}
-        self._bins = {(kind, 1): index for kind, (index, _) in self._index.items()}
-
-    def scatter(self, kind: str, weights: np.ndarray) -> np.ndarray:
-        """Sum (..., k) weights into the bins of the Schur products ("schur"), of A x
-        ("rows") or of A^T y ("cols"), each leading index in bins of its own."""
-        index, size = self._index[kind]
-        lead = weights.shape[:-1]
-        count = math.prod(lead)
-        if (kind, count) not in self._bins:
-            self._bins[kind, count] = (index + size * np.arange(count)[:, np.newaxis]).ravel()
-        return np.bincount(self._bins[kind, count], weights.ravel(),
-                           minlength=count * size).reshape(lead + (size,))
 
     def a_dot(self, x: np.ndarray) -> np.ndarray:
-        """A x, for one vector or a (..., total) stack."""
-        return self.scatter("rows", x.take(self.cols, axis=-1) * self.values)
+        """A x, for one vector or a (..., total) stack: C^T X, then S x."""
+        lead = x.shape[:-1]
+        eq = self.coef.T @ x.reshape(lead + (len(self.blocks), -1))
+        return np.concatenate([eq.reshape(lead + (-1,)), _mv(self.scal_rows, x)], axis=-1)
 
     def at_dot(self, y: np.ndarray) -> np.ndarray:
-        """A^T y, for one vector or a (..., nrows) stack."""
-        return self.scatter("cols", y.take(self.rows, axis=-1) * self.values)
+        """A^T y, for one vector or a (..., nrows) stack: C Y + S^T y_s."""
+        lead = y.shape[:-1]
+        eq = self.coef @ y[..., :self.neq].reshape(lead + (-1, self.dim * self.dim))
+        return eq.reshape(lead + (-1,)) + _mv(self.scal_rows.T, y[..., self.neq:])
 
     def data(self, problem: SdpProblem) -> tuple[np.ndarray, np.ndarray, float]:
-        """b, c (sign-adjusted to minimization) and that sign for a problem
-        with this layout's blocks and entries."""
+        """b (in the layout's row order), c (sign-adjusted to minimization)
+        and that sign for a problem with this layout's blocks and rows."""
         sign = 1.0 if problem.sense == "min" else -1.0
         c = np.zeros((len(self.blocks), self.dim * self.dim))
         for i, m in problem._objective.items():
             c[i] = sign * svec(m)
-        return np.array(problem._rhs, dtype=float), c.ravel(), sign
+        b = [eq[3] for eq in problem._equalities] + [[row[3] for row in problem._scalars]]
+        return np.concatenate(b), c.ravel(), sign
 
     def split(self, vec: np.ndarray) -> np.ndarray:
         """The (..., B, n, n) Hermitian stack of (..., total) svec vectors (smat with one gather)."""
@@ -324,22 +312,30 @@ _mv, _dot = getattr(np, "matvec", _matvec), getattr(np, "vecdot", _vecdot)
 
 
 def _schur_complement(layout: _Layout, w: np.ndarray) -> np.ndarray:
-    """M = sum_b A_b K_b A_b^T for the (..., B, n, n) stack w of scaling
-    points W_b, one nrows x nrows matrix per leading index."""
-    lead = w.shape[:-3]
-    count = math.prod(lead)
-    n = layout.dim
-    t = n * n
+    """M = A K A^T for each problem's stack of scaling points W_b in the
+    (P, B, n, n) stack w, rows in the layout's order."""
+    count, nb, n = w.shape[:3]
+    neq, t = layout.neq, n * n
+    e, s = layout.coef.shape[1], layout.scal.shape[1]
     w = w.reshape(-1, n, n)
     # W [E_1 ... E_t], then the W E_p stacked into rows times W: batched
     # complex products cost one BLAS call per matrix, so this makes two
     # calls per block rather than two per block and basis element
     we = w @ _herm_basis(n).transpose(1, 0, 2).reshape(n, t * n)
     wew = we.reshape(-1, n, t, n).transpose(0, 2, 1, 3).reshape(-1, t * n, n) @ w
-    k = svec(wew.reshape(count, -1, t, n, n))   # (P, B, t, t), symmetric
-    parts = [(coef @ k[:, sel] @ coef.swapaxes(-1, -2)).reshape(count, -1) for sel, coef in layout.batches]
-    weights = np.concatenate(parts, axis=1) if parts else np.zeros((count, 0))
-    return layout.scatter("schur", weights).reshape(lead + (layout.nrows,) * 2)
+    k = svec(wew.reshape(count, nb, t, n, n))   # (P, B, t, t), symmetric
+    sk = layout.scal @ k                        # (P, B, s, t): the S_b K_b
+    m = np.empty((count, layout.nrows, layout.nrows))
+    # Splitting an axis of a slice is a view, so these write into m.
+    # Equality rows (e, p) and (f, q): sum_b c_be c_bf K_b[p, q].
+    m[:, :neq, :neq].reshape(count, e, t, e, t)[...] = (
+        layout.pairs @ k.reshape(count, nb, t * t)).reshape(count, e, e, t, t).swapaxes(2, 3)
+    # Equality row (e, p) and scalar row r: sum_b c_be (S_b K_b)[r, p].
+    m[:, :neq, neq:].reshape(count, e, t, s)[...] = (
+        layout.coef.T @ sk.reshape(count, nb, s * t)).reshape(count, e, s, t).swapaxes(2, 3)
+    m[:, neq:, :neq] = m[:, :neq, neq:].swapaxes(1, 2)
+    m[:, neq:, neq:] = sk.swapaxes(1, 2).reshape(count, s, nb * t) @ layout.scal_rows.T
+    return m
 
 
 class _Nt(NamedTuple):
@@ -463,7 +459,7 @@ def _farkas(lay: _Layout, tol: float, b, c, x, y) -> tuple[str, dict | None]:
         yhat = y / by
         wmin = float(np.linalg.eigvalsh(lay.split(-lay.at_dot(yhat)))[:, 0].min())
         if wmin > -1e-6:
-            return "primal_infeasible", {"y": yhat, "min_eig_slack": wmin}
+            return "primal_infeasible", {"y": yhat[lay.order], "min_eig_slack": wmin}
     if cx < -tol:
         xhat = x / (-cx)
         axn = float(np.abs(lay.a_dot(xhat)).max(initial=0.0))
@@ -507,11 +503,14 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
     """Solve problems with the same blocks and constraint rows in one batch.
 
     b, the objective and its sense may differ between the problems; a
-    problem whose blocks or rows differ from the first one's raises
-    ValueError. Each solution is the one `solve` returns for its problem
-    alone, bit for bit.
+    problem whose blocks or constraint coefficients differ from the first
+    one's raises ValueError, as do a tol that is not finite and positive and
+    max_iters below 1. Each solution is the one `solve` returns for its
+    problem alone, bit for bit.
     """
     problems = list(problems)
+    if not (math.isfinite(tol) and tol > 0.0 and max_iters >= 1):
+        raise ValueError(f"need a finite tol > 0 and max_iters >= 1, not tol={tol}, max_iters={max_iters}")
     if not problems:
         raise ValueError("no problems to solve")
     if not problems[0].blocks:
@@ -520,8 +519,8 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
         raise ValueError("problem has no constraints")
 
     lay = _Layout(problems[0])
-    if any(p.blocks != lay.blocks or p.n_constraints != lay.nrows
-           or not np.array_equal(p._coo(), lay.entries) for p in problems[1:]):
+    if any(p.blocks != lay.blocks or not all(map(np.array_equal, p._rows(), lay.rows))
+           for p in problems[1:]):
         raise ValueError("batched problems need the same blocks and constraint rows")
     nu, nrows, split, join, a_dot, at_dot = lay.nu, lay.nrows, lay.split, lay.join, lay.a_dot, lay.at_dot
     bs, cs, signs = zip(*(lay.data(p) for p in problems))
@@ -567,7 +566,7 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
                                        "pres": pres_j, "dres": dres_j, "pobj": po, "dobj": do,
                                        "xs_inner": xs_j})
             if pres_j <= tol and dres_j <= tol and relgap <= tol:
-                finish(j, "optimal", it, x=split(x[j] / tau_j), y=sign * y[j] / tau_j,
+                finish(j, "optimal", it, x=split(x[j] / tau_j), y=sign * y[j][lay.order] / tau_j,
                        s=split(s[j] / tau_j), primal_objective=po,
                        dual_objective=do, gap=abs(po - do), rel_gap=relgap)
                 finished.append(j)

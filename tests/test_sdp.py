@@ -148,6 +148,16 @@ def _blocks(*dims):
     return p
 
 
+def _trace_row():
+    p = _blocks(2)
+    p.add_scalar_constraint({0: np.eye(2)}, 1.0)
+    return p
+
+
+def _qubit_assemblage():
+    return steer(isotropic(2, 0.9), MeasurementFamily.from_bases([np.eye(2), np.eye(2)[::-1]]))
+
+
 # caller input that SdpProblem or solve_many refuses, with its message
 INVALID = {
     "block_dim": ("block dimension 0 is below 1", lambda: SdpProblem().add_block(0)),
@@ -168,6 +178,26 @@ INVALID = {
                     lambda: _blocks(2).add_matrix_equality({}, np.eye(2))),
     "sense": ("sense must be 'min' or 'max', not 'maximize'",
               lambda: _blocks(2).set_objective({0: np.eye(2)}, sense="maximize")),
+    "empty_scalar_row": ("a scalar row needs blocks among the problem's 1",
+                         lambda: _blocks(2).add_scalar_constraint({}, 1.0)),
+    "nan_coefficient_matrix": ("the matrix of block 0 must be finite",
+                               lambda: _blocks(2).add_scalar_constraint({0: np.diag([1.0, np.nan])}, 1.0)),
+    "inf_equality_coefficient": ("a matrix equality needs finite real coefficients",
+                                 lambda: _blocks(2, 2).add_matrix_equality({0: 1.0, 1: np.inf}, np.eye(2))),
+    "complex_equality_coefficient": ("a matrix equality needs finite real coefficients",
+                                     lambda: _blocks(2, 2).add_matrix_equality({0: 1.0, 1: 1j}, np.eye(2))),
+    "nan_equality_rhs": ("the matrix of block 0 must be finite",
+                         lambda: _blocks(2, 2).add_matrix_equality({0: 1.0, 1: 1.0}, np.diag([np.nan, 1.0]))),
+    "inf_scalar_rhs": ("a scalar row needs a finite real rhs, not inf",
+                       lambda: _blocks(2).add_scalar_constraint({0: np.eye(2)}, np.inf)),
+    "inf_objective": ("the matrix of block 0 must be finite",
+                      lambda: _blocks(2).set_objective({0: np.diag([1.0, -np.inf])})),
+    "nan_tol": ("not tol=nan, max_iters=100", lambda: solve(_trace_row(), tol=np.nan)),
+    "zero_tol": ("not tol=0.0, max_iters=100", lambda: solve(_trace_row(), tol=0.0)),
+    "negative_tol": ("not tol=-1.0, max_iters=100", lambda: solve(_trace_row(), tol=-1.0)),
+    "zero_max_iters": ("not tol=1e-08, max_iters=0", lambda: solve_many([_trace_row()], max_iters=0)),
+    "monotone_nan_tol": ("need a finite tol > 0 and max_iters >= 1, not tol=nan",
+                         lambda: steering_robustness(_qubit_assemblage(), tol=np.nan)),
     "no_problems": ("no problems to solve", lambda: solve_many([])),
     "no_blocks": ("problem has no blocks", lambda: solve(SdpProblem())),
     "no_rows": ("problem has no constraints", lambda: solve(_blocks(2))),
@@ -312,9 +342,9 @@ def _random_coefficient(n, real, gen):
 
 
 def schur_oracle_problem(gen, n=3):
-    """Rows over six n x n blocks, three of them with real data, and the
-    dense constraint matrix of those rows: the blocks touch 4, 4, 3, 4, 6
-    and 2 rows, so they are multiplied in four batches."""
+    """Scalar rows over six n x n blocks, three of them with real data, and
+    the dense constraint matrix of those rows; the blocks touch 4, 4, 3, 4,
+    6 and 2 rows."""
     real = [False, True, False, True, False, True]
     touched = [{0, 1, 2, 4}, {0, 1, 3, 4}, {0, 2, 4}, {1, 3, 4}, {0, 1, 2, 3, 4, 5}, {3, 4, 5}]
     t = n * n
@@ -328,17 +358,61 @@ def schur_oracle_problem(gen, n=3):
     return p, a
 
 
+def _positive(n, gen):
+    g = random_hermitian(n, gen)
+    return g @ g + np.eye(n)
+
+
+def rows_problem(gen, kinds, n=2, nb=5):
+    """A problem over nb n x n blocks with a row per letter of `kinds`: "E" a
+    matrix equality, "S" a scalar row, each on three random blocks, and the
+    dense constraint matrix of its rows in the caller's order. A positive
+    definite point satisfies the rows and the objective is positive
+    definite, so both sides are strictly feasible."""
+    t = n * n
+    x0 = [_positive(n, gen) for _ in range(nb)]
+    p = _blocks(*[n] * nb)
+    p.set_objective({i: _positive(n, gen) for i in range(nb)}, sense="min")
+    rows = []
+    for kind in kinds:
+        blocks = sorted(gen.choice(nb, size=3, replace=False).tolist())
+        if kind == "E":
+            terms = {i: float(gen.choice([-1.0, 1.0]) * gen.uniform(0.5, 2.0)) for i in blocks}
+            p.add_matrix_equality(terms, sum(c * x0[i] for i, c in terms.items()))
+            a = np.zeros((t, nb, t))
+            for i, c in terms.items():
+                a[:, i] = c * np.eye(t)
+        else:
+            terms = {i: random_hermitian(n, gen) for i in blocks}
+            p.add_scalar_constraint(terms, sum(float(np.trace(m @ x0[i]).real) for i, m in terms.items()))
+            a = np.zeros((1, nb, t))
+            for i, m in terms.items():
+                a[0, i] = svec(m)
+        rows.append(a.reshape(len(a), -1))
+    return p, np.concatenate(rows)
+
+
+def layout_rows(layout, a):
+    """The rows of a dense constraint matrix in the caller's order, put in
+    the layout's order."""
+    out = np.empty_like(a)
+    out[layout.order] = a
+    return out
+
+
+# matrix equalities only, and equalities between scalar rows
+ROW_KINDS = ["EEE", "SESEES"]
+
+
 class TestSchurComplement:
-    def test_matches_dense_symmetric_kronecker(self):
-        gen = rng(31)
-        p, a = schur_oracle_problem(gen)
+    def check(self, p, a, gen):
         layout = _Layout(p)
+        a = layout_rows(layout, a)
         n, t = layout.dim, layout.dim ** 2
-        assert [len(sel) for sel, _ in layout.batches] == [3, 1, 1, 1]
 
         f = gen.standard_normal((len(p.blocks), n, n)) + 1j * gen.standard_normal((len(p.blocks), n, n))
         w = f @ f.conj().transpose(0, 2, 1) + 0.1 * np.eye(n)
-        got = _schur_complement(layout, w)
+        got = _schur_complement(layout, w[np.newaxis])[0]
 
         k = np.zeros((layout.total, layout.total))
         for i, wb in enumerate(w):
@@ -349,14 +423,22 @@ class TestSchurComplement:
         # two stacked scaling points give the two matrices alone, bit for bit
         both = _schur_complement(layout, np.stack([w, w[::-1]]))
         assert np.array_equal(both[0], got)
-        assert np.array_equal(both[1], _schur_complement(layout, w[::-1]))
+        assert np.array_equal(both[1], _schur_complement(layout, w[np.newaxis, ::-1])[0])
+
+    def test_matches_dense_symmetric_kronecker(self):
+        gen = rng(31)
+        self.check(*schur_oracle_problem(gen), gen)
+
+    @pytest.mark.parametrize("kinds", ROW_KINDS)
+    def test_matrix_equalities_match_dense_symmetric_kronecker(self, kinds):
+        gen = rng(32)
+        self.check(*rows_problem(gen, kinds), gen)
 
 
 class TestConstraintProducts:
-    def test_match_dense_products_alone_and_stacked(self):
-        gen = rng(33)
-        p, a = schur_oracle_problem(gen)
+    def check(self, p, a, gen):
         layout = _Layout(p)
+        a = layout_rows(layout, a)
         xs = gen.standard_normal((3, a.shape[1]))
         ys = gen.standard_normal((3, a.shape[0]))
         ax, aty = layout.a_dot(xs), layout.at_dot(ys)
@@ -366,6 +448,41 @@ class TestConstraintProducts:
         for j in range(3):
             assert np.array_equal(ax[j], layout.a_dot(xs[j]))
             assert np.array_equal(aty[j], layout.at_dot(ys[j]))
+
+    def test_match_dense_products_alone_and_stacked(self):
+        gen = rng(33)
+        self.check(*schur_oracle_problem(gen), gen)
+
+    @pytest.mark.parametrize("kinds", ROW_KINDS)
+    def test_matrix_equality_products_alone_and_stacked(self, kinds):
+        gen = rng(34)
+        self.check(*rows_problem(gen, kinds), gen)
+
+    def test_farkas_ray_comes_back_in_the_callers_row_order(self):
+        # X_0 + X_1 = -I cannot hold, between two scalar rows
+        p = _blocks(2, 2, 2)
+        p.add_scalar_constraint({2: np.eye(2)}, 1.0)
+        p.add_matrix_equality({0: 1.0, 1: 1.0}, -np.eye(2))
+        p.add_scalar_constraint({0: np.diag([1.0, 2.0])}, 1.0)
+        a = np.zeros((6, 3, 4))
+        a[0, 2] = svec(np.eye(2))
+        a[1:5, 0] = a[1:5, 1] = np.eye(4)
+        a[5, 0] = svec(np.diag([1.0, 2.0]))
+        b = np.concatenate([[1.0], svec(-np.eye(2)), [1.0]])
+        sol = solve(p)
+        assert sol.status == "primal_infeasible"
+        y = sol.certificate["y"]
+        assert abs(b @ y - 1.0) <= 1e-9
+        assert np.linalg.eigvalsh(smat(-(y @ a.reshape(6, -1)).reshape(3, 4), 2)).min() > -1e-6
+
+    def test_multipliers_come_back_in_the_callers_row_order(self):
+        p, a = rows_problem(rng(35), "SESEES")
+        assert not np.array_equal(_Layout(p).order, np.arange(p.n_constraints))
+        sol = solve(p, tol=1e-9)
+        assert sol.status == "optimal"
+        c = np.concatenate([svec(p._objective[i]) for i in range(len(p.blocks))])
+        s = svec(sol.s).ravel()
+        assert np.max(np.abs(c - a.T @ sol.y - s)) <= 1e-7 * (1.0 + np.abs(c).max())
 
 
 class TestStackedVectorProducts:
@@ -526,33 +643,34 @@ class TestSeveralSchurBlocks:
         assert abs(a.primal_objective - b.primal_objective) <= 1e-9
 
 
-def fraction_program(members, rhs=None):
+def fraction_program(members, rhs=None, scale=None, count=4):
     """The steering-fraction program of a qubit assemblage in two settings
-    with two outcomes: the rows of every such program are the same."""
-    p = SdpProblem()
-    f = [[p.add_block(2) for _ in range(2)] for _ in range(2)]
-    p.set_objective({f[x][a]: members[x, a] for x in range(2) for a in range(2)}, sense="max")
-    for a0 in range(2):
-        for a1 in range(2):
-            p.add_matrix_equality({f[0][a0]: 1.0, f[1][a1]: 1.0, p.add_block(2): 1.0},
-                                  np.eye(2) if rhs is None else rhs)
-    return p
-
-
-def fraction_rows(members, scale=None, count=16):
-    """`fraction_program(members)` with its first `count` rows written one by
-    one as scalar rows on the Hermitian basis; `scale` maps (row, block) to
-    a coefficient other than 1."""
+    with two outcomes: the rows of every such program are the same. Only
+    the first `count` strategy equalities are added; `scale` maps
+    (equality, block) to a coefficient other than 1."""
     p = SdpProblem()
     f = [[p.add_block(2) for _ in range(2)] for _ in range(2)]
     t = [p.add_block(2) for _ in range(4)]
     p.set_objective({f[x][a]: members[x, a] for x in range(2) for a in range(2)}, sense="max")
-    for row in range(count):
+    for k in range(count):
+        blocks = [f[0][k // 2], f[1][k % 2], t[k]]
+        p.add_matrix_equality({i: (scale or {}).get((k, i), 1.0) for i in blocks},
+                              np.eye(2) if rhs is None else rhs)
+    return p
+
+
+def fraction_rows(members):
+    """`fraction_program(members)` with its rows written one by one as
+    scalar rows on the Hermitian basis."""
+    p = SdpProblem()
+    f = [[p.add_block(2) for _ in range(2)] for _ in range(2)]
+    t = [p.add_block(2) for _ in range(4)]
+    p.set_objective({f[x][a]: members[x, a] for x in range(2) for a in range(2)}, sense="max")
+    for row in range(16):
         k, coord = divmod(row, 4)
         blocks = [f[0][k // 2], f[1][k % 2], t[k]]
         basis = _herm_basis(2)[coord]
-        p.add_scalar_constraint({i: (scale or {}).get((row, i), 1.0) * basis for i in blocks},
-                                float(svec(np.eye(2))[coord]))
+        p.add_scalar_constraint({i: basis for i in blocks}, float(svec(np.eye(2))[coord]))
     return p
 
 
@@ -639,17 +757,20 @@ class TestSolveMany:
         gen = rng(65)
         members = random_members(gen)
         base = fraction_program(members)
-        assert solve_many([base, fraction_rows(members)])[1].status == "optimal"
-        scaled = fraction_rows(members, scale={(3, 0): 2.0})   # one coefficient of one row
+        assert solve_many([base, fraction_program(members)])[1].status == "optimal"
+        scaled = fraction_program(members, scale={(1, 3): 2.0})   # one coefficient of one equality
         with pytest.raises(ValueError, match="rows"):
             solve_many([base, scaled])
-        fewer = fraction_rows(members, count=15)
+        fewer = fraction_program(members, count=3)
         with pytest.raises(ValueError, match="rows"):
             solve_many([base, fewer])
         wider = fraction_program(members)
         wider.add_block(2)   # a ninth block, in no row
         with pytest.raises(ValueError, match="block"):
             solve_many([base, wider])
+        # the same rows written as scalar rows are other constraint data
+        with pytest.raises(ValueError, match="rows"):
+            solve_many([base, fraction_rows(members)])
 
 
 def mixed_problem(gen, n, shapes):
