@@ -13,8 +13,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
+
+# One BLAS thread unless the caller chose, set before numpy loads: numpy
+# starts OpenBLAS's thread pool on import and no command gains from it.
+# On 2 vCPUs, importing this module took 275 ms of process CPU with the
+# pool against 207 ms with one thread (medians of 15 runs), and the CPU
+# time of a `steerkit` command fell by 36-39% on the cli_cold bench.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -11,6 +11,7 @@ below a prescribed violation level.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .functionals import SteeringFunctional, lv_s
@@ -42,6 +43,13 @@ KV_CONSTANT = 4.0 * math.exp(-4.0)
 # interval for Grothendieck's constant of order 3 (Vertesi / Krivine)
 KG3_LOW = 1.4172
 KG3_HIGH = 1.5163
+# the closed forms below evaluate d * d in double precision
+_FLOAT_DIM_CAP = math.isqrt(int(sys.float_info.max))
+
+
+def _check_float_dim(d: int) -> None:
+    if d > _FLOAT_DIM_CAP:
+        raise ValueError(f"these closed forms take d <= {_FLOAT_DIM_CAP:.3e}, so that d * d is a float")
 
 
 def harmonic(d: int) -> float:
@@ -101,6 +109,7 @@ def _p_povm(d: int) -> float:
 def isotropic_thresholds(d: int) -> IsotropicThresholds:
     if d < 2:
         raise ValueError("thresholds need d >= 2")
+    _check_float_dim(d)
     h = harmonic(d)
     return IsotropicThresholds(
         d=d,
@@ -142,6 +151,7 @@ def lvs_upper_projective(d: int) -> float:
     projective measurements, for any positive functional."""
     if d < 2:
         raise ValueError("bound needs d >= 2")
+    _check_float_dim(d)
     h = harmonic(d)
     return d * d / (h + h * d - d)
 
@@ -151,6 +161,7 @@ def lvs_upper_povm(d: int) -> float:
     arbitrary measurements; scales as e*d/3 for large d."""
     if d < 2:
         raise ValueError("bound needs d >= 2")
+    _check_float_dim(d)
     return d * d / ((d * d - 1.0) * _p_povm(d) + 1.0)
 
 
@@ -244,6 +255,7 @@ _SUPERACTIVATION_CAP = 10**6
 def superactivation_min_copies(d: int, p: float) -> SuperactivationReport:
     if d < 2:
         raise ValueError("need d >= 2")
+    _check_float_dim(d)
     if not 0.0 <= p <= 1.0:
         raise ValueError("mixing parameter must lie in [0, 1]")
     fidelity = p + (1.0 - p) / (d * d)
@@ -295,7 +307,11 @@ class AmplificationPlan:
     unsteerable_projective: bool
 
 
-_PLAN_LOG_CAP = 1e9
+# ln d at which the planner gives up. The search costs about (ln d)^2 on
+# ever longer integers: on a 2-vCPU host the slowest plan under this cap
+# (eps = 0.345, delta = 10, ln d = 2.99e4) takes 1.4 s and a refused
+# target 0.4 s, while eps = 0.2, delta = 10 (ln d = 1.5e5) took 22 s.
+_PLAN_LOG_CAP = 3e4
 
 
 def _plan_metrics(d: int, epsilon: float, k: int) -> tuple[bool, float, float]:
@@ -341,7 +357,8 @@ def amplification_plan(epsilon: float, delta: float, k: int = 3) -> Amplificatio
     relying on the bound's monotone growth in d past its first crossing;
     the minimal dimension is astronomically large for typical targets
     (the bound only grows like log d at fixed epsilon), hence the exact
-    integer representation.
+    integer representation. Targets that need ln d beyond 3e4 raise
+    RuntimeError.
     """
     if epsilon <= 0.0 or delta <= 0.0:
         raise ValueError("targets must be positive")

@@ -230,6 +230,13 @@ class TestGame:
         assert code == 1
         assert report["error"]["kind"] == "domain"
 
+    @pytest.mark.parametrize("n", ["16", "64"])
+    def test_kv_past_the_cap_is_domain_error(self, tmp_path, n):
+        code, report = run_json(tmp_path, "game", "kv", "--n", n, "--eta", "0.25")
+        assert code == 1
+        assert report["error"]["kind"] == "domain"
+        assert "n <= 8" in report["error"]["message"]
+
     def test_cglmp_feeds_bound(self, tmp_path):
         code, report = run_json(tmp_path, "game", "cglmp", "--d", "2")
         assert code == 0
@@ -265,6 +272,25 @@ class TestCriteria:
         assert code == 0
         assert report["qubit_grothendieck"] is None
         assert abs(report["projective"] - 27 / 13) < 1e-12
+
+    def test_upper_bounds_at_huge_d(self, tmp_path):
+        code, report = run_json(tmp_path, "criteria", "upper-bounds", "--d", str(10**30))
+        assert code == 0
+        assert report["d"] == 10**30
+        assert math.isfinite(report["projective"]) and math.isfinite(report["povm"])
+
+    @pytest.mark.parametrize(
+        "argv", [["thresholds"], ["superactivate", "--p", "0.9"]], ids=["thresholds", "superactivate"]
+    )
+    def test_d_past_the_float_range_is_domain_error(self, tmp_path, argv):
+        code, report = run_json(tmp_path, "criteria", *argv, "--d", str(10**400))
+        assert code == 1
+        assert report["error"]["kind"] == "domain"
+
+    def test_amplify_past_the_search_cap_is_solver_exit(self, tmp_path):
+        code, report = run_json(tmp_path, "criteria", "amplify", "--eps", "0.2", "--delta", "10")
+        assert code == 2
+        assert report["error"]["kind"] == "solver"
 
     def test_amplify(self, tmp_path):
         code, report = run_json(

@@ -20,6 +20,7 @@ from steerkit.criteria import (
     lvs_upper_projective,
     mub_threshold,
     superactivation_min_copies,
+    _FLOAT_DIM_CAP,
     _plan_metrics,
 )
 from steerkit.functionals import BellFunctional, SteeringFunctional, lv_bell_seesaw, lv_s
@@ -150,6 +151,27 @@ class TestLvsUpperBounds:
             lvs_upper_projective(1)
         with pytest.raises(ValueError):
             lvs_upper_povm(0)
+
+
+class TestFloatRange:
+    CLOSED_FORMS = (
+        isotropic_thresholds,
+        lvs_upper_projective,
+        lvs_upper_povm,
+        lambda d: superactivation_min_copies(d, 0.9),
+    )
+
+    def test_largest_d_is_finite(self):
+        for closed_form in self.CLOSED_FORMS:
+            assert closed_form(_FLOAT_DIM_CAP) is not None
+        t = isotropic_thresholds(_FLOAT_DIM_CAP)
+        assert all(math.isfinite(v) and v > 0.0 for v in (t.p_ent, t.p_steer, t.p_povm, t.fef_steer))
+
+    @pytest.mark.parametrize("d", [_FLOAT_DIM_CAP + 1, 10**400])
+    def test_larger_d_raises_value_error(self, d):
+        for closed_form in self.CLOSED_FORMS:
+            with pytest.raises(ValueError, match="d \\* d is a float"):
+                closed_form(d)
 
 
 class TestMubThreshold:

@@ -14,6 +14,7 @@ from steerkit.functionals import (
 )
 from steerkit.assemblages import steer
 from steerkit.games import (
+    KV_MAX_OUTCOMES,
     KvGame,
     cglmp,
     cglmp_lv_lower,
@@ -119,6 +120,12 @@ class TestKvCoefficients:
             kv_game(2, -0.1)
         with pytest.raises(ValueError, match="n >= 8"):
             kv_game(4)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_outcome_cap_is_checked_first(self, n):
+        for build in (lambda: kv_game(n, 0.25), lambda: kv_measurements(n), lambda: kv_fraction(n, 0.25)):
+            with pytest.raises(ValueError, match=f"capped at n <= {KV_MAX_OUTCOMES}"):
+                build()
 
     def test_default_bias_for_large_games(self):
         game = kv_game(8)
