@@ -11,6 +11,7 @@ report is a structured error object) or a failed reproduction table,
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -19,41 +20,46 @@ from dataclasses import asdict, dataclass
 
 # One BLAS thread unless the caller chose, set before numpy loads: numpy
 # starts OpenBLAS's thread pool on import and no command gains from it.
-# On 2 vCPUs, importing this module took 275 ms of process CPU with the
-# pool against 207 ms with one thread (medians of 15 runs), and the CPU
-# time of a `steerkit` command fell by 36-39% on the cli_cold bench.
+# On 2 vCPUs, importing numpy took 271 ms of process CPU with the pool
+# against 163 ms with one thread (medians of 15 runs), and the CPU time of
+# a `steerkit` command fell by 36-39% on the cli_cold bench.
 if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np
+from .report import load_json, render_report
 
-from . import criteria as crit
-from .assemblages import steer
-from .functionals import (
-    local_bound,
-    lv_s,
-    nonlocality_fraction,
-    steering_bound,
-    steering_fraction,
-)
-from .games import cglmp, cglmp_lv_lower, kv_fraction, kv_game, kv_measurements, mub, mub_functional
-from .monotones import optimal_steering_fraction, steerable_weight, steering_robustness
-from .serialize import (
-    decode_assemblage,
-    decode_bell,
-    decode_correlation,
-    decode_functional,
-    decode_measurements,
-    decode_state,
-    encode_assemblage,
-    encode_bell,
-    encode_functional,
-    encode_matrix,
-    encode_measurements,
-    load_json,
-    render_report,
-)
-from .states import fef, isotropic, twirl, twirl_monte_carlo
+# Each subcommand imports the modules it calls when it runs, so a command
+# loads only those: the `criteria` planners run without numpy, and only
+# `twirl` imports numpy itself.  The names this module bound at import
+# before still resolve on first lookup (PEP 562), from their home modules,
+# because callers look them up here: bench/spans.py wraps `cli.<name>`, and
+# tests patch `cli.kv_game`.
+_LAZY = {
+    "assemblages": ("steer",),
+    "functionals": (
+        "local_bound", "lv_s", "nonlocality_fraction", "steering_bound", "steering_fraction",
+    ),
+    "games": (
+        "cglmp", "cglmp_lv_lower", "kv_fraction", "kv_game", "kv_measurements", "mub",
+        "mub_functional",
+    ),
+    "monotones": ("optimal_steering_fraction", "steerable_weight", "steering_robustness"),
+    "serialize": (
+        "decode_assemblage", "decode_bell", "decode_correlation", "decode_functional",
+        "decode_measurements", "decode_state", "encode_assemblage", "encode_bell",
+        "encode_functional", "encode_matrix", "encode_measurements",
+    ),
+    "states": ("fef", "isotropic", "twirl", "twirl_monte_carlo"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __package__), name)
+
 
 __all__ = ["RunConfig", "main", "run"]
 
@@ -178,6 +184,9 @@ def build_parser() -> _Parser:
 
 
 def _cmd_fef(args, config: RunConfig):
+    from .serialize import decode_state, encode_matrix
+    from .states import fef
+
     rho = decode_state(load_json(args.state))
     res = fef(rho, strategy=args.strategy, restarts=args.restarts, seed=config.seed)
     return {
@@ -190,6 +199,11 @@ def _cmd_fef(args, config: RunConfig):
 
 
 def _cmd_twirl(args, config: RunConfig):
+    import numpy as np
+
+    from .serialize import decode_state
+    from .states import isotropic, twirl, twirl_monte_carlo
+
     rho = decode_state(load_json(args.state))
     iso = twirl(rho)
     report = {"isotropic": {"d": iso.d, "p": iso.p}}
@@ -205,12 +219,18 @@ def _cmd_twirl(args, config: RunConfig):
 
 
 def _cmd_steer(args, config: RunConfig):
+    from .assemblages import steer
+    from .serialize import decode_measurements, decode_state, encode_assemblage
+
     rho = decode_state(load_json(args.state))
     fam = decode_measurements(load_json(args.measurements))
     return encode_assemblage(steer(rho, fam)), 0
 
 
 def _cmd_bound(args, config: RunConfig):
+    from .functionals import local_bound, steering_bound
+    from .serialize import decode_bell, decode_functional, encode_matrix
+
     if (args.functional is None) == (args.bell is None):
         raise ValueError("bound needs exactly one of --functional or --bell")
     if args.functional is not None:
@@ -233,6 +253,9 @@ def _cmd_bound(args, config: RunConfig):
 
 
 def _cmd_fraction(args, config: RunConfig):
+    from .functionals import nonlocality_fraction, steering_fraction
+    from .serialize import decode_assemblage, decode_bell, decode_correlation, decode_functional
+
     steering_inputs = args.assemblage is not None and args.functional is not None
     bell_inputs = args.correlation is not None and args.bell is not None
     if steering_inputs == bell_inputs:
@@ -259,6 +282,9 @@ def _cmd_fraction(args, config: RunConfig):
 
 
 def _cmd_lvs(args, config: RunConfig):
+    from .functionals import lv_s
+    from .serialize import decode_functional, decode_state, encode_measurements
+
     rho = decode_state(load_json(args.state))
     func = decode_functional(load_json(args.functional))
     res = lv_s(rho, func, tol=config.tol)
@@ -271,6 +297,9 @@ def _cmd_lvs(args, config: RunConfig):
 
 
 def _cmd_monotone(args, config: RunConfig):
+    from .monotones import optimal_steering_fraction, steerable_weight, steering_robustness
+    from .serialize import decode_assemblage
+
     sigma = decode_assemblage(load_json(args.assemblage))
     compute = {
         "S_O": optimal_steering_fraction,
@@ -291,6 +320,9 @@ def _cmd_monotone(args, config: RunConfig):
 
 
 def _cmd_game(args, config: RunConfig):
+    from .games import cglmp, cglmp_lv_lower, kv_fraction, kv_game, kv_measurements, mub, mub_functional
+    from .serialize import encode_bell, encode_functional, encode_measurements
+
     if args.game == "kv":
         game = kv_game(args.n, args.eta)
         fam = kv_measurements(args.n)
@@ -329,12 +361,16 @@ def _cmd_game(args, config: RunConfig):
             "functional": encode_functional(mub_functional(fam)),
         }
         if args.n >= 2:
-            report["fef_threshold"] = crit.mub_threshold(args.d, args.n)
+            from .criteria import mub_threshold
+
+            report["fef_threshold"] = mub_threshold(args.d, args.n)
         return report, 0
     raise ValueError("game needs one of: kv, cglmp, mub")
 
 
 def _cmd_criteria(args, config: RunConfig):
+    from . import criteria as crit
+
     if args.criteria == "thresholds":
         return asdict(crit.isotropic_thresholds(args.d)), 0
     if args.criteria == "upper-bounds":
@@ -347,6 +383,10 @@ def _cmd_criteria(args, config: RunConfig):
 
 
 def _reference_rows() -> list[dict]:
+    from . import criteria as crit
+    from .functionals import local_bound
+    from .games import cglmp
+
     rows = []
 
     def match(quantity, expected, computed, tolerance, comparison):
@@ -444,13 +484,8 @@ _DISPATCH = {
 }
 
 
-def _emit(payload, out: str | None) -> None:
-    text = render_report(payload)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _error(kind: str, message: str, **where) -> str:
+    return render_report({"error": {"kind": kind, "message": message, **where}})
 
 
 def run(argv=None) -> int:
@@ -479,27 +514,23 @@ def run(argv=None) -> int:
             out=out,
         )
         payload, code = _DISPATCH[args.subcommand](args, config)
-        _emit(payload, out)
-        return code
+        text = render_report(payload)
     except json.JSONDecodeError as err:
-        _emit(
-            {
-                "error": {
-                    "kind": "input",
-                    "message": err.msg,
-                    "line": err.lineno,
-                    "column": err.colno,
-                }
-            },
-            out,
-        )
-        return 1
+        text, code = _error("input", err.msg, line=err.lineno, column=err.colno), 1
     except (ValueError, OSError, KeyError) as err:
-        _emit({"error": {"kind": "domain", "message": str(err)}}, out)
-        return 1
+        text, code = _error("domain", str(err)), 1
     except RuntimeError as err:
-        _emit({"error": {"kind": "solver", "message": str(err)}}, out)
-        return 2
+        text, code = _error("solver", str(err)), 2
+    if out is not None:
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            return code
+        except OSError as err:
+            # the report cannot reach --out, so the error goes to stdout
+            text, code = _error("domain", str(err)), 1
+    sys.stdout.write(text)
+    return code
 
 
 def main() -> int:

@@ -10,13 +10,14 @@ below a prescribed violation level.
 
 from __future__ import annotations
 
+import importlib
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .functionals import SteeringFunctional, lv_s
-from .games import cglmp_lv_lower
-from .states import max_entangled
+if TYPE_CHECKING:
+    from .functionals import SteeringFunctional
 
 __all__ = [
     "IsotropicThresholds",
@@ -36,6 +37,25 @@ __all__ = [
     "superactivation_min_copies",
     "amplification_plan",
 ]
+
+# The functions that need numpy-backed modules import them when they run,
+# so the closed forms load no numpy.  The names this module used to bind
+# from them still resolve here on first lookup (PEP 562), because callers
+# look them up on this module: bench/spans.py wraps `criteria.lv_s`.
+_LAZY = {
+    "SteeringFunctional": "functionals",
+    "lv_s": "functionals",
+    "cglmp_lv_lower": "games",
+    "max_entangled": "states",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __package__), name)
+
 
 EULER_GAMMA = 0.5772156649015329
 # growth constant of the coset-game fraction estimate
@@ -129,6 +149,9 @@ def fef_threshold(func: SteeringFunctional, copies: int = 1) -> float:
     the maximally entangled state reaches; with `copies` > 1 the k-th
     root applies, certifying steerability of the k-copy state.
     """
+    from .functionals import lv_s
+    from .states import max_entangled
+
     if copies < 1:
         raise ValueError("copies must be at least 1")
     lv = lv_s(max_entangled(func.dim), func).value
@@ -213,10 +236,12 @@ class BellSufficiency:
 
 def bell_sufficient(d: int, kind: str) -> BellSufficiency:
     """Closed-form nonlocality certificates: the two-setting d-outcome
-    inequality works at every d, the coset game needs a power-of-2
-    dimension and beats it from d = 2^10 on."""
+    inequality works at every d up to its 10^7 cap, the coset game needs a
+    power-of-2 dimension and beats it from d = 2^10 on."""
     kind = kind.lower()
     if kind == "cglmp":
+        from .games import cglmp_lv_lower
+
         if d < 2:
             raise ValueError("need d >= 2")
         threshold = 1.0 / cglmp_lv_lower(d)

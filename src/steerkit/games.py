@@ -41,6 +41,11 @@ __all__ = [
 # The coset game's table has 4^n entries, filled by 4^n Python steps: n = 8
 # (65,536 entries) builds in 0.03 s, n = 16 would need 34 GB.
 KV_MAX_OUTCOMES = 8
+# cglmp(d) fills its (2, 2, d, d) table in 4d^2 Python steps: d = 1000 takes
+# 1.6 s on a 2-vCPU host.  cglmp_lv_lower(d) sums arrays of d/2 floats:
+# d = 10^7 takes 0.3 s and about 40 MB per temporary.
+CGLMP_MAX_OUTCOMES = 1000
+CGLMP_LV_MAX_OUTCOMES = 10**7
 
 
 def _check_outcomes(n: int) -> None:
@@ -235,6 +240,8 @@ def cglmp(d: int) -> BellFunctional:
     """
     if d < 2:
         raise ValueError("outcome count must be at least 2")
+    if d > CGLMP_MAX_OUTCOMES:
+        raise ValueError(f"the two-setting inequality is capped at d <= {CGLMP_MAX_OUTCOMES} outcomes")
     coeffs = np.zeros((2, 2, d, d))
     for x in range(2):
         for y in range(2):
@@ -265,6 +272,8 @@ def cglmp_lv_lower(d: int) -> float:
     the maximally entangled state, normalized by the classical bound."""
     if d < 2:
         raise ValueError("outcome count must be at least 2")
+    if d > CGLMP_LV_MAX_OUTCOMES:
+        raise ValueError(f"the closed-form violation is capped at d <= {CGLMP_LV_MAX_OUTCOMES:,} outcomes")
     k = np.arange(d // 2, dtype=float)
     angle = np.pi / d
     q_pos = 1.0 / (2.0 * d**3 * np.sin(angle * (k + 0.25)) ** 2)

@@ -4,19 +4,22 @@ Complex entries are stored as [re, im] pairs.  Operator collections
 indexed by outcome and setting use string keys "a|x", so the member for
 outcome 0 of setting 1 sits under "0|1".  Reports are rendered with
 sorted keys and a fixed indent, which makes equal inputs produce byte
-identical output.
+identical output; `jsonify`, `render_report` and `load_json` live in the
+numpy-free `report` module and are re-exported here.
 """
 
 from __future__ import annotations
 
-import json
-import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .assemblages import Assemblage, MeasurementFamily
-from .functionals import BellFunctional, Correlation, SteeringFunctional
+from .report import jsonify, load_json, render_report
 from .states import DensityMatrix, isotropic
+
+if TYPE_CHECKING:
+    from .functionals import BellFunctional, Correlation, SteeringFunctional
 
 __all__ = [
     "encode_matrix",
@@ -170,6 +173,8 @@ def encode_functional(func: SteeringFunctional) -> dict:
 
 
 def decode_functional(obj: dict) -> SteeringFunctional:
+    from .functionals import SteeringFunctional
+
     return SteeringFunctional(*_table_descriptor(obj, "functional", "operators", "functional"))
 
 
@@ -195,6 +200,8 @@ def encode_bell(bell: BellFunctional) -> dict:
 
 
 def decode_bell(obj: dict) -> BellFunctional:
+    from .functionals import BellFunctional
+
     obj = _object(_unwrap(obj, "coefficients", "bell"), "Bell descriptor")
     (coeffs,) = _fields(obj, "Bell descriptor", "coefficients")
     return BellFunctional(_real_array(coeffs, "Bell coefficients"))
@@ -205,56 +212,7 @@ def encode_correlation(corr: Correlation) -> dict:
 
 
 def decode_correlation(obj: dict) -> Correlation:
+    from .functionals import Correlation
+
     (table,) = _fields(_object(obj, "correlation descriptor"), "correlation descriptor", "table")
     return Correlation(_real_array(table, "correlation table"))
-
-
-def jsonify(obj):
-    """Recursive conversion to plain JSON values.
-
-    Numpy scalars and arrays become Python numbers and nested lists,
-    complex leaves become [re, im] pairs, and non-finite floats become
-    null (log-space companion fields stay finite where they exist).
-    An integer that Python's limit on int-to-str conversion (4300 digits
-    by default) refuses, which json.dumps would fail on, becomes its exact
-    hexadecimal string "0x..."; int(s, 16) reads it back with no limit.
-    """
-    if obj is None or isinstance(obj, (bool, str)):
-        return obj
-    if isinstance(obj, int):
-        try:
-            str(obj)
-        except ValueError:
-            return hex(obj)
-        return obj
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return jsonify(float(obj))
-    if isinstance(obj, np.complexfloating):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return encode_matrix(obj)
-        return jsonify(obj.tolist())
-    if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def render_report(obj) -> str:
-    return json.dumps(jsonify(obj), sort_keys=True, indent=2) + "\n"
-
-
-def load_json(path: str):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as err:
-            raise json.JSONDecodeError(f"{path}: {err.msg}", err.doc, err.pos) from None

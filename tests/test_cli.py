@@ -246,6 +246,12 @@ class TestGame:
         assert code == 0
         assert abs(bound["value"] - 6.0) < 1e-12
 
+    def test_cglmp_past_the_cap_is_domain_error(self, tmp_path):
+        code, report = run_json(tmp_path, "game", "cglmp", "--d", str(10**15))
+        assert code == 1
+        assert report["error"]["kind"] == "domain"
+        assert "d <= 1000" in report["error"]["message"]
+
     def test_mub_report(self, tmp_path):
         code, report = run_json(tmp_path, "game", "mub", "--d", "3", "--n", "4")
         assert code == 0
@@ -416,6 +422,18 @@ class TestErrorHandling:
         code, report = run_json(tmp_path, "twirl", "--state", state, "--samples", samples)
         assert code == 1
         assert report["error"] == {"kind": "domain", "message": "samples must be at least 1"}
+
+    @pytest.mark.parametrize("argv", [
+        ("criteria", "thresholds", "--d", "10"),
+        ("game", "kv", "--n", "2"),
+    ], ids=["report", "error_report"])
+    def test_unwritable_out_reports_to_stdout(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "x.json"
+        assert run([*argv, "--out", str(out)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"]["kind"] == "domain"
+        assert str(out) in report["error"]["message"]
+        assert not out.parent.exists()
 
     def test_unknown_flag_prints_usage(self, capsys):
         assert run(["fef", "--state", "x.json", "--bogus"]) == 1

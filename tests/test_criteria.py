@@ -273,6 +273,10 @@ class TestBellSufficient:
         with pytest.raises(ValueError):
             bell_sufficient(1, "cglmp")
 
+    def test_cglmp_past_its_cap_is_refused(self):
+        with pytest.raises(ValueError, match="d <= 10,000,000"):
+            bell_sufficient(10**15, "cglmp")
+
 
 class TestBellUpperBounds:
     def test_qubit_values(self):

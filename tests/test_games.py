@@ -269,6 +269,11 @@ class TestCglmp:
         with pytest.raises(ValueError):
             cglmp(1)
 
+    @pytest.mark.parametrize("d", [1001, 10**15])
+    def test_refuses_d_past_the_cap(self, d):
+        with pytest.raises(ValueError, match="d <= 1000"):
+            cglmp(d)
+
 
 class TestCglmpLvLower:
     def test_two_outcome_closed_form(self):
@@ -280,6 +285,11 @@ class TestCglmpLvLower:
 
     def test_asymptotic_threshold(self):
         assert abs(1.0 / cglmp_lv_lower(10**6) - 0.8611) <= 5e-4
+
+    @pytest.mark.parametrize("d", [10**7 + 1, 10**15])
+    def test_refuses_d_past_the_cap(self, d):
+        with pytest.raises(ValueError, match="d <= 10,000,000"):
+            cglmp_lv_lower(d)
 
     def test_seesaw_reaches_two_outcome_value(self):
         res = lv_bell_seesaw(max_entangled(2), cglmp(2), restarts=3, seed=0)

@@ -111,3 +111,108 @@ class TestCliBlasThreads:
     def test_cli_import_sets_one_thread_unless_chosen(self, env_vars, expected):
         code = "import os, steerkit.cli\nprint(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))"
         assert fresh(code, **env_vars) == expected
+
+
+# the functions `steerkit.cli` bound at import before its imports moved into
+# the subcommands, by home module
+CLI_NAMES = {
+    "assemblages": "steer",
+    "functionals": "local_bound lv_s nonlocality_fraction steering_bound steering_fraction",
+    "games": "cglmp cglmp_lv_lower kv_fraction kv_game kv_measurements mub mub_functional",
+    "monotones": "optimal_steering_fraction steerable_weight steering_robustness",
+    "serialize": "decode_assemblage decode_bell decode_correlation decode_functional "
+    "decode_measurements decode_state encode_assemblage encode_bell encode_functional "
+    "encode_matrix encode_measurements load_json render_report",
+    "states": "fef isotropic twirl twirl_monte_carlo",
+}
+CRITERIA_NAMES = {
+    "functionals": "SteeringFunctional lv_s",
+    "games": "cglmp_lv_lower",
+    "states": "max_entangled",
+}
+CRITERIA_ARGV = {
+    "thresholds": ["--d", "999500"],
+    "upper-bounds": ["--d", "500"],
+    "amplify": ["--eps", "0.55", "--delta", "3.0"],
+    "superactivate": ["--d", "5", "--p", "0.7"],
+}
+
+
+def run_fresh(tmp_path, argv):
+    """Run `steerkit.cli.run(argv)` with --out in a new interpreter; return
+    its exit code and the modules it loaded."""
+    out = str(tmp_path / "report.json")
+    code = f"import steerkit.cli\ncode = steerkit.cli.run({argv!r} + ['--out', {out!r}])\n"
+    return fresh(code + f"print(json.dumps([code, {LOADED}]))")
+
+
+class TestCliImports:
+    @pytest.mark.parametrize("name", sorted(CRITERIA_ARGV))
+    def test_criteria_planners_load_no_numpy(self, tmp_path, name):
+        code, loaded = run_fresh(tmp_path, ["criteria", name, *CRITERIA_ARGV[name]])
+        assert code == 0
+        assert loaded == ["steerkit.cli", "steerkit.criteria", "steerkit.report"]
+
+    @pytest.mark.parametrize("argv, unloaded", [
+        (["steer", "--state", "{iso}", "--measurements", "{fam}"], "criteria functionals games monotones sdp"),
+        (["fef", "--state", "{iso}"], "criteria functionals games monotones sdp"),
+        (["twirl", "--state", "{iso}"], "criteria functionals games monotones sdp"),
+        (["monotone", "--assemblage", "{sig}"], "criteria functionals games"),
+    ], ids=["steer", "fef", "twirl", "monotone"])
+    def test_commands_skip_modules_they_do_not_call(self, tmp_path, argv, unloaded):
+        from steerkit.assemblages import steer
+        from steerkit.games import mub
+        from steerkit.serialize import encode_assemblage, encode_measurements
+        from steerkit.states import isotropic
+
+        family = mub(2, 2).to_measurements()
+        files = {
+            "iso": {"isotropic": {"d": 2, "p": 0.9}},
+            "fam": encode_measurements(family),
+            "sig": encode_assemblage(steer(isotropic(2, 0.9), family)),
+        }
+        paths = {}
+        for key, payload in files.items():
+            paths[key] = tmp_path / f"{key}.json"
+            paths[key].write_text(json.dumps(payload))
+        code, loaded = run_fresh(tmp_path, [arg.format(**paths) for arg in argv])
+        assert code == 0
+        assert "numpy" in loaded
+        assert not {f"steerkit.{module}" for module in unloaded.split()} & set(loaded)
+
+    def test_names_resolve_to_their_home_objects(self):
+        code = f"""
+import importlib, steerkit.cli, steerkit.criteria
+same = {{}}
+for owner, table in (("cli", {CLI_NAMES!r}), ("criteria", {CRITERIA_NAMES!r})):
+    for module, names in table.items():
+        home = importlib.import_module("steerkit." + module)
+        for name in names.split():
+            same[owner + "." + name] = getattr(getattr(steerkit, owner), name) is getattr(home, name)
+print(json.dumps(same))
+"""
+        expected = [
+            f"{owner}.{name}"
+            for owner, table in (("cli", CLI_NAMES), ("criteria", CRITERIA_NAMES))
+            for names in table.values() for name in names.split()
+        ]
+        assert fresh(code) == dict.fromkeys(expected, True)
+
+    @pytest.mark.parametrize("module", ["cli", "criteria"])
+    def test_unknown_name_raises(self, module):
+        code = f"""
+import steerkit.{module} as mod
+try:
+    mod.nope
+    raised = False
+except AttributeError:
+    raised = True
+print(json.dumps(raised))
+"""
+        assert fresh(code) is True
+
+    def test_serialize_reexports_the_report_functions(self):
+        from steerkit import report, serialize
+
+        for name in ("jsonify", "render_report", "load_json"):
+            assert getattr(serialize, name) is getattr(report, name)

@@ -206,6 +206,33 @@ class TestJsonify:
         assert int(json.loads(render_report({"d": huge}))["d"], 16) == huge
 
 
+class TestJsonifyBytes:
+    """Reports keep their bytes: numpy values go through `tolist()`."""
+
+    @pytest.mark.parametrize("value, text", [
+        (np.float64(0.1), "0.1\n"),
+        (np.int64(-7), "-7\n"),
+        (np.complex128(1.5 - 2j), "[\n  1.5,\n  -2.0\n]\n"),
+        (np.array([1.5, -2.0]), "[\n  1.5,\n  -2.0\n]\n"),
+        (np.array([[1 + 2j, 3]]),
+         "[\n  [\n    [\n      1.0,\n      2.0\n    ],\n    [\n      3.0,\n      0.0\n    ]\n  ]\n]\n"),
+        (np.array(2.5), "2.5\n"),
+        (np.array(1j), "[\n  0.0,\n  1.0\n]\n"),
+        (np.float64("nan"), "null\n"),
+        (np.float64("-inf"), "null\n"),
+        (np.array([np.nan, 1.0]), "[\n  null,\n  1.0\n]\n"),
+        ({"a": np.int64(3), "b": (np.float32(1.25),)}, '{\n  "a": 3,\n  "b": [\n    1.25\n  ]\n}\n'),
+        (2**16_000, '"0x1' + "0" * 4000 + '"\n'),
+    ], ids=["float64", "int64", "complex128", "real_array", "complex_array", "real_0d", "complex_0d",
+            "nan", "inf", "nan_in_array", "nested", "past_digit_limit"])
+    def test_same_bytes(self, value, text):
+        assert render_report(value) == text
+
+    def test_numpy_bools(self):
+        assert render_report([np.bool_(True), np.bool_(False)]) == "[\n  true,\n  false\n]\n"
+        assert render_report(np.array([True])) == "[\n  true\n]\n"
+
+
 class TestRenderReport:
     def test_deterministic_bytes(self):
         payload = {"b": 1.0, "a": [2.0, {"z": 3, "y": None}]}
