@@ -18,7 +18,7 @@ import numpy as np
 
 from .assemblages import Assemblage, MeasurementFamily, _clean_operator_table, steer
 from .linalg import haar_unitary, herm, herm_eig
-from .sdp import SdpProblem, _herm_basis, solve
+from .sdp import SdpProblem, _herm_basis, solve, solve_many
 from .states import DensityMatrix
 from .strategies import all_strategies, iter_strategies, strategy_count
 
@@ -291,10 +291,10 @@ def correlation_from(
 
 
 def _steered_operators(rho: DensityMatrix, ops: np.ndarray) -> np.ndarray:
-    """G[a] = tr_B[rho (I x F_a)]: Alice-side operators whose POVM overlap
-    gives the functional's value."""
+    """G[x, a] = tr_B[rho (I x F[x, a])]: Alice-side operators whose POVM
+    overlap gives the functional's value."""
     rho4 = rho.matrix.reshape(rho.dA, rho.dB, rho.dA, rho.dB)
-    return np.einsum("ijkl,alj->aik", rho4, ops)
+    return np.einsum("ijkl,xalj->xaik", rho4, ops)
 
 
 def _optimal_povm_exact2(g: np.ndarray) -> tuple[float, np.ndarray]:
@@ -308,17 +308,15 @@ def _optimal_povm_exact2(g: np.ndarray) -> tuple[float, np.ndarray]:
     return value, np.stack([e0, np.eye(d) - e0])
 
 
-def _optimal_povm_sdp(g: np.ndarray, tol: float) -> tuple[float, np.ndarray, float]:
-    """max sum_a tr(E_a G_a) over POVMs, via the conic solver."""
+def _povm_program(g: np.ndarray) -> SdpProblem:
+    """max sum_a tr(E_a G_a) over POVMs as a conic program: one block per
+    outcome, one matrix equality sum_a E_a = I."""
     o, d = g.shape[0], g.shape[1]
     p = SdpProblem()
     blocks = [p.add_block(d) for _ in range(o)]
     p.set_objective({blk: herm(g[a], tol=1e-8) for a, blk in enumerate(blocks)}, sense="max")
     p.add_matrix_equality({blk: 1.0 for blk in blocks}, np.eye(d))
-    sol = solve(p, tol=tol)
-    if sol.status != "optimal":
-        raise RuntimeError(f"POVM optimization ended {sol.status}")
-    return float(sol.primal_objective), sol.x, float(sol.gap)
+    return p
 
 
 def _repair_povm(effects: np.ndarray) -> np.ndarray:
@@ -329,6 +327,33 @@ def _repair_povm(effects: np.ndarray) -> np.ndarray:
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
     repaired = np.einsum("ij,ajk,kl->ail", inv_sqrt, effects, inv_sqrt)
     return repaired
+
+
+def _best_povms(g: np.ndarray, tol: float,
+                closed_form: bool = True) -> tuple[float, np.ndarray, float]:
+    """Best POVM of each setting x against a (settings, outcomes, d, d) stack:
+    max sum_a tr(E_a G[x, a]).
+
+    With two outcomes and `closed_form`, each setting takes
+    `_optimal_povm_exact2` and the gap is 0.  Otherwise the settings'
+    programs, which share their rows sum_a E_a = I, are solved in one
+    `solve_many` batch, and each optimum's effects are repaired to sum to I.
+    Returns the optima summed in setting order, the (settings, outcomes, d, d)
+    effects, and the duality gaps summed likewise.
+    """
+    if closed_form and g.shape[1] == 2:
+        best = [(*_optimal_povm_exact2(gx), 0.0) for gx in g]
+    else:
+        sols = solve_many([_povm_program(gx) for gx in g], tol=tol)
+        for sol in sols:
+            if sol.status != "optimal":
+                raise RuntimeError(f"POVM optimization ended {sol.status}")
+        best = [(float(sol.primal_objective), _repair_povm(sol.x), float(sol.gap)) for sol in sols]
+    value = gap = 0.0
+    for v, _, g_gap in best:
+        value += v
+        gap += g_gap
+    return value, np.stack([eff for _, eff, _ in best]), gap
 
 
 @dataclass(frozen=True)
@@ -351,24 +376,17 @@ def lv_s(rho: DensityMatrix, func: SteeringFunctional, tol: float = 1e-9) -> Lvs
 
     The objective decouples across settings: for each x the optimal POVM
     maximizes a linear function over the POVM set, solved as a conic
-    program with a certified duality gap.
+    program with a certified duality gap.  The programs of all settings
+    share their rows and are solved in one `sdp.solve_many` batch; each
+    solution is the one a solo solve gives, bit for bit.
     """
     if func.dim != rho.dB:
         raise ValueError("functional dimension does not match Bob's side")
-    m = func.settings
-    raw = 0.0
-    gap = 0.0
-    families = []
-    for x in range(m):
-        g = _steered_operators(rho, func.operators[x])
-        val, effects, g_gap = _optimal_povm_sdp(g, tol)
-        raw += val
-        gap += g_gap
-        families.append(_repair_povm(effects))
+    raw, effects, gap = _best_povms(_steered_operators(rho, func.operators), tol, closed_form=False)
     bound = steering_bound(func).value
     if bound <= 0.0:
         raise ValueError("steering bound is not positive")
-    family = MeasurementFamily(rho.dA, np.stack(families))
+    family = MeasurementFamily(rho.dA, effects)
     achieved = steering_fraction(steer(rho, family), func).value
     return LvsResult(raw / bound, family, gap / bound, achieved)
 
@@ -393,20 +411,12 @@ class SeesawResult:
     lower_bound_only: bool = True
 
 
-def _optimal_povm(g: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
-    if g.shape[0] == 2:
-        return _optimal_povm_exact2(g)
-    val, effects, _ = _optimal_povm_sdp(g, tol)
-    return val, _repair_povm(effects)
-
-
-def _random_projective(d: int, settings: int, gen) -> np.ndarray:
-    eff = np.empty((settings, d, d, d), dtype=complex)
-    for x in range(settings):
-        u = haar_unitary(d, gen)
-        for a in range(d):
-            eff[x, a] = np.outer(u[:, a], u[:, a].conj())
-    return eff
+def _projectors(bases: np.ndarray) -> np.ndarray:
+    """Rank-one projectors onto the columns of each basis: out[..., a, :, :]
+    is |u_a><u_a| for u_a = bases[..., :, a], C-contiguous like the rest of
+    the see-saw's stacks (einsum's summation order follows the layout)."""
+    cols = np.ascontiguousarray(np.swapaxes(bases, -1, -2))
+    return cols[..., :, None] * cols.conj()[..., None, :]
 
 
 def _fourier_basis(d: int) -> np.ndarray:
@@ -422,74 +432,40 @@ def lv_bell_seesaw(
     max_rounds: int = 200,
     tol: float = 1e-9,
 ) -> SeesawResult:
-    """Alternating optimization of both parties' POVMs.
+    """Alternating optimization of both parties' POVMs (the see-saw of
+    Pal & Vertesi, PRA 82, 022116, 2010).
 
     Each half-step is the exact per-setting POVM optimum against the
     other party's current effects, so the functional value is monotone
-    along the iteration.  Restarts: one structured start (computational
-    and Fourier bases cycled over settings) plus Haar-random projective
-    starts.  The result is a certified achievable value, reported as a
-    lower bound on the largest violation.
+    along the iteration.  With two outcomes it is the closed form; with
+    more, the half-step's settings are solved in one `sdp.solve_many`
+    batch.  Restarts: one structured start (computational and Fourier
+    bases cycled over settings) plus Haar-random projective starts, or
+    random POVMs when Bob's outcomes differ from his dimension.  The result
+    is a certified achievable value, reported as a lower bound on the
+    largest violation.  `restarts` or `max_rounds` below 1 raises
+    ValueError.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, not {restarts}")
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, not {max_rounds}")
     c = bell.coefficients
-    ma, mb, oa, ob = c.shape
+    _, mb, _, ob = c.shape
+    d = rho.dB
     gen = np.random.default_rng(seed)
     rho4 = rho.matrix.reshape(rho.dA, rho.dB, rho.dA, rho.dB)
 
-    def bell_value(alice_eff, bob_eff):
-        return float(
-            np.einsum(
-                "xyab,ijkl,xaki,yblj->", c, rho4, alice_eff, bob_eff
-            ).real
-        )
-
-    def alice_step(bob_eff):
-        # Alice-side operators of the induced functional for each (x, a)
-        sig_b = np.einsum("ijkl,yblj->ybik", rho4, bob_eff)  # tr_B[rho(I x E_b|y)]
-        h = np.einsum("xyab,ybik->xaik", c, sig_b)
-        out = []
-        val = 0.0
-        for x in range(ma):
-            v, eff = _optimal_povm(h[x], tol)
-            val += v
-            out.append(eff)
-        return val, np.stack(out)
-
-    def bob_step(alice_eff):
-        sig_a = np.einsum("ijkl,xaki->xajl", rho4, alice_eff)  # tr_A[rho(E_a|x x I)]
-        h = np.einsum("xyab,xajl->ybjl", c, sig_a)
-        out = []
-        val = 0.0
-        for y in range(mb):
-            v, eff = _optimal_povm(h[y], tol)
-            val += v
-            out.append(eff)
-        return val, np.stack(out)
-
-    def structured_start(d, settings, outcomes):
-        if outcomes != d:
-            return None
-        comp = np.eye(d, dtype=complex)
-        four = _fourier_basis(d)
-        eff = np.empty((settings, outcomes, d, d), dtype=complex)
-        for x in range(settings):
-            basis = comp if x % 2 == 0 else four
-            for a in range(outcomes):
-                eff[x, a] = np.outer(basis[:, a], basis[:, a].conj())
-        return eff
-
     starts = []
-    s0 = structured_start(rho.dB, mb, ob)
-    if s0 is not None:
-        starts.append(s0)
+    if ob == d:
+        bases = np.stack([np.eye(d, dtype=complex), _fourier_basis(d)])
+        starts.append(_projectors(bases[np.arange(mb) % 2]))
     while len(starts) < restarts:
-        if ob == rho.dB:
-            starts.append(_random_projective(rho.dB, mb, gen))
+        if ob == d:
+            starts.append(_projectors(np.stack([haar_unitary(d, gen) for _ in range(mb)])))
         else:
             # random POVMs from normalized Wishart pieces
-            raw = gen.standard_normal((mb, ob, rho.dB, rho.dB)) + 1j * gen.standard_normal(
-                (mb, ob, rho.dB, rho.dB)
-            )
+            raw = gen.standard_normal((mb, ob, d, d)) + 1j * gen.standard_normal((mb, ob, d, d))
             eff = np.einsum("ybij,ybkj->ybik", raw, raw.conj())
             total = eff.sum(axis=1)
             w, v = np.linalg.eigh(total)
@@ -500,12 +476,12 @@ def lv_bell_seesaw(
     best = None
     for bob_eff in starts:
         val = -np.inf
-        alice_eff = None
-        rounds = 0
         converged = False
         for rounds in range(1, max_rounds + 1):
-            _, alice_eff = alice_step(bob_eff)
-            new_val, bob_eff = bob_step(alice_eff)
+            sig_b = np.einsum("ijkl,yblj->ybik", rho4, bob_eff)  # tr_B[rho(I x E_b|y)]
+            _, alice_eff, _ = _best_povms(np.einsum("xyab,ybik->xaik", c, sig_b), tol)
+            sig_a = np.einsum("ijkl,xaki->xajl", rho4, alice_eff)  # tr_A[rho(E_a|x x I)]
+            new_val, bob_eff, _ = _best_povms(np.einsum("xyab,xajl->ybjl", c, sig_a), tol)
             if val > -np.inf and abs(new_val - val) <= 1e-12 * max(1.0, abs(new_val)):
                 val = new_val
                 converged = True

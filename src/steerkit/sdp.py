@@ -58,15 +58,19 @@ factorization fails, least squares on M is the fallback.
 Batched problems. `solve_many` solves problems that share their blocks and
 constraint rows, and differ only in b and in the objective, in one call
 (the batched primal-dual interior-point pattern of Amos & Kolter, "OptNet",
-ICML 2017). They share one layout. Every iterate and block stack gets a
-leading problem axis; tau, kappa, mu, sigma, the step length, the line
-search, the exit tests and the trace are kept per problem; the P Schur
-matrices come from stacked products and one batched Cholesky
+ICML 2017). The problems of a batch share one layout. Every iterate and
+block stack gets a leading problem axis; tau, kappa, mu, sigma, the step
+length, the line search, the exit tests and the trace are kept per problem;
+the P Schur matrices come from stacked products and one batched Cholesky
 factorization. Each iteration works on the problems still running only: a
 problem that finishes leaves the stacks, and one that fails numerically
-stops alone. Every product with the constraint data and every inner
-product is one BLAS call per problem, so no result depends on the batch.
-`solve` is `solve_many` of one problem.
+stops alone. Every product with the constraint data and every inner product
+is one BLAS call per problem, so no result depends on the batch. `solve` is
+`solve_many` of one problem. The callers of `solve_many` are the
+monotonicity audit (an assemblage's and its branches' fraction programs),
+`lv_s` (the POVM programs of all settings) and each half-step of the
+see-saw `lv_bell_seesaw` (likewise, when a party has more than two
+outcomes).
 
 The solver is deterministic: identical problem data produce bit-identical
 iterates and solutions, alone or in any batch.

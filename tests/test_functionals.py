@@ -22,6 +22,7 @@ from steerkit.functionals import (
     steering_bound_sdp,
     steering_fraction,
 )
+from steerkit.games import cglmp, cglmp_lv_lower
 from steerkit.states import (
     DensityMatrix,
     max_entangled,
@@ -333,19 +334,53 @@ class TestLvS:
         assert lhs <= rhs + 1e-8
 
     def test_two_outcome_closed_form_matches_conic_route(self):
-        from steerkit.functionals import _optimal_povm_exact2, _optimal_povm_sdp
+        from steerkit.functionals import _optimal_povm_exact2, _povm_program
+        from steerkit.sdp import solve
 
         gen = rng(14)
         for _ in range(10):
             raw = gen.standard_normal((2, 3, 3)) + 1j * gen.standard_normal((2, 3, 3))
             g = raw + raw.conj().transpose(0, 2, 1)
             v_exact, eff_exact = _optimal_povm_exact2(g)
-            v_sdp, eff_sdp, _ = _optimal_povm_sdp(g, tol=1e-9)
+            v_sdp = solve(_povm_program(g), tol=1e-9).primal_objective
             assert abs(v_exact - v_sdp) <= 1e-7
             total = eff_exact.sum(axis=0)
             assert np.allclose(total, np.eye(3), atol=1e-10)
             achieved = float(np.einsum("aij,aji->", g, eff_exact).real)
             assert abs(achieved - v_exact) <= 1e-10
+
+    def test_batched_settings_match_solo_solves(self):
+        """lv_s solves its settings' POVM programs in one batch; solving each
+        alone and summing in setting order gives the same floats, bit for bit."""
+        from steerkit.functionals import _repair_povm
+        from steerkit.sdp import SdpProblem, solve
+
+        gen = rng(16)
+        func = random_functional(3, 3, 3, gen)
+        rho = random_density_matrix(3, 3, rng=gen)
+        rho4 = rho.matrix.reshape(3, 3, 3, 3)
+        raw = gap = 0.0
+        effects = []
+        for ops in func.operators:
+            g = np.einsum("ijkl,alj->aik", rho4, ops)  # tr_B[rho (I x F_a)]
+            p = SdpProblem()
+            blocks = [p.add_block(3) for _ in range(3)]
+            p.set_objective({blk: g[a] for a, blk in enumerate(blocks)}, sense="max")
+            p.add_matrix_equality({blk: 1.0 for blk in blocks}, np.eye(3))
+            sol = solve(p, tol=1e-9)
+            assert sol.status == "optimal"
+            raw += float(sol.primal_objective)
+            gap += float(sol.gap)
+            effects.append(_repair_povm(sol.x))
+        bound = steering_bound(func).value
+        family = MeasurementFamily(3, np.stack(effects))
+        achieved = steering_fraction(steer(rho, family), func).value
+
+        res = lv_s(rho, func)
+        assert res.value == raw / bound
+        assert res.gap == gap / bound
+        assert res.achieved == achieved
+        assert res.family.effects.tobytes() == family.effects.tobytes()
 
 
 class TestSeesaw:
@@ -376,6 +411,20 @@ class TestSeesaw:
         func = induced_functional(bell, res.bob)
         frac = steering_fraction(steer(rho, res.alice), func)
         assert res.value <= frac.value + 1e-9
+
+    def test_three_outcomes_reach_the_cglmp_bound(self):
+        # more than two outcomes: each half-step solves its settings in one batch
+        res = lv_bell_seesaw(max_entangled(3), cglmp(3), restarts=1, seed=0)
+        assert res.value >= cglmp_lv_lower(3) - 1e-8
+
+    @pytest.mark.parametrize("bell", [chsh_winning_form(), BellFunctional(np.ones((2, 2, 3, 3)))],
+                             ids=["chsh", "three_outcomes"])
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -3}, {"max_rounds": 0}],
+                             ids=["no_restarts", "negative_restarts", "no_rounds"])
+    def test_needs_a_start_and_a_round(self, bell, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            lv_bell_seesaw(max_entangled(2), bell, **kwargs)
 
 
 class TestRotatedFraction:
