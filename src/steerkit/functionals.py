@@ -382,10 +382,10 @@ def lv_s(rho: DensityMatrix, func: SteeringFunctional, tol: float = 1e-9) -> Lvs
     """
     if func.dim != rho.dB:
         raise ValueError("functional dimension does not match Bob's side")
-    raw, effects, gap = _best_povms(_steered_operators(rho, func.operators), tol, closed_form=False)
     bound = steering_bound(func).value
     if bound <= 0.0:
         raise ValueError("steering bound is not positive")
+    raw, effects, gap = _best_povms(_steered_operators(rho, func.operators), tol, closed_form=False)
     family = MeasurementFamily(rho.dA, effects)
     achieved = steering_fraction(steer(rho, family), func).value
     return LvsResult(raw / bound, family, gap / bound, achieved)

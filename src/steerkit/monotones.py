@@ -17,10 +17,10 @@ robustness minimizes it.
 The optimal steering fraction is the Lagrange dual of the robustness
 program, so both are read off one robustness solve: its dual slack is the
 optimal functional, its hidden states are the fraction's dual cover, and
-1 + robustness is the supremum.  A separate fraction program, with one
-matrix equality per strategy, remains as the fallback when the robustness
-solve stalls, for the monotonicity audit's batches, and for the fraction
-of the derived tables the proposition chains check.
+1 + robustness is the supremum; the monotonicity audit reads it so too.  A
+separate fraction program, with one matrix equality per strategy, remains
+as the fallback when the robustness solve stalls and for the fraction of
+the derived tables the proposition chains check.
 
 The robustness program doubles as the membership engine for the LHS set:
 its optimal hidden-state table is the model for members, and its dual
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -185,62 +184,78 @@ class AuditReport:
         return all(r.holds_average and r.holds_branches for r in self.rows)
 
 
-class _FractionProgram(NamedTuple):
-    problem: SdpProblem
-    functional: list   # block index of F_{a|x}, by x then a
-    cover: list        # block index of the slack T_k of strategy k
-    ind: np.ndarray
+def _fraction_report(members: np.ndarray, dim: int, tol: float):
+    """S_O report and unclamped supremum (NaN unless the solve ends optimal)
+    of max sum tr(F sigma) over F >= 0 with every strategy sum of F below 1.
 
-
-def _fraction_program(members: np.ndarray, dim: int) -> _FractionProgram:
-    """max sum tr(F sigma) over F >= 0 with every strategy sum of F below 1.
-
-    The constraint rows depend only on the shape of the member table, so
-    tables of one shape give programs that `solve_many` batches.  The
-    robustness program gives the same value with o^m / (m o) times fewer
-    rows; this one is kept for three uses: the fallback when a robustness
-    solve does not end optimal, the monotonicity audit's batches, and the
-    fraction of the steerable part and the noise in the proposition
-    chains, boundary tables on which the robustness program can stall.
+    The robustness program gives the same value with o^m / (m o) times
+    fewer rows; this one is kept for two uses: the fallback when a
+    robustness solve does not end optimal, and the fraction of the
+    steerable part and the noise in the proposition chains, boundary tables
+    on which the robustness program can stall.
     """
     m, o = members.shape[0], members.shape[1]
     strat, ind = _strategy_data(m, o)
+    # blocks: F_{a|x} at x * o + a, then the slack T_k of strategy k
     p = SdpProblem()
-    f_idx = [[p.add_block(dim) for _ in range(o)] for _ in range(m)]
-    t_idx = [p.add_block(dim) for _ in range(len(strat))]
+    for _ in range(m * o + len(strat)):
+        p.add_block(dim)
     p.set_objective(
-        {f_idx[x][a]: herm(members[x, a], tol=1e-8) for x in range(m) for a in range(o)},
+        {x * o + a: herm(members[x, a], tol=1e-8) for x in range(m) for a in range(o)},
         sense="max",
     )
     eye = np.eye(dim)
     for k, d_map in enumerate(strat):
-        terms = {f_idx[x][d_map[x]]: 1.0 for x in range(m)}
-        terms[t_idx[k]] = 1.0
+        terms = {x * o + d_map[x]: 1.0 for x in range(m)}
+        terms[m * o + k] = 1.0
         p.add_matrix_equality(terms, eye)
-    return _FractionProgram(p, f_idx, t_idx, ind)
-
-
-def _solve_hidden_states(members: np.ndarray, dim: int, tol: float, sense: str):
-    """Optimize sum tr(pi_k) over PSD hidden states, one per strategy, with
-    the strategy mixture below sigma (sense "max", the weight program) or
-    above it (sense "min", the robustness program)."""
-    m, o = members.shape[0], members.shape[1]
-    strat, ind = _strategy_data(m, o)
-    slack = 1.0 if sense == "max" else -1.0
-    p = SdpProblem()
-    pi_idx = [p.add_block(dim) for _ in range(len(strat))]
-    s_idx = [[p.add_block(dim) for _ in range(o)] for _ in range(m)]
-    p.set_objective({i: np.eye(dim) for i in pi_idx}, sense=sense)
-    for x in range(m):
-        for a in range(o):
-            terms = {pi_idx[k]: 1.0 for k in range(len(strat)) if strat[k, x] == a}
-            terms[s_idx[x][a]] = slack
-            p.add_matrix_equality(terms, herm(members[x, a], tol=1e-8))
     sol = solve(p, tol=tol)
     if sol.status != "optimal":
-        return sol, None, None, ind
-    pi, witness = sol.x[pi_idx], sol.s[np.array(s_idx)]
-    return sol, pi, witness, ind
+        return MonotoneReport("S_O", float("nan"), float("nan"), sol.status, {}), float("nan")
+    # copies, as in `_hidden_state_blocks`
+    functional = sol.x[:m * o].reshape(members.shape).copy()
+    # the per-strategy dual matrices, PSD by construction
+    duals = sol.s[m * o:].copy()
+    supremum = float(sol.primal_objective)
+    report = MonotoneReport(
+        monotone="S_O",
+        value=_clamped(supremum - 1.0),
+        gap=float(sol.gap),
+        status=sol.status,
+        certificate={"functional": functional, "dual_cover": duals, "supremum": supremum},
+        certificate_value=_clamped(_fraction_of(members, functional, ind) - 1.0),
+        dual_value=_cover_bound(members, ind, duals),
+    )
+    return report, supremum
+
+
+def _hidden_state_program(members: np.ndarray, sense: str) -> tuple[SdpProblem, np.ndarray]:
+    """Optimize sum tr(pi_k) over PSD hidden states, one per strategy, with
+    the strategy mixture below sigma (sense "max", the weight program) or
+    above it (sense "min", the robustness program).  Blocks 0..K-1 are the
+    pi_k, then one slack per (x, a).  The rows depend only on the table's
+    shape, so tables of one shape give programs that `solve_many` batches.
+    """
+    m, o, dim = members.shape[0], members.shape[1], members.shape[-1]
+    strat, ind = _strategy_data(m, o)
+    slack = 1.0 if sense == "max" else -1.0
+    k_count = len(strat)
+    p = SdpProblem()
+    for _ in range(k_count + m * o):
+        p.add_block(dim)
+    p.set_objective({k: np.eye(dim) for k in range(k_count)}, sense=sense)
+    for x in range(m):
+        for a in range(o):
+            terms = {k: 1.0 for k in range(k_count) if strat[k, x] == a}
+            terms[k_count + x * o + a] = slack
+            p.add_matrix_equality(terms, herm(members[x, a], tol=1e-8))
+    return p, ind
+
+
+def _hidden_state_blocks(sol, ind: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The pi_k and the (x, a) slacks of a solved hidden-state program, as
+    copies: views would keep every block of the solution alive in a report."""
+    return sol.x[:len(ind)].copy(), sol.s[len(ind):].reshape(shape).copy()
 
 
 def _cover_bound(members: np.ndarray, ind: np.ndarray, cover_states: np.ndarray) -> float:
@@ -259,66 +274,28 @@ def _cover_bound(members: np.ndarray, ind: np.ndarray, cover_states: np.ndarray)
     return _clamped(total + max(0.0, -feas) * dim * len(cover_states) - 1.0)
 
 
-def _fraction_outcome(members: np.ndarray, prog: _FractionProgram, sol):
-    """S_O report and unclamped supremum (NaN unless the solve is optimal)."""
-    if sol.status != "optimal":
-        return MonotoneReport("S_O", float("nan"), float("nan"), sol.status, {}), float("nan")
-    functional = sol.x[np.array(prog.functional)]
-    # the per-strategy dual matrices, PSD by construction
-    duals = sol.s[prog.cover]
-    supremum = float(sol.primal_objective)
-    report = MonotoneReport(
-        monotone="S_O",
-        value=_clamped(supremum - 1.0),
-        gap=float(sol.gap),
-        status=sol.status,
-        certificate={"functional": functional, "dual_cover": duals, "supremum": supremum},
-        certificate_value=_clamped(_fraction_of(members, functional, prog.ind) - 1.0),
-        dual_value=_cover_bound(members, prog.ind, duals),
-    )
-    return report, supremum
-
-
-def _fraction_report(members: np.ndarray, dim: int, tol: float):
-    prog = _fraction_program(members, dim)
-    return _fraction_outcome(members, prog, solve(prog.problem, tol=tol))
-
-
-def _fraction_reports(tables: list[np.ndarray], tol: float) -> list:
-    """`_fraction_report` of every member table; tables of one shape give
-    programs with the same rows, and each such group is solved in one batch."""
-    by_shape: dict[tuple, list[int]] = {}
-    for i, t in enumerate(tables):
-        by_shape.setdefault(t.shape, []).append(i)
-    out: list = [None] * len(tables)
-    for idx in by_shape.values():
-        progs = [_fraction_program(tables[i], tables[i].shape[-1]) for i in idx]
-        sols = solve_many([p.problem for p in progs], tol=tol)
-        for i, prog, sol in zip(idx, progs, sols):
-            out[i] = _fraction_outcome(tables[i], prog, sol)
-    return out
-
-
-def _fraction_from_robustness(sigma: Assemblage, prog: RobustnessProgram, tol: float) -> MonotoneReport:
-    """S_O report read off a robustness solve.
+def _fraction_from_robustness(members: np.ndarray, prog: RobustnessProgram, tol: float):
+    """S_O report and unclamped supremum read off a robustness solve.
 
     The robustness dual slack is an optimal functional and the hidden
     states are an optimal dual cover.  Only when that solve did not end
     optimal is the fraction program solved instead.
     """
     if prog.status != "optimal":
-        return _fraction_report(sigma.members, sigma.dim, tol)[0]
-    return MonotoneReport(
+        return _fraction_report(members, members.shape[-1], tol)
+    supremum = 1.0 + prog.raw_value
+    report = MonotoneReport(
         monotone="S_O",
         value=prog.value,
         gap=prog.gap,
         status=prog.status,
-        certificate={"functional": prog.witness, "dual_cover": prog.model, "supremum": 1.0 + prog.raw_value},
+        certificate={"functional": prog.witness, "dual_cover": prog.model, "supremum": supremum},
         # the enumerated fraction of the functional, which is the
         # robustness program's own dual value
         certificate_value=prog.dual_value,
-        dual_value=_cover_bound(sigma.members, prog.strategy_indicator, prog.model),
+        dual_value=_cover_bound(members, prog.strategy_indicator, prog.model),
     )
+    return report, supremum
 
 
 def optimal_steering_fraction(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
@@ -329,7 +306,7 @@ def optimal_steering_fraction(sigma: Assemblage, tol: float = 1e-9) -> MonotoneR
     0, which every unsteerable assemblage attains.  When the robustness
     solve does not end optimal, the fraction program is solved instead.
     """
-    return _fraction_from_robustness(sigma, robustness_program(sigma, tol=tol), tol)
+    return _fraction_from_robustness(sigma.members, robustness_program(sigma, tol=tol), tol)[0]
 
 
 def steerable_weight(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
@@ -339,10 +316,12 @@ def steerable_weight(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
     part and, when the weight is positive, the steerable remainder
     (sigma - mixture) / weight.
     """
-    members, dim = sigma.members, sigma.dim
-    sol, pi, witness, ind = _solve_hidden_states(members, dim, tol, "max")
+    members = sigma.members
+    problem, ind = _hidden_state_program(members, "max")
+    sol = solve(problem, tol=tol)
     if sol.status != "optimal":
         return MonotoneReport("S_W", float("nan"), float("nan"), sol.status, {})
+    pi, witness = _hidden_state_blocks(sol, ind, members.shape)
     unsteerable = np.einsum("kxa,kij->xaij", ind, pi)
     raw = 1.0 - float(sol.primal_objective)
     value = _clamped(raw)
@@ -383,10 +362,15 @@ def robustness_program(sigma: Assemblage, tol: float = 1e-9) -> RobustnessProgra
     value on sigma approaches 1 + robustness while its enumeration bound
     stays near 1.
     """
-    members, dim = sigma.members, sigma.dim
-    sol, xi, witness, ind = _solve_hidden_states(members, dim, tol, "min")
+    problem, ind = _hidden_state_program(sigma.members, "min")
+    return _robustness_outcome(sigma.members, ind, solve(problem, tol=tol))
+
+
+def _robustness_outcome(members: np.ndarray, ind: np.ndarray, sol) -> RobustnessProgram:
+    """The `RobustnessProgram` of a solved hidden-state program of sense "min"."""
     if sol.status != "optimal":
         return RobustnessProgram(status=sol.status, value=float("nan"), gap=sol.gap)
+    xi, witness = _hidden_state_blocks(sol, ind, members.shape)
     raw = float(sol.primal_objective) - 1.0
     value = _clamped(raw)
     noise = None
@@ -477,7 +461,7 @@ def check_proposition_robustness(sigma: Assemblage, slack_tol: float = 1e-5) -> 
     """
     prog = robustness_program(sigma)
     sr_report = prog._robustness_report()
-    so_report = _fraction_from_robustness(sigma, prog, tol=1e-9)
+    so_report, _ = _fraction_from_robustness(sigma.members, prog, tol=1e-9)
     so, sr = so_report.value, sr_report.value
     noise = prog.noise
     noise_report = None if noise is None else _fraction_report(noise, sigma.dim, tol=1e-9)[0]
@@ -525,10 +509,11 @@ def monotonicity_audit(
     Each instrument contributes one row comparing the weighted average of
     the branch values against the input's value, plus a per-branch check
     that no single branch exceeds the input's unclamped supremum.  The
-    fraction programs of the input and of every branch share their
-    constraint rows whenever their member tables have one shape, so they
-    are solved together in batches (`sdp.solve_many`).  A solve that does
-    not end optimal gives a NaN value and supremum, and its row fails.
+    robustness programs of the input and its branches are solved in one
+    batch per table shape (`sdp.solve_many`), and each value and supremum
+    is read off them exactly as `optimal_steering_fraction` reads it, with
+    the same fallback.  A table that still has no optimal solve gives a NaN
+    value and supremum, and its row fails.
 
     `threads` does nothing; it is kept, with a DeprecationWarning when
     given, only until the benchmark harness stops passing it.
@@ -538,7 +523,17 @@ def monotonicity_audit(
                       DeprecationWarning, stacklevel=2)
     branches = [apply_instrument(sigma, ins) for ins in instruments]
     tables = [sigma.members] + [br.members for row in branches for _, br in row]
-    (base_report, base_sup), *outcomes = _fraction_reports(tables, tol=1e-9)
+    by_shape: dict[tuple, list[int]] = {}
+    for i, t in enumerate(tables):
+        by_shape.setdefault(t.shape, []).append(i)
+    outcomes: list = [None] * len(tables)
+    for idx in by_shape.values():
+        progs = [_hidden_state_program(tables[i], "min") for i in idx]
+        sols = solve_many([problem for problem, _ in progs], tol=1e-9)
+        for i, (_, ind), sol in zip(idx, progs, sols):
+            prog = _robustness_outcome(tables[i], ind, sol)
+            outcomes[i] = _fraction_from_robustness(tables[i], prog, tol=1e-9)
+    (base_report, base_sup), *outcomes = outcomes
     rows = []
     for index, row in enumerate(branches):
         weights = [weight for weight, _ in row]

@@ -18,11 +18,11 @@ def jsonify(obj):
 
     Numpy scalars and arrays become Python numbers and nested lists
     through their `tolist()`, complex leaves become [re, im] pairs, and
-    non-finite real floats become null (log-space companion fields stay
-    finite where they exist).  An integer that Python's limit on
-    int-to-str conversion (4300 digits by default) refuses, which
-    json.dumps would fail on, becomes its exact hexadecimal string
-    "0x..."; int(s, 16) reads it back with no limit.
+    non-finite floats, a complex leaf's parts included, become null
+    (log-space companion fields stay finite where they exist).  An
+    integer that Python's limit on int-to-str conversion (4300 digits by
+    default) refuses, which json.dumps would fail on, becomes its exact
+    hexadecimal string "0x..."; int(s, 16) reads it back with no limit.
     """
     if obj is None or isinstance(obj, (bool, str)):
         return obj
@@ -35,7 +35,7 @@ def jsonify(obj):
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [jsonify(obj.real), jsonify(obj.imag)]
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -67,10 +67,10 @@ problem that finishes leaves the stacks, and one that fails numerically
 stops alone. Every product with the constraint data and every inner product
 is one BLAS call per problem, so no result depends on the batch. `solve` is
 `solve_many` of one problem. The callers of `solve_many` are the
-monotonicity audit (an assemblage's and its branches' fraction programs),
-`lv_s` (the POVM programs of all settings) and each half-step of the
-see-saw `lv_bell_seesaw` (likewise, when a party has more than two
-outcomes).
+monotonicity audit (the robustness programs of an assemblage and its
+branches, one batch per table shape), `lv_s` (the POVM programs of all
+settings) and each half-step of the see-saw `lv_bell_seesaw` (likewise,
+when a party has more than two outcomes).
 
 The solver is deterministic: identical problem data produce bit-identical
 iterates and solutions, alone or in any batch.

@@ -32,10 +32,20 @@ def write(tmp_path, name: str, payload) -> str:
     return str(path)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"report is not strict JSON: bare {name}")
+
+
+def strict_json(text):
+    """Parse a report, refusing the NaN/Infinity tokens that json.dumps
+    writes for non-finite floats but no strict JSON parser accepts."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def run_json(tmp_path, *argv):
     out = tmp_path / f"report_{len(list(tmp_path.iterdir()))}.json"
     code = run([*argv, "--out", str(out)])
-    return code, json.loads(out.read_text())
+    return code, strict_json(out.read_text())
 
 
 def zx_family() -> MeasurementFamily:
@@ -430,7 +440,7 @@ class TestErrorHandling:
     def test_unwritable_out_reports_to_stdout(self, tmp_path, capsys, argv):
         out = tmp_path / "missing" / "x.json"
         assert run([*argv, "--out", str(out)]) == 1
-        report = json.loads(capsys.readouterr().out)
+        report = strict_json(capsys.readouterr().out)
         assert report["error"]["kind"] == "domain"
         assert str(out) in report["error"]["message"]
         assert not out.parent.exists()

@@ -25,6 +25,7 @@ from steerkit.functionals import (
 from steerkit.games import cglmp, cglmp_lv_lower
 from steerkit.states import (
     DensityMatrix,
+    isotropic,
     max_entangled,
     random_density_matrix,
     twirl,
@@ -381,6 +382,21 @@ class TestLvS:
         assert res.gap == gap / bound
         assert res.achieved == achieved
         assert res.family.effects.tobytes() == family.effects.tobytes()
+
+    def test_zero_functional_is_refused_before_any_solve(self, monkeypatch):
+        from steerkit import functionals
+
+        calls = []
+        real = functionals.solve_many
+
+        def counted(problems, **kwargs):
+            calls.append(len(problems))
+            return real(problems, **kwargs)
+
+        monkeypatch.setattr(functionals, "solve_many", counted)
+        with pytest.raises(ValueError, match="steering bound is not positive"):
+            lv_s(isotropic(3, 0.9), SteeringFunctional(3, np.zeros((4, 3, 3, 3))))
+        assert calls == []
 
 
 class TestSeesaw:

@@ -11,6 +11,7 @@ from steerkit.assemblages import (
     InstrumentBranch,
     MeasurementFamily,
     WiringMap,
+    apply_instrument,
     lhs_membership,
     steer,
 )
@@ -266,6 +267,17 @@ class TestFractionFromRobustness:
 
 
 class TestCertificates:
+    def test_certificate_arrays_own_their_data(self):
+        # a view into the solver's block stacks would keep every block of
+        # the solution alive for as long as the report is held
+        sig = steer(isotropic(2, 0.9), zx_family())
+        prog = robustness_program(sig)
+        weight = steerable_weight(sig).certificate
+        fraction = monotones._fraction_report(sig.members, 2, 1e-9)[0].certificate
+        arrays = (prog.model, prog.witness, weight["weights"], weight["witness"],
+                  fraction["functional"], fraction["dual_cover"])
+        assert all(a.base is None for a in arrays)
+
     def test_fraction_certificates(self):
         sig = steer(max_entangled(2), zx_family())
         rep = optimal_steering_fraction(sig)
@@ -517,13 +529,38 @@ class TestAudit:
         assert par.rows == seq.rows
         assert (par.base_value, par.base_supremum) == (seq.base_value, seq.base_supremum)
 
+    def test_audit_values_equal_the_solo_fraction_bit_for_bit(self):
+        # the identity keeps the (2, 2) shape and the widening wiring makes
+        # it (3, 3): two shape groups, each solved in its own batch
+        ps = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        po = np.empty((3, 2, 2, 3))
+        po[:, :, 0] = [0.7, 0.2, 0.1]
+        po[:, :, 1] = [0.1, 0.3, 0.6]
+        widen = Instrument1W((InstrumentBranch(np.eye(2, dtype=complex), WiringMap(ps, po)),))
+        instruments = [identity_instrument(2, 2, 2), widen]
+        sig = steer(isotropic(2, 0.9), zx_family())
+        report = monotonicity_audit(sig, instruments)
+        solo = optimal_steering_fraction(sig)
+        assert report.base_value == solo.value
+        assert report.base_supremum == solo.certificate["supremum"]
+        shapes = set()
+        for row, ins in zip(report.rows, instruments):
+            branches = [br for _, br in apply_instrument(sig, ins)]
+            shapes.update(br.members.shape for br in branches)
+            reports = [optimal_steering_fraction(br) for br in branches]
+            assert row.branch_values == tuple(r.value for r in reports)
+            assert row.branch_suprema == tuple(r.certificate["supremum"] for r in reports)
+        assert shapes == {(2, 2, 2, 2), (3, 3, 2, 2)}
+
     @pytest.mark.parametrize("failing", [0, 1, 2])
     def test_non_optimal_solve_fails_the_audit_without_raising(self, monkeypatch, failing):
         # one batch of three programs: 0 is the input's, 1 the branch of the
-        # identity instrument, 2 the branch of the coarse graining. A branch
-        # that does not solve fails its row; an input that does not solve
-        # fails every row.
+        # identity instrument, 2 the branch of the coarse graining. The
+        # failed table falls back to a solo fraction solve, which fails too.
+        # A branch that does not solve fails its row; an input that does not
+        # solve fails every row.
         real = monotones.solve_many
+        real_solo = monotones.solve
 
         def one_indeterminate(problems, **kwargs):
             sols = real(problems, **kwargs)
@@ -531,7 +568,11 @@ class TestAudit:
             sols[failing] = SdpSolution(status="indeterminate", iterations=sols[failing].iterations)
             return sols
 
+        def indeterminate(problem, **kwargs):
+            return dataclasses.replace(real_solo(problem, **kwargs), status="indeterminate")
+
         monkeypatch.setattr(monotones, "solve_many", one_indeterminate)
+        monkeypatch.setattr(monotones, "solve", indeterminate)
         sig = steer(max_entangled(2), zx_family())
         report = monotonicity_audit(sig, [identity_instrument(2, 2, 2), coarse_graining_instrument(2)])
         assert not report.holds
@@ -543,6 +584,34 @@ class TestAudit:
         assert np.isnan(bad.branch_suprema[0]) and np.isnan(bad.average)
         assert not bad.holds_branches and not bad.holds_average
         assert good.holds_average and good.holds_branches
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_failed_batch_solve_falls_back_to_the_fraction_program(self, monkeypatch, failing):
+        # only the batched robustness solve of one table fails; that table's
+        # value then comes from the solo fraction program and the row holds
+        real = monotones.solve_many
+
+        def one_indeterminate(problems, **kwargs):
+            sols = real(problems, **kwargs)
+            sols[failing] = SdpSolution(status="indeterminate", iterations=sols[failing].iterations)
+            return sols
+
+        monkeypatch.setattr(monotones, "solve_many", one_indeterminate)
+        sig = steer(max_entangled(2), zx_family())
+        instruments = [identity_instrument(2, 2, 2), coarse_graining_instrument(2)]
+        report = monotonicity_audit(sig, instruments)
+        assert report.holds
+        if failing == 0:
+            table = sig.members
+            value, supremum = report.base_value, report.base_supremum
+        else:
+            (_, branch), = apply_instrument(sig, instruments[failing - 1])
+            table = branch.members
+            row = report.rows[failing - 1]
+            value, supremum = row.branch_values[0], row.branch_suprema[0]
+        fallback, fallback_sup = monotones._fraction_report(table, 2, 1e-9)
+        assert fallback.status == "optimal"
+        assert (value, supremum) == (fallback.value, fallback_sup)
 
 
 def random_unitary(d, gen):

@@ -223,8 +223,13 @@ class TestJsonifyBytes:
         (np.array([np.nan, 1.0]), "[\n  null,\n  1.0\n]\n"),
         ({"a": np.int64(3), "b": (np.float32(1.25),)}, '{\n  "a": 3,\n  "b": [\n    1.25\n  ]\n}\n'),
         (2**16_000, '"0x1' + "0" * 4000 + '"\n'),
+        (complex(float("nan"), 0.0), "[\n  null,\n  0.0\n]\n"),
+        (complex(1.0, float("inf")), "[\n  1.0,\n  null\n]\n"),
+        (np.complex128(complex(float("-inf"), float("nan"))), "[\n  null,\n  null\n]\n"),
+        (np.array([complex(float("nan"), 1.0)]), "[\n  [\n    null,\n    1.0\n  ]\n]\n"),
     ], ids=["float64", "int64", "complex128", "real_array", "complex_array", "real_0d", "complex_0d",
-            "nan", "inf", "nan_in_array", "nested", "past_digit_limit"])
+            "nan", "inf", "nan_in_array", "nested", "past_digit_limit", "complex_nan", "complex_inf",
+            "complex128_nonfinite", "complex_nan_in_array"])
     def test_same_bytes(self, value, text):
         assert render_report(value) == text
 
