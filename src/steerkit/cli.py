@@ -70,10 +70,8 @@ TOL_RANGE = (1e-12, 1e-4)
 class RunConfig:
     """Validated common options of one invocation."""
 
-    subcommand: str
     tol: float
     seed: int
-    out: str | None
 
     def __post_init__(self) -> None:
         if not TOL_RANGE[0] <= self.tol <= TOL_RANGE[1]:
@@ -507,12 +505,7 @@ def run(argv=None) -> int:
         return 1
     out = getattr(args, "out", None)
     try:
-        config = RunConfig(
-            subcommand=args.subcommand,
-            tol=getattr(args, "tol", 1e-9),
-            seed=getattr(args, "seed", 0),
-            out=out,
-        )
+        config = RunConfig(tol=getattr(args, "tol", 1e-9), seed=getattr(args, "seed", 0))
         payload, code = _DISPATCH[args.subcommand](args, config)
         text = render_report(payload)
     except json.JSONDecodeError as err:

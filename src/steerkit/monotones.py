@@ -397,14 +397,30 @@ def steering_robustness(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
     return robustness_program(sigma, tol=tol)._robustness_report()
 
 
-def _stalled_chain(proposition: str, terms: dict, reports) -> PropositionReport | None:
-    """The report of a chain one of whose solves, in `reports` (None for a
-    solve the chain did not need), did not end optimal; None if all did."""
-    status = next((r.status for r in reports if r is not None and r.status != "optimal"), None)
-    if status is None:
-        return None
-    nan = float("nan")
-    return PropositionReport(proposition, None, terms, nan, nan, False, status=status)
+def _derived_fraction(table: np.ndarray | None, source: MonotoneReport, dim: int):
+    """S_O report (None without a table) and value of a chain's derived table,
+    the steerable part or the noise; without one the value is 0 when the
+    solve that derives it ended optimal, NaN when it did not."""
+    if table is None:
+        return None, 0.0 if source.status == "optimal" else float("nan")
+    report = _fraction_report(table, dim, tol=1e-9)[0]
+    return report, report.value
+
+
+def _chain_report(proposition: str, terms: dict, solves, steerable: bool,
+                  slacks: tuple[float, float], window, slack_tol: float) -> PropositionReport:
+    """The report of a chain whose solves' reports are `solves` (None for a
+    solve the chain did not need).  A solve that did not end optimal gives
+    its status and NaN slacks; an unsteerable assemblage holds when its
+    fraction is at most slack_tol, a steerable one when both slacks are at
+    least -slack_tol."""
+    status = next((r.status for r in solves if r is not None and r.status != "optimal"), None)
+    if status is not None:
+        nan = float("nan")
+        return PropositionReport(proposition, None, terms, nan, nan, False, status=status)
+    lower, upper = slacks
+    holds = lower >= -slack_tol and upper >= -slack_tol if steerable else terms["fraction"] <= slack_tol
+    return PropositionReport(proposition, steerable, terms, lower, upper, holds, window)
 
 
 def check_proposition_weight(sigma: Assemblage, slack_tol: float = 1e-5) -> PropositionReport:
@@ -418,38 +434,15 @@ def check_proposition_weight(sigma: Assemblage, slack_tol: float = 1e-5) -> Prop
     sw_report = steerable_weight(sigma)
     so, sw = so_report.value, sw_report.value
     part = sw_report.certificate.get("steerable")
-    part_report = None if part is None else _fraction_report(part, sigma.dim, tol=1e-9)[0]
-    if part_report is not None:
-        so_part = part_report.value
-    else:
-        so_part = 0.0 if sw_report.status == "optimal" else float("nan")
-    terms = {"fraction": so, "weight": sw, "fraction_of_part": so_part}
-    stalled = _stalled_chain("weight", terms, (so_report, sw_report, part_report))
-    if stalled is not None:
-        return stalled
+    part_report, so_part = _derived_fraction(part, sw_report, sigma.dim)
     if part is None:
-        return PropositionReport(
-            proposition="weight",
-            steerable=False,
-            terms=terms,
-            lower_slack=-so,
-            upper_slack=so + 2.0 * (1.0 - sw),
-            holds=(so <= slack_tol),
-        )
-    lower_slack = sw * so_part - so
-    upper_slack = so + 2.0 * (1.0 - sw) - sw * so_part
-    window = None
-    if so_part > 0:
-        window = (so / so_part, (2.0 + so) / (2.0 + so_part))
-    return PropositionReport(
-        proposition="weight",
-        steerable=True,
-        terms=terms,
-        lower_slack=lower_slack,
-        upper_slack=upper_slack,
-        holds=(lower_slack >= -slack_tol and upper_slack >= -slack_tol),
-        window=window,
-    )
+        slacks, window = (-so, so + 2.0 * (1.0 - sw)), None
+    else:
+        slacks = (sw * so_part - so, so + 2.0 * (1.0 - sw) - sw * so_part)
+        window = (so / so_part, (2.0 + so) / (2.0 + so_part)) if so_part > 0 else None
+    terms = {"fraction": so, "weight": sw, "fraction_of_part": so_part}
+    return _chain_report("weight", terms, (so_report, sw_report, part_report), part is not None,
+                         slacks, window, slack_tol)
 
 
 def check_proposition_robustness(sigma: Assemblage, slack_tol: float = 1e-5) -> PropositionReport:
@@ -463,39 +456,13 @@ def check_proposition_robustness(sigma: Assemblage, slack_tol: float = 1e-5) -> 
     sr_report = prog._robustness_report()
     so_report, _ = _fraction_from_robustness(sigma.members, prog, tol=1e-9)
     so, sr = so_report.value, sr_report.value
-    noise = prog.noise
-    noise_report = None if noise is None else _fraction_report(noise, sigma.dim, tol=1e-9)[0]
-    if noise_report is not None:
-        so_noise = noise_report.value
-    else:
-        so_noise = 0.0 if sr_report.status == "optimal" else float("nan")
+    noise_report, so_noise = _derived_fraction(prog.noise, sr_report, sigma.dim)
+    # without noise (so_noise = 0) these are so + 2 and 2 r - so, exactly
+    slacks = (so - (sr * so_noise - 2.0), sr * (so_noise + 2.0) - so)
+    window = (so / (so_noise + 2.0), (so + 2.0) / so_noise) if so_noise > 0 else None
     terms = {"fraction": so, "robustness": sr, "fraction_of_noise": so_noise}
-    stalled = _stalled_chain("robustness", terms, (sr_report, so_report, noise_report))
-    if stalled is not None:
-        return stalled
-    if noise is None:
-        return PropositionReport(
-            proposition="robustness",
-            steerable=False,
-            terms=terms,
-            lower_slack=so + 2.0,
-            upper_slack=sr * 2.0 - so,
-            holds=(so <= slack_tol),
-        )
-    lower_slack = so - (sr * so_noise - 2.0)
-    upper_slack = sr * (so_noise + 2.0) - so
-    window = None
-    if so_noise > 0:
-        window = (so / (so_noise + 2.0), (so + 2.0) / so_noise)
-    return PropositionReport(
-        proposition="robustness",
-        steerable=True,
-        terms=terms,
-        lower_slack=lower_slack,
-        upper_slack=upper_slack,
-        holds=(lower_slack >= -slack_tol and upper_slack >= -slack_tol),
-        window=window,
-    )
+    return _chain_report("robustness", terms, (sr_report, so_report, noise_report),
+                         prog.noise is not None, slacks, window, slack_tol)
 
 
 def monotonicity_audit(

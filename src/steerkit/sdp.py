@@ -52,8 +52,8 @@ few hundred rows) threads cannot pay, and calls this small run on the
 calling thread, whereas one LAPACK call on the whole matrix starts
 OpenBLAS's thread pool from about 128 rows: its workers then spin on the
 other cores, and waking them adds latency. Programs of at most _TRI_BLOCK
-rows take a single LAPACK call per factorization and per triangle. If the
-factorization fails, least squares on M is the fallback.
+rows take a single LAPACK call per factorization and per triangle. A
+problem whose M does not factor solves by least squares on M (see below).
 
 Batched problems. `solve_many` solves problems that share their blocks and
 constraint rows, and differ only in b and in the objective, in one call
@@ -63,14 +63,20 @@ block stack gets a leading problem axis; tau, kappa, mu, sigma, the step
 length, the line search, the exit tests and the trace are kept per problem;
 the P Schur matrices come from stacked products and one batched Cholesky
 factorization. Each iteration works on the problems still running only: a
-problem that finishes leaves the stacks, and one that fails numerically
-stops alone. Every product with the constraint data and every inner product
-is one BLAS call per problem, so no result depends on the batch. `solve` is
-`solve_many` of one problem. The callers of `solve_many` are the
-monotonicity audit (the robustness programs of an assemblage and its
-branches, one batch per table shape), `lv_s` (the POVM programs of all
-settings) and each half-step of the see-saw `lv_bell_seesaw` (likewise,
-when a party has more than two outcomes).
+problem that finishes leaves the stacks. The three LAPACK calls that can
+fail on one problem's data, the Cholesky factors of NT scaling, of the
+Schur matrix and of the line search's interior test, follow one rule
+(`_guarded`): the call runs on the whole batch, and only if it raises is
+each problem's slice tried alone with the same routine. A problem that
+cannot be scaled stops at the end of the iteration, one whose Schur matrix
+does not factor solves by least squares, and one whose trial point is not
+interior halves its step. Every product with the constraint data and
+every inner product is one BLAS call per problem, so no result depends on
+the batch. `solve` is `solve_many` of one problem. The callers of
+`solve_many` are the monotonicity audit (the robustness programs of an
+assemblage and its branches, one batch per table shape), `lv_s` (the POVM
+programs of all settings) and each half-step of the see-saw
+`lv_bell_seesaw` (likewise, when a party has more than two outcomes).
 
 The solver is deterministic: identical problem data produce bit-identical
 iterates and solutions, alone or in any batch.
@@ -351,9 +357,10 @@ class _Nt(NamedTuple):
     lam: np.ndarray
 
 
-def _nt_scaling(x: np.ndarray, s: np.ndarray) -> _Nt:
-    nb = x.shape[-3]
-    factors = np.linalg.cholesky(np.concatenate([x, s], axis=-3))
+def _nt_scaling(xs: np.ndarray) -> _Nt:
+    """NT scaling of the blocks X, then S, stacked on axis -3."""
+    nb = xs.shape[-3] // 2
+    factors = np.linalg.cholesky(xs)
     lx, ls = factors[..., :nb, :, :], factors[..., nb:, :, :]
     u, lam, vh = np.linalg.svd(_ct(ls) @ lx)
     lam = np.maximum(lam, 1e-300)
@@ -375,23 +382,28 @@ def _diag(v: np.ndarray) -> np.ndarray:
     return v[..., np.newaxis] * np.eye(v.shape[-1])
 
 
-def _has_cholesky(m: np.ndarray) -> bool:
-    try:
-        _cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+def _guarded(fn, stack: np.ndarray, fill=None):
+    """fn of the (P, ...) stack, and the (P,) mask of the problems whose
+    slice makes fn raise LinAlgError.
 
-
-def _positive_definite(stack: np.ndarray) -> bool | np.ndarray:
-    """Whether every matrix of each problem's slice of the (P, ...) stack has
-    a Cholesky factor: True when all do (one batched call), else a (P,) mask
-    from one call per problem."""
+    Only when fn of the whole stack raises is each slice tried alone with
+    the same fn. The failing slices are then replaced by `fill` and fn of
+    the stack is the result; without a fill the result is None."""
+    failed = np.zeros(len(stack), dtype=bool)
     try:
-        np.linalg.cholesky(stack)
-        return True
+        return fn(stack), failed
     except np.linalg.LinAlgError:
-        return np.array([_has_cholesky(m) for m in stack])
+        pass
+    for j, part in enumerate(stack):
+        try:
+            fn(part)
+        except np.linalg.LinAlgError:
+            failed[j] = True
+    if fill is None:
+        return None, failed
+    stack = stack.copy()
+    stack[failed] = fill
+    return fn(stack), failed
 
 
 def _max_step(wmin: float, tau: float, dtau: float, kappa: float, dkappa: float) -> float:
@@ -532,6 +544,7 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
     # HSD starting point, the same for every problem.
     x0 = join(np.broadcast_to(np.eye(lay.dim), (len(lay.blocks), lay.dim, lay.dim)))
     mu0 = (x0 @ (x0 / _PAIR) + 1.0) / (nu + _PAIR)
+    start = np.concatenate([split(x0), split(x0 / _PAIR)])
     count = len(problems)
     b, c = np.array(bs), np.array(cs)
     x = np.tile(x0, (count, 1))
@@ -589,20 +602,10 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
             rp, rd, rg, mu = rp[keep], rd[keep], rg[keep], mu[keep]
             b, c, x, s, y, tau, kappa = run.b, run.c, run.x, run.s, run.y, run.tau, run.kappa
 
-        # NT scaling. A problem whose blocks cannot be scaled stops at the
-        # end of this iteration, without a step; until then it sits at the
-        # HSD starting point, so that the batch scales.
-        stop = np.zeros(len(x), dtype=bool)
-        try:
-            nt = _nt_scaling(split(x), split(s))
-        except np.linalg.LinAlgError:
-            for j in range(len(x)):
-                try:
-                    _nt_scaling(split(x[j]), split(s[j]))
-                except np.linalg.LinAlgError:
-                    stop[j] = True
-            x[stop], s[stop] = x0, x0 / _PAIR
-            nt = _nt_scaling(split(x), split(s))
+        # NT scaling. A problem whose blocks cannot be scaled is scaled at
+        # the HSD starting point instead, and stops at the end of this
+        # iteration without a step.
+        nt, stop = _guarded(_nt_scaling, np.concatenate([split(x), split(s)], axis=-3), start)
 
         def apply_w_vec(vec):
             return join(nt.w @ split(vec) @ nt.w)
@@ -611,19 +614,13 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
         m_schur = 0.5 * (m_schur + m_schur.swapaxes(-1, -2))
         shift = 1e-14 * np.trace(m_schur, axis1=-2, axis2=-1) / nrows
         shifted = m_schur + shift[:, np.newaxis, np.newaxis] * np.eye(nrows)
-        try:
-            chol = _cholesky(shifted)
-            failed = []
-        except np.linalg.LinAlgError:
-            # a problem whose Schur matrix does not factor solves by least squares
-            failed = [j for j, m in enumerate(shifted) if not _has_cholesky(m)]
-            shifted[failed] = np.eye(nrows)
-            chol = _cholesky(shifted)
+        # a problem whose Schur matrix does not factor solves by least squares
+        chol, failed = _guarded(_cholesky, shifted, np.eye(nrows))
         chol_t = np.ascontiguousarray(chol.swapaxes(-1, -2))
 
         def schur_solve(v):
             sol = _tri_solve(chol_t, _tri_solve(chol, v, lower=True), lower=False)
-            for j in failed:
+            for j in np.flatnonzero(failed):
                 sol[j] = np.linalg.lstsq(m_schur[j], v[j], rcond=None)[0]
             return sol
 
@@ -689,8 +686,8 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
             kappa_new = kappa + alpha * dkappa
             x_new = x + alpha[:, np.newaxis] * dx
             s_new = s + alpha[:, np.newaxis] * ds
-            ok = (tau_new > 0) & (kappa_new > 0) & _positive_definite(
-                np.concatenate([split(x_new), split(s_new)], axis=-3))
+            blocks = np.concatenate([split(x_new), split(s_new)], axis=-3)
+            ok = (tau_new > 0) & (kappa_new > 0) & ~_guarded(np.linalg.cholesky, blocks)[1]
             searching &= ~ok
             if not searching.any():
                 break

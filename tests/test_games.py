@@ -1,5 +1,7 @@
 """Game generators: coset game, d-outcome inequality, unbiased bases."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,20 @@ class TestCglmp:
         for a in range(d):
             for b in range(a, d):
                 assert c[0, 0, a, b] == pytest.approx(2.0 + 2.0 * (a - b) / (d - 1))
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 64])
+    def test_table_matches_cell_by_cell_reference(self, d):
+        ref = np.zeros((2, 2, d, d))
+        for x, y, a, b in itertools.product(range(2), range(2), range(d), range(d)):
+            s = x + y
+            if s == 0:
+                val = 2.0 + 2.0 * (a - b) / (d - 1) if b >= a else 2.0 * (a - b - 1) / (d - 1)
+            elif s == 1:
+                val = 2.0 * (b - a - 1) / (d - 1) if b > a else 2.0 + 2.0 * (b - a) / (d - 1)
+            else:
+                val = 2.0 - 2.0 * (b - a - 1) / (d - 1) if b > a else 2.0 * (a - b) / (d - 1)
+            ref[x, y, a, b] = val
+        assert cglmp(d).coefficients.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_coefficients_nonnegative(self, d):

@@ -566,12 +566,14 @@ class TestTiledCholesky:
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_line_search_test_of_complex_blocks(self):
-        # the per-problem test behind a failed batched Cholesky of the
-        # iterates' blocks goes through the tiled factor
+        # the line search's interior test: the batched Cholesky of the
+        # iterates' blocks fails, so each problem's blocks are tried alone
+        # with the same LAPACK call
         stack = np.stack([np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert sdp._positive_definite(stack[:, np.newaxis]).tolist() == [True, False]
+            _, failed = sdp._guarded(np.linalg.cholesky, stack[:, np.newaxis])
+        assert (~failed).tolist() == [True, False]
 
     @pytest.mark.parametrize("n", (64, 65, 243))
     def test_indefinite_last_tile_raises(self, n):
@@ -751,6 +753,31 @@ class TestSolveMany:
         assert batch[0].iterations == solo[0].iterations
         assert abs(batch[0].primal_objective - solo[0].primal_objective) <= 1e-10
         for i in (1, 2):
+            assert_same_solution(batch[i], solo[i], tol=0.0)
+
+    def test_failed_nt_scaling_stops_its_problem_alone(self, monkeypatch):
+        # at iteration 2 problem 1's blocks cannot be scaled, so it ends
+        # indeterminate there while its partners follow their solo paths
+        problems = self.programs(67, 3)
+        solo = [solve(p, tol=1e-9) for p in problems]
+        real = sdp._nt_scaling
+        calls = {"batch": 0, "slice": 0}
+
+        def nt_scaling(xs):
+            kind = "batch" if xs.ndim == 4 else "slice"
+            calls[kind] += 1
+            # refuse the third batched scaling, then problem 1's own
+            if (kind, calls[kind]) in (("batch", 3), ("slice", 2)):
+                raise np.linalg.LinAlgError("refused")
+            return real(xs)
+
+        monkeypatch.setattr(sdp, "_nt_scaling", nt_scaling)
+        batch = solve_many(problems, tol=1e-9)
+        assert calls["slice"] == 3
+        assert batch[1].status == "indeterminate" and batch[1].iterations == 2
+        assert batch[1].trace == solo[1].trace[:3]
+        for i in (0, 2):
+            assert batch[i].status == "optimal"
             assert_same_solution(batch[i], solo[i], tol=0.0)
 
     def test_problems_with_other_rows_or_blocks_raise(self):
