@@ -36,16 +36,10 @@ MEMBERSHIP_CAP_BITS = 12.0  # settings * log2(outcomes) must stay below this
 
 def _clean_operator_table(table: np.ndarray, what: str) -> np.ndarray:
     """Validate a (..., d, d) table: Hermitian to 1e-12, PSD up to -1e-10."""
-    flat = np.ascontiguousarray(table, dtype=np.complex128).reshape(
-        -1, table.shape[-2], table.shape[-1]
-    )
-    out = np.empty_like(flat)
-    for i, m in enumerate(flat):
-        try:
-            out[i] = project_psd(herm(m))
-        except ValueError as exc:
-            raise ValueError(f"{what}: {exc}") from exc
-    out = out.reshape(table.shape)
+    try:
+        out = project_psd(herm(table))
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
     out.setflags(write=False)
     return out
 

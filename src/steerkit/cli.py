@@ -32,8 +32,7 @@ from .report import load_json, render_report
 # loads only those: the `criteria` planners run without numpy, and only
 # `twirl` imports numpy itself.  The names this module bound at import
 # before still resolve on first lookup (PEP 562), from their home modules,
-# because callers look them up here: bench/spans.py wraps `cli.<name>`, and
-# tests patch `cli.kv_game`.
+# because callers look them up here: bench/spans.py wraps `cli.<name>`.
 _LAZY = {
     "assemblages": ("steer",),
     "functionals": (
@@ -97,7 +96,7 @@ def _common(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="steerkit", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="subcommand", metavar="subcommand")
+    subs = parser.add_subparsers(dest="subcommand", metavar="subcommand", required=True)
 
     p = subs.add_parser("fef", help="fully entangled fraction of a state")
     p.add_argument("--state", required=True, help="state descriptor JSON")
@@ -138,7 +137,7 @@ def build_parser() -> _Parser:
     _common(p)
 
     p = subs.add_parser("game", help="named game and measurement generators")
-    game_subs = p.add_subparsers(dest="game", metavar="name")
+    game_subs = p.add_subparsers(dest="game", metavar="name", required=True)
     g = game_subs.add_parser("kv", help="biased coset game on n-bit strings")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--eta", type=float, default=None)
@@ -152,7 +151,7 @@ def build_parser() -> _Parser:
     _common(g)
 
     p = subs.add_parser("criteria", help="closed-form thresholds and planners")
-    crit_subs = p.add_subparsers(dest="criteria", metavar="name")
+    crit_subs = p.add_subparsers(dest="criteria", metavar="name", required=True)
     c = crit_subs.add_parser("thresholds", help="isotropic steerability thresholds")
     c.add_argument("--d", type=int, required=True)
     _common(c)
@@ -324,7 +323,7 @@ def _cmd_game(args, config: RunConfig):
     if args.game == "kv":
         game = kv_game(args.n, args.eta)
         fam = kv_measurements(args.n)
-        frac = kv_fraction(args.n, args.eta, game=game)
+        frac = kv_fraction(args.n, args.eta)
         return {
             "kind": "kv",
             "n": game.n,
@@ -363,7 +362,6 @@ def _cmd_game(args, config: RunConfig):
 
             report["fef_threshold"] = mub_threshold(args.d, args.n)
         return report, 0
-    raise ValueError("game needs one of: kv, cglmp, mub")
 
 
 def _cmd_criteria(args, config: RunConfig):
@@ -377,7 +375,6 @@ def _cmd_criteria(args, config: RunConfig):
         return asdict(crit.amplification_plan(args.eps, args.delta, args.k)), 0
     if args.criteria == "superactivate":
         return asdict(crit.superactivation_min_copies(args.d, args.p)), 0
-    raise ValueError("criteria needs one of: thresholds, upper-bounds, amplify, superactivate")
 
 
 def _reference_rows() -> list[dict]:
@@ -493,15 +490,6 @@ def run(argv=None) -> int:
     except _UsageError as err:
         err.parser.print_usage(sys.stderr)
         sys.stderr.write(f"error: {err}\n")
-        return 1
-    if args.subcommand is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    if args.subcommand == "game" and getattr(args, "game", None) is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    if args.subcommand == "criteria" and getattr(args, "criteria", None) is None:
-        parser.print_usage(sys.stderr)
         return 1
     out = getattr(args, "out", None)
     try:

@@ -19,13 +19,13 @@ PSD_TOL = 1e-10
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    return m.conj().swapaxes(-1, -2)
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex128 array."""
+    """Coerce to a complex128 square matrix or (..., n, n) stack of them."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected square matrix, got {a.shape}")
     return a
 
@@ -34,13 +34,15 @@ def herm(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     """Validate Hermiticity and return the symmetrized (m + m^dag)/2.
 
     Raises ValueError if the anti-Hermitian part exceeds tol relative to the
-    matrix scale; roundoff-level asymmetry is silently repaired.
+    matrix scale; roundoff-level asymmetry is silently repaired.  A stack
+    (..., n, n) is checked matrix by matrix, each on its own scale.
     """
     a = as_matrix(m)
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    dev = float(np.abs(a - dagger(a)).max(initial=0.0))
-    if dev > tol * scale:
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} "
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    dev = np.abs(a - dagger(a)).max(axis=(-2, -1), initial=0.0)
+    bad = dev > tol * scale
+    if bad.any():  # the first failing matrix of a stack names the error
+        raise ValueError(f"matrix is not Hermitian: max deviation {dev[bad][0]:.3e} "
                          f"exceeds {tol:.1e} * scale")
     return 0.5 * (a + dagger(a))
 
@@ -101,13 +103,15 @@ def project_psd(m: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
 
     Accepts matrices whose minimum eigenvalue is >= -tol (numerical noise) and
     projects them onto the PSD cone; anything more negative is an error, not
-    noise, and raises.
+    noise, and raises.  A stack (..., n, n) is projected matrix by matrix.
     """
     w, v = herm_eig(m, tol=np.inf)
-    if w[0] < -tol:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} below -{tol:.1e}")
+    lowest = w[..., 0]
+    bad = lowest < -tol
+    if bad.any():
+        raise ValueError(f"matrix is not PSD: min eigenvalue {lowest[bad][0]:.3e} below -{tol:.1e}")
     w = np.clip(w, 0.0, None)
-    return (v * w) @ dagger(v)
+    return (v * w[..., np.newaxis, :]) @ dagger(v)
 
 
 def trace_norm(m: np.ndarray) -> float:

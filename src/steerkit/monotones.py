@@ -263,13 +263,8 @@ def _cover_bound(members: np.ndarray, ind: np.ndarray, cover_states: np.ndarray)
     mixture covers sigma: sum tr(Y_k) - 1, after adding to every Y_k the
     multiple of the identity that makes the cover exact."""
     dim = members.shape[-1]
-    m, o = members.shape[0], members.shape[1]
     cover = np.einsum("kxa,kij->xaij", ind, cover_states)
-    feas = min(
-        float(np.linalg.eigvalsh(herm(cover[x, a] - members[x, a], tol=1e-6))[0])
-        for x in range(m)
-        for a in range(o)
-    )
+    feas = float(np.linalg.eigvalsh(herm(cover - members, tol=1e-6))[..., 0].min())
     total = float(np.einsum("kii->", cover_states).real)
     return _clamped(total + max(0.0, -feas) * dim * len(cover_states) - 1.0)
 

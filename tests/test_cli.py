@@ -7,8 +7,6 @@ import math
 import numpy as np
 import pytest
 
-import steerkit.cli
-import steerkit.games
 import steerkit.monotones
 from steerkit.assemblages import MeasurementFamily, steer
 from steerkit.cli import run
@@ -222,19 +220,6 @@ class TestGame:
         assert abs(report["report"]["value"] - expected) < 1e-12
         assert report["bell"]["settings"] == [2, 2]
 
-    def test_kv_builds_the_game_once(self, tmp_path, monkeypatch):
-        builds = []
-
-        def counted(*args, real=steerkit.games.kv_game):
-            builds.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(steerkit.cli, "kv_game", counted)
-        monkeypatch.setattr(steerkit.games, "kv_game", counted)
-        code, _ = run_json(tmp_path, "game", "kv", "--n", "4", "--eta", "0.25")
-        assert code == 0
-        assert builds == [(4, 0.25)]
-
     def test_kv_needs_eta_for_small_n(self, tmp_path):
         code, report = run_json(tmp_path, "game", "kv", "--n", "2")
         assert code == 1
@@ -275,6 +260,12 @@ class TestGame:
 
 
 class TestCriteria:
+    def test_criteria_requires_name(self, capsys):
+        assert run(["criteria"]) == 1
+        captured = capsys.readouterr()
+        assert "usage" in captured.err
+        assert captured.out == ""
+
     def test_thresholds(self, tmp_path):
         code, report = run_json(tmp_path, "criteria", "thresholds", "--d", "2")
         assert code == 0

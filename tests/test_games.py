@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from steerkit.functionals import (
+    correlation_from,
     induced_functional,
     local_bound,
     lv_bell_seesaw,
@@ -14,7 +15,7 @@ from steerkit.functionals import (
     steering_bound,
     steering_fraction,
 )
-from steerkit.assemblages import steer
+from steerkit.assemblages import MeasurementFamily, steer
 from steerkit.games import (
     KV_MAX_OUTCOMES,
     KvGame,
@@ -41,6 +42,61 @@ def subgroup_of(game: KvGame):
         if 0 in coset:
             return coset
     raise AssertionError("no coset contains the identity")
+
+
+def kv_loop_reference(n, eta):
+    """The coset game built string by string, as steerkit once did: the
+    cosets, the coefficient table summed over noise strings, and the
+    sign-vector bases."""
+    subgroup = []
+    for i in range(n):
+        subgroup.append(sum(1 << j for j in range(n) if popcount(i & j) & 1))
+    cosets, seen = [], set()
+    for v in range(2**n):
+        if v not in seen:
+            coset = tuple(sorted(v ^ h for h in subgroup))
+            seen.update(coset)
+            cosets.append(coset)
+    position = {u: (x, i) for x, coset in enumerate(cosets) for i, u in enumerate(coset)}
+    if eta is None:
+        eta = 0.5 - 1.0 / np.log(n)
+    by_weight = [eta**w * (1.0 - eta) ** (n - w) for w in range(n + 1)]
+    scale = n / float(2**n)
+    coeffs = np.zeros((len(cosets), len(cosets), n, n))
+    for x, coset in enumerate(cosets):
+        for ai, a in enumerate(coset):
+            for g in range(2**n):
+                y, bi = position[a ^ g]
+                coeffs[x, y, ai, bi] += scale * by_weight[popcount(g)]
+    bases = []
+    for coset in cosets:
+        basis = np.empty((n, n), dtype=complex)
+        for idx, a in enumerate(coset):
+            signs = [1.0 if (a >> i) & 1 == 0 else -1.0 for i in range(n)]
+            basis[:, idx] = np.array(signs) / np.sqrt(n)
+        bases.append(basis)
+    return tuple(cosets), coeffs, MeasurementFamily.from_bases(bases)
+
+
+KV_CASES = [(2, 0.25), (2, 0.1), (4, 0.25), (4, 0.1), (8, 0.25), (8, 0.1), (8, None)]
+
+
+class TestKvLoopReference:
+    @pytest.mark.parametrize("n,eta", KV_CASES)
+    def test_game_and_bases_match_bit_for_bit(self, n, eta):
+        cosets, coeffs, fam = kv_loop_reference(n, eta)
+        game = kv_game(n, eta)
+        assert game.cosets == cosets
+        assert all(type(u) is int for coset in game.cosets for u in coset)
+        assert game.coefficients.coefficients.tobytes() == coeffs.tobytes()
+        assert kv_measurements(n).effects.tobytes() == fam.effects.tobytes()
+
+    def test_fraction_value_matches_exactly(self):
+        # the sum runs in the table's memory order, so a table laid out
+        # in another order changes the last digits of the value
+        _, coeffs, fam = kv_loop_reference(8, None)
+        corr = correlation_from(max_entangled(8), fam, fam)
+        assert kv_fraction(8).value == float(np.sum(coeffs * corr.table))
 
 
 class TestKvGroupStructure:
@@ -120,8 +176,9 @@ class TestKvCoefficients:
             kv_game(2, 0.75)
         with pytest.raises(ValueError, match="eta"):
             kv_game(2, -0.1)
-        with pytest.raises(ValueError, match="n >= 8"):
-            kv_game(4)
+        for build in (lambda: kv_game(4), lambda: kv_fraction(4)):
+            with pytest.raises(ValueError, match="n >= 8; pass eta"):
+                build()
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_outcome_cap_is_checked_first(self, n):
@@ -224,22 +281,6 @@ class TestKvFraction:
         fr = kv_fraction(n, eta)
         assert abs(frac_steer.numerator - fr.value) <= 1e-10
         assert fr.fraction <= frac_steer.value + 1e-9
-
-    def test_prebuilt_game_gives_the_same_report(self):
-        game = kv_game(4, 0.25)
-        assert kv_fraction(4, 0.25, game=game) == kv_fraction(4, 0.25)
-        with pytest.raises(ValueError, match="outcome count or bias"):
-            kv_fraction(2, 0.25, game=game)
-        with pytest.raises(ValueError, match="outcome count or bias"):
-            kv_fraction(4, 0.1, game=game)
-        with pytest.raises(ValueError, match="pass eta"):
-            kv_fraction(4, game=game)
-
-    def test_prebuilt_default_bias_game(self):
-        game = kv_game(8)
-        assert kv_fraction(8, game=game) == kv_fraction(8)
-        with pytest.raises(ValueError, match="outcome count or bias"):
-            kv_fraction(8, 0.3, game=game)
 
 
 class TestCglmp:

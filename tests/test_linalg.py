@@ -51,6 +51,8 @@ class TestHermEig:
         # a ValueError, not an assert, so that python -O keeps the check
         with pytest.raises(ValueError, match=r"expected square matrix, got \(2, 3\)"):
             herm_eig(np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"expected square matrix, got \(4, 2, 3\)"):
+            herm(np.ones((4, 2, 3)))
 
 
 class TestHerm:
@@ -62,6 +64,51 @@ class TestHerm:
     def test_rejects_gross_asymmetry(self):
         with pytest.raises(ValueError):
             herm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestStacks:
+    """herm, project_psd and dagger take (..., n, n) stacks, matrix by matrix."""
+
+    @staticmethod
+    def noisy_stack(gen, shape=(3, 4), n=3):
+        # PSD matrices at mixed scales, with roundoff asymmetry and tiny
+        # negative eigenvalues for the checks to repair
+        g = gen.standard_normal((*shape, n, n)) + 1j * gen.standard_normal((*shape, n, n))
+        psd = g @ g.conj().swapaxes(-1, -2) * 10.0 ** gen.integers(-3, 4, size=(*shape, 1, 1))
+        w, v = np.linalg.eigh(psd)
+        w[..., 0] = -1e-12
+        out = (v * w[..., np.newaxis, :]) @ v.conj().swapaxes(-1, -2)
+        return out + 1e-15 * gen.standard_normal(out.shape)
+
+    def test_results_match_per_matrix_calls_bit_for_bit(self):
+        stack = self.noisy_stack(rng(5))
+        flat = stack.reshape(-1, 3, 3)
+        for fn in (herm, project_psd, dagger):
+            per_matrix = np.stack([fn(m) for m in flat]).reshape(stack.shape)
+            assert fn(stack).tobytes() == per_matrix.tobytes()
+
+    def test_each_matrix_is_judged_on_its_own_scale(self):
+        big = np.diag([1e6, 1.0]).astype(complex)
+        big[0, 1] = 1e-7  # within 1e-12 of its scale, 1e6
+        small = np.eye(2, dtype=complex)
+        small[0, 1] = 1e-11  # beyond 1e-12 of its scale, 1
+        herm(np.stack([big, big]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            herm(small)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            herm(np.stack([big, small]))
+
+    @pytest.mark.parametrize("fn,bad", [
+        (herm, np.array([[0.0, 1.0], [0.0, 0.0]])),
+        (project_psd, np.diag([1.0, -1e-6])),
+    ])
+    def test_one_bad_matrix_raises_as_alone(self, fn, bad):
+        with pytest.raises(ValueError) as alone:
+            fn(bad)
+        stack = np.stack([np.eye(2), np.diag([0.5, 0.5]), bad, np.eye(2)]).reshape(2, 2, 2, 2)
+        with pytest.raises(ValueError) as stacked:
+            fn(stack)
+        assert str(stacked.value) == str(alone.value)
 
 
 class TestKron:
