@@ -56,11 +56,10 @@ class MeasurementFamily:
         if eff.ndim != 4 or eff.shape[2:] != (self.dim, self.dim):
             raise ValueError(f"effects must have shape (m, o, {self.dim}, {self.dim})")
         eff = _clean_operator_table(eff, "measurement effect")
-        eye = np.eye(self.dim)
-        for x in range(eff.shape[0]):
-            res = np.max(np.abs(eff[x].sum(axis=0) - eye))
-            if res > NS_TOL:
-                raise ValueError(f"effects of setting {x} sum to identity only within {res:.2e}")
+        res = np.abs(eff.sum(axis=1) - np.eye(self.dim)).max(axis=(1, 2))
+        bad = np.flatnonzero(res > NS_TOL)
+        if bad.size:  # the first failing setting names the error
+            raise ValueError(f"effects of setting {bad[0]} sum to identity only within {res[bad[0]]:.2e}")
         object.__setattr__(self, "effects", eff)
 
     @property

@@ -30,25 +30,20 @@ from .report import load_json, render_report
 
 # Each subcommand imports the modules it calls when it runs, so a command
 # loads only those: the `criteria` planners run without numpy, and only
-# `twirl` imports numpy itself.  The names this module bound at import
-# before still resolve on first lookup (PEP 562), from their home modules,
-# because callers look them up here: bench/spans.py wraps `cli.<name>`.
+# `twirl` imports numpy itself.  The names bench/spans.py wraps as
+# `cli.<name>` still resolve here on first lookup (PEP 562), from their
+# home modules.
 _LAZY = {
     "assemblages": ("steer",),
-    "functionals": (
-        "local_bound", "lv_s", "nonlocality_fraction", "steering_bound", "steering_fraction",
-    ),
-    "games": (
-        "cglmp", "cglmp_lv_lower", "kv_fraction", "kv_game", "kv_measurements", "mub",
-        "mub_functional",
-    ),
+    "functionals": ("lv_s", "steering_bound"),
+    "games": ("kv_fraction", "kv_game"),
     "monotones": ("optimal_steering_fraction", "steerable_weight", "steering_robustness"),
     "serialize": (
         "decode_assemblage", "decode_bell", "decode_correlation", "decode_functional",
         "decode_measurements", "decode_state", "encode_assemblage", "encode_bell",
         "encode_functional", "encode_matrix", "encode_measurements",
     ),
-    "states": ("fef", "isotropic", "twirl", "twirl_monte_carlo"),
+    "states": ("fef",),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 

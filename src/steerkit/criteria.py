@@ -39,15 +39,9 @@ __all__ = [
 ]
 
 # The functions that need numpy-backed modules import them when they run,
-# so the closed forms load no numpy.  The names this module used to bind
-# from them still resolve here on first lookup (PEP 562), because callers
-# look them up on this module: bench/spans.py wraps `criteria.lv_s`.
-_LAZY = {
-    "SteeringFunctional": "functionals",
-    "lv_s": "functionals",
-    "cglmp_lv_lower": "games",
-    "max_entangled": "states",
-}
+# so the closed forms load no numpy.  `lv_s` still resolves here on first
+# lookup (PEP 562), because bench/spans.py wraps `criteria.lv_s`.
+_LAZY = {"lv_s": "functionals"}
 
 
 def __getattr__(name: str):

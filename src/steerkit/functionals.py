@@ -8,6 +8,10 @@ operator tables indexed [x][a].  Bell coefficients are required
 non-negative (any functional can be shifted into this normal form, see
 `shift_nonnegative`), which makes the classical bounds finite maxima
 over deterministic strategies.
+
+Both classical bounds run `strategies.best_strategy`; `lv_s` and the
+see-saw take each setting's best POVM from `_best_povms`; and
+`best_rotated_fraction` climbs its exact gradient (`_rotation_gradient`).
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assemblages import Assemblage, MeasurementFamily, _clean_operator_table, steer
-from .linalg import haar_unitary, herm, herm_eig
-from .sdp import SdpProblem, _herm_basis, solve, solve_many
+from .linalg import dagger, haar_unitary, herm, herm_eig
+from .sdp import SdpProblem, solve, solve_many
 from .states import DensityMatrix
-from .strategies import all_strategies, iter_strategies, strategy_count
+from .strategies import all_strategies, best_strategy, strategy_count
 
 __all__ = [
     "BellFunctional",
@@ -189,16 +193,9 @@ def local_bound(bell: BellFunctional) -> LocalBound:
         raise ValueError(f"strategy space exceeds the enumeration cap {LOCAL_BOUND_CAP}")
     # arr[y, b, x, a] lets a Bob strategy gather its (x, a) reply table
     arr = np.ascontiguousarray(c.transpose(1, 3, 0, 2))
-    best = -np.inf
-    best_bob = None
-    for chunk in iter_strategies(mb, ob):
-        gathered = arr[np.arange(mb)[None, :], chunk]  # (k, mb, ma, oa)
-        reply = gathered.sum(axis=1)  # (k, ma, oa)
-        values = reply.max(axis=2).sum(axis=1)  # (k,)
-        k = int(np.argmax(values))
-        if values[k] > best:
-            best = float(values[k])
-            best_bob = chunk[k].copy()
+    best, best_bob = best_strategy(
+        mb, ob, lambda chunk: arr[np.arange(mb)[None, :], chunk].sum(axis=1).max(axis=2).sum(axis=1)
+    )
     reply = arr[np.arange(mb), best_bob].sum(axis=0)  # (ma, oa)
     best_alice = reply.argmax(axis=1)
     return LocalBound(best, best_alice.astype(np.int64), best_bob)
@@ -211,18 +208,11 @@ def steering_bound(func: SteeringFunctional) -> SteeringBound:
     m, o = func.settings, func.outcomes
     if strategy_count(m, o) > STEERING_BOUND_CAP:
         raise ValueError(f"strategy space exceeds the enumeration cap {STEERING_BOUND_CAP}")
-    best = -np.inf
-    best_strategy = None
-    for chunk in iter_strategies(m, o):
-        summed = f[np.arange(m)[None, :], chunk].sum(axis=1)  # (k, d, d)
-        tops = np.linalg.eigvalsh(summed)[:, -1]
-        k = int(np.argmax(tops))
-        if tops[k] > best:
-            best = float(tops[k])
-            best_strategy = chunk[k].copy()
-    summed = f[np.arange(m), best_strategy].sum(axis=0)
-    _, vecs = herm_eig(summed)
-    return SteeringBound(best, best_strategy, vecs[:, -1])
+    best, strategy = best_strategy(
+        m, o, lambda chunk: np.linalg.eigvalsh(f[np.arange(m)[None, :], chunk].sum(axis=1))[:, -1]
+    )
+    _, vecs = herm_eig(f[np.arange(m), strategy].sum(axis=0))
+    return SteeringBound(best, strategy, vecs[:, -1])
 
 
 def steering_bound_sdp(func: SteeringFunctional, tol: float = 1e-9) -> float:
@@ -320,35 +310,34 @@ def _povm_program(g: np.ndarray) -> SdpProblem:
 
 
 def _repair_povm(effects: np.ndarray) -> np.ndarray:
-    """Symmetric renormalization making the effects sum exactly to I."""
-    total = herm(effects.sum(axis=0), tol=1e-6)
+    """Symmetric renormalization making the effects sum exactly to I: a
+    (..., outcomes, d, d) stack is repaired POVM by POVM."""
+    total = herm(effects.sum(axis=-3), tol=1e-6)
     w, v = herm_eig(total)
-    w = np.maximum(w, 1e-12)
-    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    repaired = np.einsum("ij,ajk,kl->ail", inv_sqrt, effects, inv_sqrt)
-    return repaired
+    inv_sqrt = (v * (1.0 / np.sqrt(np.maximum(w, 1e-12)))[..., None, :]) @ dagger(v)
+    return np.einsum("...ij,...ajk,...kl->...ail", inv_sqrt, effects, inv_sqrt)
 
 
-def _best_povms(g: np.ndarray, tol: float,
-                closed_form: bool = True) -> tuple[float, np.ndarray, float]:
+def _best_povms(g: np.ndarray, tol: float) -> tuple[float, np.ndarray, float]:
     """Best POVM of each setting x against a (settings, outcomes, d, d) stack:
     max sum_a tr(E_a G[x, a]).
 
-    With two outcomes and `closed_form`, each setting takes
-    `_optimal_povm_exact2` and the gap is 0.  Otherwise the settings'
-    programs, which share their rows sum_a E_a = I, are solved in one
-    `solve_many` batch, and each optimum's effects are repaired to sum to I.
-    Returns the optima summed in setting order, the (settings, outcomes, d, d)
-    effects, and the duality gaps summed likewise.
+    With two outcomes each setting takes `_optimal_povm_exact2` and the gap
+    is 0.  Otherwise the settings' programs, which share their rows
+    sum_a E_a = I, are solved in one `solve_many` batch, and each optimum's
+    effects are repaired to sum to I.  Returns the optima summed in setting
+    order, the (settings, outcomes, d, d) effects, and the duality gaps
+    summed likewise.
     """
-    if closed_form and g.shape[1] == 2:
+    if g.shape[1] == 2:
         best = [(*_optimal_povm_exact2(gx), 0.0) for gx in g]
     else:
         sols = solve_many([_povm_program(gx) for gx in g], tol=tol)
         for sol in sols:
             if sol.status != "optimal":
                 raise RuntimeError(f"POVM optimization ended {sol.status}")
-        best = [(float(sol.primal_objective), _repair_povm(sol.x), float(sol.gap)) for sol in sols]
+        effects = _repair_povm(np.stack([sol.x for sol in sols]))
+        best = [(float(sol.primal_objective), eff, float(sol.gap)) for sol, eff in zip(sols, effects)]
     value = gap = 0.0
     for v, _, g_gap in best:
         value += v
@@ -360,9 +349,9 @@ def _best_povms(g: np.ndarray, tol: float,
 class LvsResult:
     """Largest steering violation of a state against one functional.
 
-    `value` is the certified optimum (sum of per-setting conic optima over
-    the steering bound); `family` is the repaired optimal measurement
-    family, achieving `achieved` on re-evaluation.
+    `value` is the certified optimum (sum of per-setting optima over the
+    steering bound), `gap` its duality gap on that scale (0 at two outcomes);
+    `family` is the optimal family, achieving `achieved` on re-evaluation.
     """
 
     value: float
@@ -375,17 +364,20 @@ def lv_s(rho: DensityMatrix, func: SteeringFunctional, tol: float = 1e-9) -> Lvs
     """Largest violation of a steering inequality by a fixed state.
 
     The objective decouples across settings: for each x the optimal POVM
-    maximizes a linear function over the POVM set, solved as a conic
-    program with a certified duality gap.  The programs of all settings
-    share their rows and are solved in one `sdp.solve_many` batch; each
-    solution is the one a solo solve gives, bit for bit.
+    maximizes a linear function over the POVM set (`_best_povms`).  With
+    two outcomes that optimum is the closed form, the projector onto the
+    positive eigenspace of G0 - G1, and the gap is 0.  With more, each
+    setting is a conic program with a certified duality gap; the programs
+    of all settings share their rows and are solved in one
+    `sdp.solve_many` batch, each solution the one a solo solve gives, bit
+    for bit.
     """
     if func.dim != rho.dB:
         raise ValueError("functional dimension does not match Bob's side")
     bound = steering_bound(func).value
     if bound <= 0.0:
         raise ValueError("steering bound is not positive")
-    raw, effects, gap = _best_povms(_steered_operators(rho, func.operators), tol, closed_form=False)
+    raw, effects, gap = _best_povms(_steered_operators(rho, func.operators), tol)
     family = MeasurementFamily(rho.dA, effects)
     achieved = steering_fraction(steer(rho, family), func).value
     return LvsResult(raw / bound, family, gap / bound, achieved)
@@ -411,14 +403,6 @@ class SeesawResult:
     lower_bound_only: bool = True
 
 
-def _projectors(bases: np.ndarray) -> np.ndarray:
-    """Rank-one projectors onto the columns of each basis: out[..., a, :, :]
-    is |u_a><u_a| for u_a = bases[..., :, a], C-contiguous like the rest of
-    the see-saw's stacks (einsum's summation order follows the layout)."""
-    cols = np.ascontiguousarray(np.swapaxes(bases, -1, -2))
-    return cols[..., :, None] * cols.conj()[..., None, :]
-
-
 def _fourier_basis(d: int) -> np.ndarray:
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     return np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
@@ -436,14 +420,16 @@ def lv_bell_seesaw(
     Pal & Vertesi, PRA 82, 022116, 2010).
 
     Each half-step is the exact per-setting POVM optimum against the
-    other party's current effects, so the functional value is monotone
-    along the iteration.  With two outcomes it is the closed form; with
-    more, the half-step's settings are solved in one `sdp.solve_many`
-    batch.  Restarts: one structured start (computational and Fourier
-    bases cycled over settings) plus Haar-random projective starts, or
-    random POVMs when Bob's outcomes differ from his dimension.  The result
-    is a certified achievable value, reported as a lower bound on the
-    largest violation.  `restarts` or `max_rounds` below 1 raises
+    other party's current effects (`_best_povms`, as in `lv_s`), so the
+    functional value is monotone along the iteration.  With two outcomes
+    it is the closed form; with more, the half-step's settings are solved
+    in one `sdp.solve_many` batch.  Restarts: one structured start
+    (computational and Fourier bases cycled over settings) plus
+    Haar-random projective starts, both built by
+    `MeasurementFamily.from_bases`, or, when Bob's outcomes differ from
+    his dimension, random Wishart POVMs renormalized by `_repair_povm`.
+    The result is a certified achievable value, reported as a lower bound
+    on the largest violation.  `restarts` or `max_rounds` below 1 raises
     ValueError.
     """
     if restarts < 1:
@@ -456,21 +442,14 @@ def lv_bell_seesaw(
     gen = np.random.default_rng(seed)
     rho4 = rho.matrix.reshape(rho.dA, rho.dB, rho.dA, rho.dB)
 
-    starts = []
     if ob == d:
-        bases = np.stack([np.eye(d, dtype=complex), _fourier_basis(d)])
-        starts.append(_projectors(bases[np.arange(mb) % 2]))
-    while len(starts) < restarts:
-        if ob == d:
-            starts.append(_projectors(np.stack([haar_unitary(d, gen) for _ in range(mb)])))
-        else:
-            # random POVMs from normalized Wishart pieces
-            raw = gen.standard_normal((mb, ob, d, d)) + 1j * gen.standard_normal((mb, ob, d, d))
-            eff = np.einsum("ybij,ybkj->ybik", raw, raw.conj())
-            total = eff.sum(axis=1)
-            w, v = np.linalg.eigh(total)
-            inv_sqrt = np.einsum("yij,yj,ykj->yik", v, 1.0 / np.sqrt(np.maximum(w, 1e-12)), v.conj())
-            starts.append(np.einsum("yij,ybjk,ykl->ybil", inv_sqrt, eff, inv_sqrt))
+        bases = [np.stack([np.eye(d, dtype=complex), _fourier_basis(d)])[np.arange(mb) % 2]]
+        bases += [[haar_unitary(d, gen) for _ in range(mb)] for _ in range(restarts - 1)]
+        starts = [MeasurementFamily.from_bases(b).effects for b in bases]
+    else:
+        shape = (mb, ob, d, d)
+        raw = np.stack([gen.standard_normal(shape) + 1j * gen.standard_normal(shape) for _ in range(restarts)])
+        starts = _repair_povm(np.einsum("...ij,...kj->...ik", raw, raw.conj()))
 
     best_val = -np.inf
     best = None
@@ -478,7 +457,7 @@ def lv_bell_seesaw(
         val = -np.inf
         converged = False
         for rounds in range(1, max_rounds + 1):
-            sig_b = np.einsum("ijkl,yblj->ybik", rho4, bob_eff)  # tr_B[rho(I x E_b|y)]
+            sig_b = _steered_operators(rho, bob_eff)  # tr_B[rho(I x E_b|y)]
             _, alice_eff, _ = _best_povms(np.einsum("xyab,ybik->xaik", c, sig_b), tol)
             sig_a = np.einsum("ijkl,xaki->xajl", rho4, alice_eff)  # tr_A[rho(E_a|x x I)]
             new_val, bob_eff, _ = _best_povms(np.einsum("xyab,xajl->ybjl", c, sig_a), tol)
@@ -497,6 +476,18 @@ def lv_bell_seesaw(
     corr = correlation_from(rho, alice_fam, bob_fam)
     frac = nonlocality_fraction(corr, bell)
     return SeesawResult(frac.value, alice_fam, bob_fam, corr, rounds, converged)
+
+
+def _rotation_gradient(rho4: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Gradient of f(U) = sum p[k, i] q[l, j] rho[i, j, k, l] over (x, a, i, j, k, l),
+    from the (u, x, a, d, d) stacks p = U^dag E U and q = U^T F conj(U): for
+    each U the Hermitian G with d/dt f(U exp(itH)) = tr(H G) at t = 0.  With
+    A[k, i] = sum rho[i, j, k, l] q[l, j] and B[l, j] = sum rho[i, j, k, l] p[k, i],
+    G = i sum_{x,a} (A^T p - p A^T + B q^T - q^T B)."""
+    a_t = np.einsum("ijkl,uxalj->uxaik", rho4, q)
+    b = np.einsum("ijkl,uxaki->uxalj", rho4, p)
+    q_t = np.swapaxes(q, -1, -2)
+    return herm(1j * (a_t @ p - p @ a_t + b @ q_t - q_t @ b).sum(axis=(1, 2)))
 
 
 @dataclass(frozen=True)
@@ -525,7 +516,8 @@ def best_rotated_fraction(
     rotated fractions over the unitary group equals the fraction of the
     twirled state, so the maximum here can never fall below it; this
     routine hill-climbs from Haar samples (plus the identity) along
-    geodesics and reports the best rotation found.
+    geodesics U exp(i alpha H), H the normalized exact gradient
+    (`_rotation_gradient`), and reports the best rotation found.
     """
     d = rho.dA
     if rho.dB != d or alice.dim != d or func.dim != d:
@@ -541,40 +533,30 @@ def best_rotated_fraction(
     us = np.stack([np.eye(d, dtype=complex)]
                   + [haar_unitary(d, gen) for _ in range(max(0, samples - 1))])
 
-    def numerators(batch):
+    def pairs(batch):  # p = U^dag E U and q = U^T F conj(U), per (u, x, a)
         p = np.einsum("uqp,xaqr,urs->uxaps", batch.conj(), effects, batch)
         q = np.einsum("uqp,xaqr,urs->uxaps", batch, ops, batch.conj())
-        return np.einsum("uxaki,uxalj,ijkl->u", p, q, rho4).real
+        return p, q
 
-    gens = _herm_basis(d)
-    eps = 1e-4
-    twists = [
-        (np.asarray(_expi_herm(g, eps)), np.asarray(_expi_herm(g, -eps))) for g in gens
-    ]
+    def numerators(batch):
+        return np.einsum("uxaki,uxalj,ijkl->u", *pairs(batch), rho4).real
 
     base = numerators(us)
     for _ in range(steps):
-        coefs = np.empty((len(gens), us.shape[0]))
-        for gi, (plus, minus) in enumerate(twists):
-            coefs[gi] = (numerators(us @ plus) - numerators(us @ minus)) / (2.0 * eps)
-        grad = np.einsum("gu,gij->uij", coefs, gens)
+        grad = _rotation_gradient(rho4, *pairs(us))
         gnorm = np.linalg.norm(grad, axis=(1, 2))
         if gnorm.max() <= 1e-10:
             break
         dirs = grad / np.maximum(gnorm, 1e-30)[:, None, None]
         w, v = np.linalg.eigh(dirs)
-        best_vals = base.copy()
-        best_us = us
+        best_vals, best_us = base.copy(), us.copy()
         for alpha in (0.8, 0.4, 0.2, 0.1, 0.05, 0.02):
             rot = np.einsum("uij,uj,ukj->uik", v, np.exp(1j * alpha * w), v.conj())
             cand = us @ rot
             cv = numerators(cand)
             improved = cv > best_vals + 1e-15
-            if improved.any():
-                if best_us is us:
-                    best_us = us.copy()
-                best_us[improved] = cand[improved]
-                best_vals[improved] = cv[improved]
+            best_us[improved] = cand[improved]
+            best_vals[improved] = cv[improved]
         if np.max(best_vals - base) <= 1e-12:
             break
         us, base = best_us, best_vals
@@ -582,9 +564,3 @@ def best_rotated_fraction(
     k = int(np.argmax(base))
     numerator = float(base[k])
     return RotatedFraction(numerator / bound, numerator, bound, us[k])
-
-
-def _expi_herm(h: np.ndarray, scale: float) -> np.ndarray:
-    """exp(1j * scale * h) for Hermitian h."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * scale * w)) @ v.conj().T

@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 TRACE_TOL = 1e-10
+# isotropic(d, p) builds and validates a d^2 x d^2 matrix: d = 30 takes
+# 0.95 s (one BLAS thread, 2-vCPU host), d = 36 takes 2.7 s.
+ISOTROPIC_MAX_DIM = 30
 
 
 @dataclass(frozen=True)
@@ -147,9 +150,12 @@ def max_entangled(d: int) -> DensityMatrix:
 def isotropic(d: int, p: float) -> DensityMatrix:
     """The isotropic state p |Psi+><Psi+| + (1-p) I/d^2.
 
-    Positivity restricts p to [-1/(d^2-1), 1]; values outside raise.
+    Positivity restricts p to [-1/(d^2-1), 1]; values outside raise, and
+    so does d above ISOTROPIC_MAX_DIM.
     """
     iso = IsotropicState(d, p)
+    if d > ISOTROPIC_MAX_DIM:
+        raise ValueError(f"the isotropic density matrix is capped at d <= {ISOTROPIC_MAX_DIM} (d^2 x d^2 entries)")
     psi = ket_max_entangled(d)
     m = iso.p * np.outer(psi, psi.conj()) + (1.0 - iso.p) * np.eye(d * d) / d**2
     return DensityMatrix(d, d, m)

@@ -5,15 +5,16 @@ settings and o outcomes has o^m elements.  Enumeration order is
 lexicographic in the tuple (a_0, ..., a_{m-1}), so index k encodes the
 base-o digits of k with setting 0 as the most significant digit.  All
 enumeration-based routines (local and steering bounds, LHS programs,
-brute-force game values) share this order, which makes reported
-maximizers and tie-breaks deterministic.
+brute-force game values) share this order, and the bounds share one
+search, `best_strategy`, whose first-on-ties rule makes reported
+maximizers deterministic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["strategy_count", "all_strategies", "iter_strategies", "indicator"]
+__all__ = ["strategy_count", "all_strategies", "best_strategy", "indicator"]
 
 
 def strategy_count(settings: int, outcomes: int) -> int:
@@ -39,11 +40,19 @@ def all_strategies(settings: int, outcomes: int, cap: int = 1 << 20) -> np.ndarr
     return _block(0, n, settings, outcomes)
 
 
-def iter_strategies(settings: int, outcomes: int, chunk: int = 4096):
-    """Yield lexicographic (k, m) strategy blocks of at most `chunk` rows."""
+def best_strategy(settings: int, outcomes: int, score):
+    """The first strategy in enumeration order with the largest score, and
+    that score.  `score` maps a (k, m) block of strategies to their (k,)
+    values; blocks of at most 4096 rows keep the memory bounded."""
     n = strategy_count(settings, outcomes)
-    for start in range(0, n, chunk):
-        yield _block(start, min(start + chunk, n), settings, outcomes)
+    best, best_row = -np.inf, None
+    for start in range(0, n, 4096):
+        block = _block(start, min(start + 4096, n), settings, outcomes)
+        values = score(block)
+        k = int(np.argmax(values))
+        if values[k] > best:
+            best, best_row = float(values[k]), block[k].copy()
+    return best, best_row
 
 
 def indicator(strategies: np.ndarray, outcomes: int) -> np.ndarray:

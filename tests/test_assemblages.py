@@ -67,6 +67,13 @@ class TestMeasurementFamily:
         with pytest.raises(ValueError, match="sum to identity"):
             MeasurementFamily(2, eff)
 
+    def test_first_incomplete_setting_is_named(self):
+        eff = np.array([zx_family().effects[0]] * 3)
+        eff[1, 1] *= 0.9
+        eff[2, 0] *= 0.8
+        with pytest.raises(ValueError, match="setting 1 sum to identity only within 1.00e-01"):
+            MeasurementFamily(2, eff)
+
     def test_negative_effect_rejected(self):
         eff = np.zeros((1, 2, 2, 2), dtype=complex)
         eff[0, 0] = np.diag([1.5, 0.5])

@@ -247,6 +247,13 @@ class TestGame:
         assert report["error"]["kind"] == "domain"
         assert "d <= 1000" in report["error"]["message"]
 
+    def test_mub_past_the_cap_is_domain_error(self, tmp_path):
+        # d = 1000003 is prime, and one d x d basis of it would take 14.6 TiB
+        code, report = run_json(tmp_path, "game", "mub", "--d", "1000003", "--n", "2")
+        assert code == 1
+        assert report["error"]["kind"] == "domain"
+        assert "d <= 73" in report["error"]["message"]
+
     def test_mub_report(self, tmp_path):
         code, report = run_json(tmp_path, "game", "mub", "--d", "3", "--n", "4")
         assert code == 0
@@ -416,6 +423,15 @@ class TestErrorHandling:
         assert code == 1
         assert report["error"]["kind"] == "domain"
         assert message in report["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["twirl", "fef"])
+    def test_isotropic_past_the_cap_is_domain_error(self, tmp_path, command):
+        # the d^2 x d^2 matrix of d = 100000 would take 149 GiB
+        state = write(tmp_path, "iso.json", {"isotropic": {"d": 100000, "p": 0.5}})
+        code, report = run_json(tmp_path, command, "--state", state)
+        assert code == 1
+        assert report["error"]["kind"] == "domain"
+        assert "d <= 30" in report["error"]["message"]
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_twirl_needs_a_sample(self, tmp_path, samples):

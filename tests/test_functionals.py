@@ -350,6 +350,28 @@ class TestLvS:
             achieved = float(np.einsum("aij,aji->", g, eff_exact).real)
             assert abs(achieved - v_exact) <= 1e-10
 
+    def test_two_outcomes_take_the_closed_form(self):
+        # lv_s at two outcomes is the sum of the per-setting closed forms,
+        # with no gap, and agrees with each setting's conic program
+        from steerkit.functionals import _optimal_povm_exact2, _povm_program
+        from steerkit.sdp import solve
+
+        gen = rng(18)
+        func = random_functional(3, 3, 2, gen)
+        rho = random_density_matrix(3, 3, rng=gen)
+        rho4 = rho.matrix.reshape(3, 3, 3, 3)
+        raw = raw_sdp = 0.0
+        for ops in func.operators:
+            g = np.einsum("ijkl,alj->aik", rho4, ops)  # tr_B[rho (I x F_a)]
+            raw += _optimal_povm_exact2(g)[0]
+            raw_sdp += solve(_povm_program(g), tol=1e-9).primal_objective
+        bound = steering_bound(func).value
+        res = lv_s(rho, func)
+        assert res.value == raw / bound
+        assert res.gap == 0.0
+        assert abs(res.value - raw_sdp / bound) <= 1e-7
+        assert abs(res.achieved - res.value) <= 1e-9
+
     def test_batched_settings_match_solo_solves(self):
         """lv_s solves its settings' POVM programs in one batch; solving each
         alone and summing in setting order gives the same floats, bit for bit."""
@@ -433,6 +455,16 @@ class TestSeesaw:
         res = lv_bell_seesaw(max_entangled(3), cglmp(3), restarts=1, seed=0)
         assert res.value >= cglmp_lv_lower(3) - 1e-8
 
+    def test_random_povm_starts_when_outcomes_differ_from_the_dimension(self):
+        # three outcomes on a qubit: the starts are repaired Wishart POVMs
+        bell = BellFunctional(rng(19).uniform(size=(2, 2, 3, 3)))
+        rho = max_entangled(2)
+        res = lv_bell_seesaw(rho, bell, restarts=2, seed=4)
+        assert res.bob.outcomes == 3
+        frac = nonlocality_fraction(correlation_from(rho, res.alice, res.bob), bell)
+        assert abs(frac.value - res.value) <= 1e-10
+        assert res.value <= steering_fraction(steer(rho, res.alice), induced_functional(bell, res.bob)).value + 1e-9
+
     @pytest.mark.parametrize("bell", [chsh_winning_form(), BellFunctional(np.ones((2, 2, 3, 3)))],
                              ids=["chsh", "three_outcomes"])
     @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -3}, {"max_rounds": 0}],
@@ -444,6 +476,37 @@ class TestSeesaw:
 
 
 class TestRotatedFraction:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_exact_gradient_matches_central_differences(self, d):
+        from steerkit.functionals import _rotation_gradient
+        from steerkit.linalg import haar_unitary
+        from steerkit.sdp import _herm_basis
+
+        gen = rng(20 + d)
+        rho = random_density_matrix(d, d, rng=gen)
+        rho4 = rho.matrix.reshape(d, d, d, d)
+        effects = MeasurementFamily.from_bases([haar_unitary(d, gen) for _ in range(2)]).effects
+        ops = random_functional(d, 2, d, gen).operators
+        us = np.stack([haar_unitary(d, gen) for _ in range(3)])
+
+        def pairs(batch):
+            p = np.einsum("uqp,xaqr,urs->uxaps", batch.conj(), effects, batch)
+            q = np.einsum("uqp,xaqr,urs->uxaps", batch, ops, batch.conj())
+            return p, q
+
+        def numerators(batch):
+            return np.einsum("uxaki,uxalj,ijkl->u", *pairs(batch), rho4).real
+
+        grad = _rotation_gradient(rho4, *pairs(us))
+        eps = 1e-4
+        for h in _herm_basis(d):
+            w, v = np.linalg.eigh(h)
+            plus = (v * np.exp(1j * eps * w)) @ v.conj().T
+            minus = (v * np.exp(-1j * eps * w)) @ v.conj().T
+            central = (numerators(us @ plus) - numerators(us @ minus)) / (2.0 * eps)
+            exact = np.einsum("ij,uji->u", h, grad).real
+            assert np.max(np.abs(central - exact)) <= 1e-7
+
     def test_beats_twirled_baseline(self):
         gen = rng(16)
         fam = zx_family()

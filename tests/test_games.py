@@ -18,7 +18,9 @@ from steerkit.functionals import (
 from steerkit.assemblages import MeasurementFamily, steer
 from steerkit.games import (
     KV_MAX_OUTCOMES,
+    MUB_MAX_DIM,
     KvGame,
+    MubFamily,
     cglmp,
     cglmp_lv_lower,
     kv_fraction,
@@ -374,6 +376,17 @@ class TestMub:
     def test_rejects_composite_dimension(self):
         with pytest.raises(ValueError, match="prime dimensions only"):
             mub(4, 2)
+
+    def test_rejects_dimension_past_the_cap(self):
+        # checked before primality, which would trial-divide up to sqrt(d)
+        with pytest.raises(ValueError, match=f"d <= {MUB_MAX_DIM}"):
+            mub(10**30 + 57, 2)
+
+    @pytest.mark.parametrize("order, pair", [((0, 1, 0), "0 and 2"), ((0, 1, 1), "1 and 2")])
+    def test_first_biased_pair_is_named(self, order, pair):
+        vectors = mub(3, 2).vectors[list(order)]
+        with pytest.raises(ValueError, match=f"bases {pair} are not mutually unbiased"):
+            MubFamily(3, vectors)
 
     def test_rejects_too_many_bases(self):
         with pytest.raises(ValueError, match="basis count"):

@@ -494,7 +494,38 @@ def random_instrument(d, gen):
     return Instrument1W((InstrumentBranch(k1 @ s, wiring), InstrumentBranch(k2 @ s, wiring)))
 
 
+def random_qutrit_instrument(gen, branches=2):
+    """One-way instrument on a qutrit assemblage with (2 settings, 3 outcomes):
+    random Kraus operators completed to sum K^dag K = I, and per branch a
+    random deterministic wiring (a permutation of the settings and a random
+    map of each observed outcome onto 2 or 3 reported ones)."""
+    kraus = gen.standard_normal((branches, 3, 3)) + 1j * gen.standard_normal((branches, 3, 3))
+    w, v = np.linalg.eigh(np.einsum("bji,bjk->ik", kraus.conj(), kraus))
+    kraus = kraus @ (v / np.sqrt(w)) @ v.conj().T
+    out = int(gen.integers(2, 4))
+    return Instrument1W(tuple(
+        InstrumentBranch(k, WiringMap(np.eye(2)[gen.permutation(2)],
+                                      np.eye(out)[gen.integers(0, out, size=(2, 2, 3))]))
+        for k in kraus
+    ))
+
+
 class TestAudit:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_qutrit_instruments_respect_monotonicity(self, seed):
+        # property test: a seeded draw of a steerable qutrit assemblage (a
+        # random pure state) and two instruments; no instrument raises S_O
+        # on average or on a branch
+        gen = rng(600 + seed)
+        rho = random_density_matrix(3, 3, rank=1, rng=gen)
+        sig = steer(rho, random_projective_family(3, 2, gen))
+        instruments = [random_qutrit_instrument(gen) for _ in range(2)]
+        report = monotonicity_audit(sig, instruments)
+        assert report.base_value > 1e-3
+        assert report.holds
+        for row in report.rows:
+            assert row.average <= report.base_value + report.tol
+
     def test_identity_instrument_is_tight(self):
         sig = steer(max_entangled(2), zx_family())
         report = monotonicity_audit(sig, [identity_instrument(2, 2, 2)])
