@@ -36,24 +36,44 @@ Its equality block sum_b (c_b c_b^T) x K_b is one product of the (E^2 x B)
 pairs c_be c_bf with the (B x n^4) stack of the K_b, then a transpose; the
 rest comes from the S_b K_b. These are the sparse formulas of Fujisawa,
 Kojima & Nakata (Math. Prog. 79, 1997) for scalar coefficients, for the NT
-direction of Todd, Toh & Tutuncu (SIAM J. Optim. 8, 1998).
+direction of Todd, Toh & Tutuncu (SIAM J. Optim. 8, 1998). The Newton step's
+products W X W come from the same K_b stack: one real batched matrix-vector
+product on svec coordinates, with no complex block products.
+
+NT point. The line search's interior test factors each accepted block,
+X = L_x L_x^H and S = L_s L_s^H, and the next iteration scales from those
+factors. As in SDPT3 (Toh, Todd & Tutuncu, Optim. Methods Softw. 11, 1999)
+the scaling comes from a Hermitian eigendecomposition, not an SVD: with
+A = L_s^H L_x and (lam^2, V) = eigh(A^H A), R = L_x V lam^-1/2 satisfies
+R^H S R = R^-1 X R^-H = diag(lam), and W = R R^H. Step lengths are read in
+the same frame: X + a dX stays PSD while I + a lam^-1/2 (R^-1 dX R^-H)
+lam^-1/2 does, and likewise for S with R^H dS R, so no block is factored or
+inverted a second time; the predictor's frame directions are the ones the
+corrector needs.
 
 Schur solve. Each Newton system M dy = r is solved with the Cholesky factor
 M = L L^T by forward and back substitution over row blocks of _TRI_BLOCK
-rows (`_tri_solve`): a LAPACK solve on each diagonal block and one
-matrix-vector product for its coupling to the blocks already solved, O(n^2)
-per right-hand side once L is known. No inverse of M or of L is formed: an
-explicit inverse loses accuracy on the ill-conditioned Schur matrices near
-the end of a solve. The factor is built on the same tiles (`_cholesky`, a
-left-looking block Cholesky): one LAPACK factorization per diagonal tile,
-one LAPACK solve per tile column for the rows below it, and products of
-single tile pairs for the updates. At the sizes of these programs (up to a
-few hundred rows) threads cannot pay, and calls this small run on the
-calling thread, whereas one LAPACK call on the whole matrix starts
-OpenBLAS's thread pool from about 128 rows: its workers then spin on the
-other cores, and waking them adds latency. Programs of at most _TRI_BLOCK
-rows take a single LAPACK call per factorization and per triangle. A
-problem whose M does not factor solves by least squares on M (see below).
+rows (`_tri_solve`): one matrix product for a tile's coupling to the tiles
+already solved, O(n^2) per right-hand side once L is known. Each diagonal
+tile D of L is inverted once per iteration (`_tile_inverses`), and every
+sweep applies D^-1 with one refinement step against D: Z = D^-1 R, then
+X = Z + D^-1 (R - D Z). The inverse alone is not accurate enough near the
+end of a solve, where M is ill-conditioned: the tau-elimination
+denominator g2.q2 + <c, W c> + kappa/tau is a difference of terms of order
+1e9, and with unrefined inverses it rounded to exactly 0.0 on converging
+S_R and membership solves of (3, 2), (3, 3) and (4, 2) assemblages, which
+then ended indeterminate. The refined solve's residual is within twice
+that of LAPACK's LU solve on the same triangle. The g1 system and the
+predictor's system are one two-column solve, so an iteration makes four
+sweeps. The factor is built on the same tiles (`_cholesky`, a left-looking
+block Cholesky): one LAPACK factorization per diagonal tile, one LAPACK
+solve per tile column for the rows below it (a tile inverse there failed a
+solve), and products of single tile pairs for the updates. At the sizes of
+these programs (up to a few hundred rows) threads cannot pay, and calls
+this small run on the calling thread, whereas one LAPACK call on the whole
+matrix starts OpenBLAS's thread pool from about 128 rows: its workers then
+spin on the other cores, and waking them adds latency. A problem whose M
+does not factor solves by least squares on M (see below).
 
 Batched problems. `solve_many` solves problems that share their blocks and
 constraint rows, and differ only in b and in the objective, in one call
@@ -63,20 +83,20 @@ block stack gets a leading problem axis; tau, kappa, mu, sigma, the step
 length, the line search, the exit tests and the trace are kept per problem;
 the P Schur matrices come from stacked products and one batched Cholesky
 factorization. Each iteration works on the problems still running only: a
-problem that finishes leaves the stacks. The three LAPACK calls that can
-fail on one problem's data, the Cholesky factors of NT scaling, of the
-Schur matrix and of the line search's interior test, follow one rule
-(`_guarded`): the call runs on the whole batch, and only if it raises is
-each problem's slice tried alone with the same routine. A problem that
-cannot be scaled stops at the end of the iteration, one whose Schur matrix
-does not factor solves by least squares, and one whose trial point is not
-interior halves its step. Every product with the constraint data and
-every inner product is one BLAS call per problem, so no result depends on
-the batch. `solve` is `solve_many` of one problem. The callers of
-`solve_many` are the monotonicity audit (the robustness programs of an
-assemblage and its branches, one batch per table shape), `lv_s` (the POVM
-programs of all settings) and each half-step of the see-saw
-`lv_bell_seesaw` (likewise, when a party has more than two outcomes).
+problem that finishes leaves the stacks. The three steps that can fail on
+one problem's data, NT scaling, the Schur matrix's Cholesky factor and the
+line search's interior test, follow one rule (`_guarded`): the call runs on
+the whole batch, and only if it raises is each problem's slice tried alone
+with the same routine. A problem that cannot be scaled ends indeterminate
+before its Newton step, one whose Schur matrix does not factor solves by
+least squares, and one whose trial point is not interior halves its step.
+Every product with the constraint data and every inner product is one BLAS
+call per problem, so no result depends on the batch. `solve` is
+`solve_many` of one problem. The callers of `solve_many` are the
+monotonicity audit (the robustness programs of an assemblage and its
+branches, one batch per table shape), `lv_s` (the POVM programs of all
+settings) and each half-step of the see-saw `lv_bell_seesaw` (likewise,
+when a party has more than two outcomes).
 
 The solver is deterministic: identical problem data produce bit-identical
 iterates and solutions, alone or in any batch.
@@ -321,9 +341,10 @@ def _vecdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 _mv, _dot = getattr(np, "matvec", _matvec), getattr(np, "vecdot", _vecdot)
 
 
-def _schur_complement(layout: _Layout, w: np.ndarray) -> np.ndarray:
+def _schur_complement(layout: _Layout, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """M = A K A^T for each problem's stack of scaling points W_b in the
-    (P, B, n, n) stack w, rows in the layout's order."""
+    (P, B, n, n) stack w, rows in the layout's order, and the (P, B, n^2, n^2)
+    stack of the K_b: row p of K_b is svec(W_b E_p W_b)."""
     count, nb, n = w.shape[:3]
     neq, t = layout.neq, n * n
     e, s = layout.coef.shape[1], layout.scal.shape[1]
@@ -345,41 +366,32 @@ def _schur_complement(layout: _Layout, w: np.ndarray) -> np.ndarray:
         layout.coef.T @ sk.reshape(count, nb, s * t)).reshape(count, e, s, t).swapaxes(2, 3)
     m[:, neq:, :neq] = m[:, :neq, neq:].swapaxes(1, 2)
     m[:, neq:, neq:] = sk.swapaxes(1, 2).reshape(count, s, nb * t) @ layout.scal_rows.T
-    return m
+    return m, k
 
 
 class _Nt(NamedTuple):
     """NT scaling of a stack: R with R^H S R = R^-1 X R^-H = diag(lam), W = R R^H."""
-    l_inv: np.ndarray    # inverses of the Cholesky factors of X, then of S (2B blocks)
     r: np.ndarray
     rinv: np.ndarray
     w: np.ndarray
     lam: np.ndarray
 
 
-def _nt_scaling(xs: np.ndarray) -> _Nt:
-    """NT scaling of the blocks X, then S, stacked on axis -3."""
-    nb = xs.shape[-3] // 2
-    factors = np.linalg.cholesky(xs)
+def _nt_scaling(factors: np.ndarray) -> _Nt:
+    """NT scaling of the blocks X, then S, from their Cholesky factors L_x,
+    then L_s, stacked on axis -3.
+
+    With A = L_s^H L_x and (lam^2, V) = eigh(A^H A), R = L_x V lam^-1/2 and
+    R^-1 = lam^-3/2 V^H A^H L_s^H."""
+    nb = factors.shape[-3] // 2
     lx, ls = factors[..., :nb, :, :], factors[..., nb:, :, :]
-    u, lam, vh = np.linalg.svd(_ct(ls) @ lx)
-    lam = np.maximum(lam, 1e-300)
+    a = _ct(ls) @ lx
+    lam2, v = np.linalg.eigh(_ct(a) @ a)
+    lam = np.sqrt(np.maximum(lam2, 1e-300))
     isq = 1.0 / np.sqrt(lam)
-    r = lx @ _ct(vh) * isq[..., np.newaxis, :]
-    rinv = (isq[..., :, np.newaxis] * _ct(u)) @ _ct(ls)
-    return _Nt(np.linalg.inv(factors), r, rinv, r @ _ct(r), lam)
-
-
-def _min_eig_along(l_inv: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Per problem, the smallest eigenvalue of L^-1 D L^-H over its stack of
-    blocks; M + alpha D stays PSD (M = L L^H) up to alpha = -1 / that value
-    when it is negative."""
-    g = l_inv @ d @ _ct(l_inv)
-    return np.linalg.eigvalsh(0.5 * (g + _ct(g)))[..., 0].min(axis=-1)
-
-
-def _diag(v: np.ndarray) -> np.ndarray:
-    return v[..., np.newaxis] * np.eye(v.shape[-1])
+    r = lx @ v * isq[..., np.newaxis, :]
+    rinv = ((isq / lam)[..., :, np.newaxis] * _ct(a @ v)) @ _ct(ls)
+    return _Nt(r, rinv, r @ _ct(r), lam)
 
 
 def _guarded(fn, stack: np.ndarray, fill=None):
@@ -447,24 +459,33 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
     return fac[..., :n, :n]
 
 
-def _tri_solve(t: np.ndarray, v: np.ndarray, lower: bool) -> np.ndarray:
-    """Solve T x = v for a triangular T by block substitution, for one
-    system or a stack of them ((..., n, n) and (..., n)).
+def _tile_inverses(t: np.ndarray) -> list[np.ndarray]:
+    """Inverses of the diagonal tiles of _TRI_BLOCK rows of a triangular T
+    (or (..., n, n) stack), one LAPACK call per tile, for `_tri_solve`."""
+    return [np.linalg.inv(t[..., i0:i0 + _TRI_BLOCK, i0:i0 + _TRI_BLOCK])
+            for i0 in range(0, t.shape[-1], _TRI_BLOCK)]
 
-    Each diagonal block of at most _TRI_BLOCK rows is one LAPACK solve, and
-    its coupling to the blocks already solved is one matrix-vector product.
-    Up to _TRI_BLOCK rows this is the LAPACK call of np.linalg.solve(t, v)."""
-    n = v.shape[-1]
-    starts = range(0, n, _TRI_BLOCK)
+
+def _tri_solve(t: np.ndarray, inv: list[np.ndarray], v: np.ndarray, lower: bool) -> np.ndarray:
+    """Solve T X = V for a triangular T by block substitution, for one
+    system or a stack of them ((..., n, n) and (..., n, k)); inv holds the
+    inverses of T's diagonal tiles (`_tile_inverses`).
+
+    Per tile D of at most _TRI_BLOCK rows, the coupling to the tiles already
+    solved is one matrix product and D is applied through its inverse with
+    one refinement step against D: Z = D^-1 R, then X = Z + D^-1 (R - D Z)."""
+    n = v.shape[-2]
+    starts = list(enumerate(range(0, n, _TRI_BLOCK)))
     x = np.empty(v.shape)
-    for i0 in (starts if lower else reversed(starts)):
+    for k, i0 in (starts if lower else reversed(starts)):
         i1 = min(i0 + _TRI_BLOCK, n)
-        r = v[..., i0:i1]
+        r = v[..., i0:i1, :]
         if lower and i0:
-            r = r - _mv(t[..., i0:i1, :i0], x[..., :i0])
+            r = r - t[..., i0:i1, :i0] @ x[..., :i0, :]
         elif not lower and i1 < n:
-            r = r - _mv(t[..., i0:i1, i1:], x[..., i1:])
-        x[..., i0:i1] = np.linalg.solve(t[..., i0:i1, i0:i1], r[..., np.newaxis])[..., 0]
+            r = r - t[..., i0:i1, i1:] @ x[..., i1:, :]
+        z = inv[k] @ r
+        x[..., i0:i1, :] = z + inv[k] @ (r - t[..., i0:i1, i0:i1] @ z)
     return x
 
 
@@ -498,6 +519,7 @@ class _Running:
     y: np.ndarray
     tau: np.ndarray
     kappa: np.ndarray
+    factors: np.ndarray   # (P, 2B, n, n) Cholesky factors of the X, then the S blocks
 
     def take(self, keep: np.ndarray) -> _Running:
         return _Running(*(getattr(self, f.name)[keep] for f in fields(self)))
@@ -542,16 +564,18 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
     bs, cs, signs = zip(*(lay.data(p) for p in problems))
 
     # HSD starting point, the same for every problem.
-    x0 = join(np.broadcast_to(np.eye(lay.dim), (len(lay.blocks), lay.dim, lay.dim)))
+    eye, eye_rows = np.eye(lay.dim), np.eye(nrows)
+    x0 = join(np.broadcast_to(eye, (len(lay.blocks), lay.dim, lay.dim)))
     mu0 = (x0 @ (x0 / _PAIR) + 1.0) / (nu + _PAIR)
-    start = np.concatenate([split(x0), split(x0 / _PAIR)])
+    start = np.linalg.cholesky(np.concatenate([split(x0), split(x0 / _PAIR)]))
     count = len(problems)
     b, c = np.array(bs), np.array(cs)
     x = np.tile(x0, (count, 1))
     run = _Running(
         ids=np.arange(count), b=b, c=c, sign=np.array(signs),
         bnorm=1.0 + np.abs(b).max(axis=1, initial=0.0), cnorm=1.0 + np.abs(c).max(axis=1, initial=0.0),
-        x=x, s=x / _PAIR, y=np.zeros((count, nrows)), tau=np.ones(count), kappa=np.ones(count))
+        x=x, s=x / _PAIR, y=np.zeros((count, nrows)), tau=np.ones(count), kappa=np.ones(count),
+        factors=np.tile(start, (count, 1, 1, 1)))
 
     traces: list[list[dict]] = [[] for _ in problems]
     out: list[SdpSolution | None] = [None] * count
@@ -563,16 +587,13 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
     for it in range(max_iters):
         b, c, x, s, y, tau, kappa = run.b, run.c, run.x, run.s, run.y, run.tau, run.kappa
         tau_col = tau[:, np.newaxis]
-        rp = a_dot(x) - b * tau_col
-        rd = -at_dot(y) + c * tau_col - s
         by, cx, xs = _dot(b, y), _dot(c, x), _dot(x, s)
-        rg = by - cx - kappa
         mu = (xs + tau * kappa) / (nu + _PAIR)
 
         pres = np.abs(a_dot(x / tau_col) - b).max(axis=1, initial=0.0) / run.bnorm
         dres = np.abs(at_dot(y / tau_col) + s / tau_col - c).max(axis=1, initial=0.0) / run.cnorm
         # Per problem, in Python floats: the trace row and the exit tests.
-        finished = []
+        gone = np.zeros(len(run.ids), dtype=bool)
         rows = zip(run.sign.tolist(), mu.tolist(), tau.tolist(), kappa.tolist(), pres.tolist(),
                    dres.tolist(), cx.tolist(), by.tolist(), xs.tolist())
         for j, (sign, mu_j, tau_j, kappa_j, pres_j, dres_j, cx_j, by_j, xs_j) in enumerate(rows):
@@ -586,76 +607,109 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
                 finish(j, "optimal", it, x=split(x[j] / tau_j), y=sign * y[j][lay.order] / tau_j,
                        s=split(s[j] / tau_j), primal_objective=po,
                        dual_objective=do, gap=abs(po - do), rel_gap=relgap)
-                finished.append(j)
+                gone[j] = True
             # Infeasibility: test Farkas certificates once tau collapses.
             elif tau_j < 1e-8 * min(1.0, kappa_j) or (mu_j < 1e-10 * mu0 and tau_j < 1e-6):
                 status, certificate = _farkas(lay, tol, b[j], c[j], x[j], y[j])
                 finish(j, status, it, certificate=certificate)
-                finished.append(j)
+                gone[j] = True
 
-        if finished:
-            keep = np.ones(len(x), dtype=bool)
-            keep[finished] = False
-            run = run.take(keep)
+        if gone.any():
+            run = run.take(~gone)
             if not len(run.ids):
                 break
-            rp, rd, rg, mu = rp[keep], rd[keep], rg[keep], mu[keep]
-            b, c, x, s, y, tau, kappa = run.b, run.c, run.x, run.s, run.y, run.tau, run.kappa
+        # NT scaling from the Cholesky factors of the iterate, which the line
+        # search computed. A problem whose blocks cannot be scaled ends here,
+        # before its Newton step.
+        nt, failed = _guarded(_nt_scaling, run.factors)
+        if failed.any():
+            for j in np.flatnonzero(failed):
+                finish(j, "indeterminate", it)
+            run = run.take(~failed)
+            if not len(run.ids):
+                break
+            nt = _nt_scaling(run.factors)
+        # the residuals of the problems that take a step
+        b, c, x, s, y, tau, kappa = run.b, run.c, run.x, run.s, run.y, run.tau, run.kappa
+        tau_col = tau[:, np.newaxis]
+        rp = a_dot(x) - b * tau_col
+        rd = -at_dot(y) + c * tau_col - s
+        rg = _dot(b, y) - _dot(c, x) - kappa
+        mu = (_dot(x, s) + tau * kappa) / (nu + _PAIR)
 
-        # NT scaling. A problem whose blocks cannot be scaled is scaled at
-        # the HSD starting point instead, and stops at the end of this
-        # iteration without a step.
-        nt, stop = _guarded(_nt_scaling, np.concatenate([split(x), split(s)], axis=-3), start)
-
-        def apply_w_vec(vec):
-            return join(nt.w @ split(vec) @ nt.w)
-
-        m_schur = _schur_complement(lay, nt.w)
+        m_schur, k = _schur_complement(lay, nt.w)
         m_schur = 0.5 * (m_schur + m_schur.swapaxes(-1, -2))
         shift = 1e-14 * np.trace(m_schur, axis1=-2, axis2=-1) / nrows
-        shifted = m_schur + shift[:, np.newaxis, np.newaxis] * np.eye(nrows)
+        shifted = m_schur + shift[:, np.newaxis, np.newaxis] * eye_rows
         # a problem whose Schur matrix does not factor solves by least squares
-        chol, failed = _guarded(_cholesky, shifted, np.eye(nrows))
+        chol, failed = _guarded(_cholesky, shifted, eye_rows)
         chol_t = np.ascontiguousarray(chol.swapaxes(-1, -2))
+        inv = _tile_inverses(chol)
+        inv_t = [tile.swapaxes(-1, -2) for tile in inv]
 
         def schur_solve(v):
-            sol = _tri_solve(chol_t, _tri_solve(chol, v, lower=True), lower=False)
+            """M Q = V for the (P, nrows, k) columns V."""
+            sol = _tri_solve(chol_t, inv_t, _tri_solve(chol, inv, v, lower=True), lower=False)
             for j in np.flatnonzero(failed):
                 sol[j] = np.linalg.lstsq(m_schur[j], v[j], rcond=None)[0]
             return sol
 
-        wc = apply_w_vec(c)
-        awc = a_dot(wc)
-        g1 = awc + b
-        g2 = b - awc
-        alpha_sc = _dot(c, wc) + kappa / tau
-        q2 = schur_solve(g1)
-        denom = _dot(g2, q2) + alpha_sc
-        stop |= np.abs(denom) < 1e-300
-        denom[stop] = 1.0
+        def apply_w(vec):
+            """svec(W X W) for the svec vectors X, block by block: K_b X_b."""
+            return _mv(k, vec.reshape(k.shape[:-1])).reshape(vec.shape)
 
-        def newton(p1, p2, p3, p4, p5):
-            h = join(nt.r @ (split(p4) + _ct(nt.r) @ split(p2) @ nt.r) @ _ct(nt.r))
-            v1 = p1 - a_dot(h)
-            q1 = schur_solve(v1)
+        def newton_rhs(p1, p2, p4):
+            """h = R p4 R^H + W p2 W (p4 a block stack) and the Schur
+            right-hand side p1 - A h."""
+            h = join(nt.r @ p4 @ r_h) + apply_w(p2)
+            return h, p1 - a_dot(h)
+
+        def newton(h, q1, p2, p3, p5):
             rhs2 = p3 + _dot(c, h) + p5 / tau
             dtau = (rhs2 - _dot(g2, q1)) / denom
             dy = q1 + q2 * dtau[:, np.newaxis]
             aty = at_dot(dy)
-            dx = h + apply_w_vec(aty) - wc * dtau[:, np.newaxis]
+            dx = h + apply_w(aty) - wc * dtau[:, np.newaxis]
             ds = -aty + c * dtau[:, np.newaxis] - p2
             dkappa = (p5 - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa
 
-        def max_alpha(dx, ds, dtau, dkappa):
-            wmin = _min_eig_along(nt.l_inv, np.concatenate([split(dx), split(ds)], axis=-3))
+        # Directions in the NT frame: R^-1 dX R^-H, then R^H dS R. The
+        # iterate is diag(lam) in that frame, so scaled by lam^-1/2 on both
+        # sides their smallest eigenvalue gives the largest step.
+        lam = nt.lam
+        r_h = _ct(nt.r)
+        frame = np.concatenate([nt.rinv, r_h], axis=-3)
+        frame_h = _ct(frame)
+        isq = 1.0 / np.sqrt(lam)
+        unit = np.tile(isq[..., :, np.newaxis] * isq[..., np.newaxis, :], (1, 2, 1, 1))
+
+        def in_frame(dx, ds):
+            return frame @ np.concatenate([split(dx), split(ds)], axis=-3) @ frame_h
+
+        def max_alpha(d, dtau, dkappa):
+            g = d * unit
+            wmin = np.linalg.eigvalsh(0.5 * (g + _ct(g)))[..., 0].min(axis=-1)
             return np.array([_max_step(*v) for v in zip(wmin.tolist(), tau.tolist(), dtau.tolist(),
                                                         kappa.tolist(), dkappa.tolist())])
 
-        # Predictor (affine scaling direction).
-        p4_aff = join(_diag(-nt.lam))
-        dx_a, dy_a, ds_a, dtau_a, dkap_a = newton(-rp, -rd, -rg, p4_aff, -tau * kappa)
-        alpha_aff = np.minimum(1.0, max_alpha(dx_a, ds_a, dtau_a, dkap_a))
+        wc = apply_w(c)
+        awc = a_dot(wc)
+        g1 = awc + b
+        g2 = b - awc
+        alpha_sc = _dot(c, wc) + kappa / tau
+
+        # Predictor (affine scaling direction); its Schur system and the
+        # g1 system are one two-column solve.
+        p4_a = -lam[..., np.newaxis] * eye
+        h_a, v_a = newton_rhs(-rp, -rd, p4_a)
+        q2, q1_a = np.moveaxis(schur_solve(np.stack([g1, v_a], axis=-1)), -1, 0)
+        denom = _dot(g2, q2) + alpha_sc
+        stop = np.abs(denom) < 1e-300
+        denom[stop] = 1.0
+        dx_a, dy_a, ds_a, dtau_a, dkap_a = newton(h_a, q1_a, -rd, -rg, -tau * kappa)
+        d_a = in_frame(dx_a, ds_a)
+        alpha_aff = np.minimum(1.0, max_alpha(d_a, dtau_a, dkap_a))
         step = alpha_aff[:, np.newaxis]
         mu_aff = (_dot(x + step * dx_a, s + step * ds_a)
                   + (tau + alpha_aff * dtau_a) * (kappa + alpha_aff * dkap_a)) / (nu + _PAIR)
@@ -664,22 +718,22 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
         sigma = np.minimum(1.0, np.maximum(0.0, np.float_power(mu_aff / mu, 3)))
 
         # Corrector (combined direction).
-        dxs = nt.rinv @ split(dx_a) @ _ct(nt.rinv)
-        dss = _ct(nt.r) @ split(ds_a) @ nt.r
+        nb = len(lay.blocks)
+        dxs, dss = d_a[:, :nb], d_a[:, nb:]
         hcorr = 0.5 * (dxs @ dss + dss @ dxs)
-        lam = nt.lam
-        target_mu = (sigma * mu)[:, np.newaxis, np.newaxis, np.newaxis]
-        target = target_mu * np.eye(lay.dim) - _diag(lam * lam) - hcorr
-        p4 = join(target / (0.5 * (lam[..., :, np.newaxis] + lam[..., np.newaxis, :])))
+        target = ((sigma * mu)[:, np.newaxis, np.newaxis] - lam * lam)[..., np.newaxis] * eye - hcorr
+        p4 = target / (0.5 * (lam[..., :, np.newaxis] + lam[..., np.newaxis, :]))
         p5 = _PAIR * sigma * mu - tau * kappa - dtau_a * dkap_a
         eta = 1.0 - sigma
-        dx, dy, ds, dtau, dkappa = newton(-eta[:, np.newaxis] * rp, -eta[:, np.newaxis] * rd,
-                                          -eta * rg, p4, p5)
+        p2 = -eta[:, np.newaxis] * rd
+        h, v = newton_rhs(-eta[:, np.newaxis] * rp, p2, p4)
+        dx, dy, ds, dtau, dkappa = newton(h, schur_solve(v[..., np.newaxis])[..., 0], p2, -eta * rg, p5)
 
         # Line search: each problem halves its step until its iterate is
         # interior. Every try evaluates the whole batch; a problem keeps the
-        # candidate of the step it accepted.
-        alpha = np.minimum(1.0, _STEP_FRACTION * max_alpha(dx, ds, dtau, dkappa))
+        # candidate of the step it accepted, and the Cholesky factors of its
+        # blocks for the next NT scaling.
+        alpha = np.minimum(1.0, _STEP_FRACTION * max_alpha(in_frame(dx, ds), dtau, dkappa))
         searching = ~stop
         for _ in range(40):
             tau_new = tau + alpha * dtau
@@ -687,14 +741,15 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
             x_new = x + alpha[:, np.newaxis] * dx
             s_new = s + alpha[:, np.newaxis] * ds
             blocks = np.concatenate([split(x_new), split(s_new)], axis=-3)
-            ok = (tau_new > 0) & (kappa_new > 0) & ~_guarded(np.linalg.cholesky, blocks)[1]
+            factors, singular = _guarded(np.linalg.cholesky, blocks, eye)
+            ok = (tau_new > 0) & (kappa_new > 0) & ~singular
             searching &= ~ok
             if not searching.any():
                 break
             alpha[searching] *= 0.5
         stop |= searching
         # a stopped problem leaves the batch with whatever candidate it had
-        run.x, run.s, run.tau, run.kappa = x_new, s_new, tau_new, kappa_new
+        run.x, run.s, run.tau, run.kappa, run.factors = x_new, s_new, tau_new, kappa_new, factors
         run.y = y + alpha[:, np.newaxis] * dy
         if stop.any():
             for j in np.flatnonzero(stop):

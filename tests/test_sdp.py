@@ -23,6 +23,7 @@ from steerkit.sdp import (
     _herm_basis,
     _Layout,
     _schur_complement,
+    _tile_inverses,
     _tri_solve,
     smat,
     solve,
@@ -412,18 +413,20 @@ class TestSchurComplement:
 
         f = gen.standard_normal((len(p.blocks), n, n)) + 1j * gen.standard_normal((len(p.blocks), n, n))
         w = f @ f.conj().transpose(0, 2, 1) + 0.1 * np.eye(n)
-        got = _schur_complement(layout, w[np.newaxis])[0]
+        got, got_k = (part[0] for part in _schur_complement(layout, w[np.newaxis]))
 
         k = np.zeros((layout.total, layout.total))
         for i, wb in enumerate(w):
-            k[i * t:(i + 1) * t, i * t:(i + 1) * t] = np.column_stack(
-                [svec(wb @ smat(e, n) @ wb) for e in np.eye(t)])
+            # row p of K_b is svec(W_b E_p W_b)
+            kb = np.array([svec(wb @ smat(e, n) @ wb) for e in np.eye(t)])
+            assert np.max(np.abs(got_k[i] - kb)) <= 1e-12 * np.max(np.abs(kb))
+            k[i * t:(i + 1) * t, i * t:(i + 1) * t] = kb.T
         ref = a @ k @ a.T
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         # two stacked scaling points give the two matrices alone, bit for bit
-        both = _schur_complement(layout, np.stack([w, w[::-1]]))
+        both = _schur_complement(layout, np.stack([w, w[::-1]]))[0]
         assert np.array_equal(both[0], got)
-        assert np.array_equal(both[1], _schur_complement(layout, w[np.newaxis, ::-1])[0])
+        assert np.array_equal(both[1], _schur_complement(layout, w[np.newaxis, ::-1])[0][0])
 
     def test_matches_dense_symmetric_kronecker(self):
         gen = rng(31)
@@ -521,18 +524,31 @@ class TestTriangularSolve:
     def test_lower_and_upper_factor_solves(self, n, cond):
         gen = rng(40 + n)
         chol = np.linalg.cholesky(_spd(n, cond, gen))
-        v = gen.standard_normal(n)
-        for t, lower in ((chol, True), (np.ascontiguousarray(chol.T), False)):
-            x = _tri_solve(t, v, lower)
-            ref = np.linalg.solve(t, v)
-            if n <= _TRI_BLOCK:
-                # one block: the very same LAPACK call
-                assert np.array_equal(x, ref)
-            if cond < 1e3:
-                assert np.linalg.norm(t @ x - v) <= 1e-12 * np.linalg.norm(v)
-                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-            else:
-                assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        # one column, and two as in the solves of g1 and of the predictor
+        for v in (gen.standard_normal((n, 1)), gen.standard_normal((n, 2))):
+            for t, lower in ((chol, True), (np.ascontiguousarray(chol.T), False)):
+                x = _tri_solve(t, _tile_inverses(t), v, lower)
+                ref = np.linalg.solve(t, v)
+                # the refined tile inverses leave a residual of LAPACK's size
+                assert np.linalg.norm(t @ x - v) <= 2.0 * np.linalg.norm(t @ ref - v)
+                if cond < 1e3:
+                    assert np.linalg.norm(t @ x - v) <= 1e-12 * np.linalg.norm(v)
+                    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+                else:
+                    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_refinement_keeps_a_converging_solve(self):
+        # S_R of a (3, 2) assemblage: without the refinement step of
+        # _tri_solve, the tau-elimination denominator of this converging
+        # solve rounds to exactly 0.0 at iteration 9 and the solve ends
+        # indeterminate
+        gen = np.random.default_rng([32, 3, 2])
+        p = gen.uniform(0.75, 0.95)
+        bases = [np.linalg.qr(gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3)))[0] for _ in range(2)]
+        rob = steering_robustness(steer(isotropic(3, p), MeasurementFamily.from_bases(bases)))
+        assert rob.status == "optimal"
+        assert abs(rob.certificate_value - rob.value) <= 1e-6
+        assert abs(rob.dual_value - rob.value) <= 1e-6
 
 
 class TestTiledCholesky:
@@ -621,7 +637,7 @@ class TestSeveralSchurBlocks:
         p, _ = qutrit_fraction_program(3, rng(49))
         assert p.n_constraints == 243
         rows = []
-        for name in ("cholesky", "solve"):
+        for name in ("cholesky", "solve", "inv", "eigh"):
             def spy(a, *args, _call=getattr(np.linalg, name), **kwargs):
                 rows.append(np.shape(a)[-2])
                 return _call(a, *args, **kwargs)
@@ -772,8 +788,21 @@ class TestSolveMany:
             return real(xs)
 
         monkeypatch.setattr(sdp, "_nt_scaling", nt_scaling)
+        # the line search's interior tests, and whether each fell back to
+        # one call per problem
+        interior = []
+
+        def guarded(fn, stack, fill=None, _call=sdp._guarded):
+            result, failed = _call(fn, stack, fill)
+            if fn is np.linalg.cholesky:
+                interior.append(bool(failed.any()))
+            return result, failed
+
+        monkeypatch.setattr(sdp, "_guarded", guarded)
         batch = solve_many(problems, tol=1e-9)
         assert calls["slice"] == 3
+        # problem 1 leaves before its Newton step, so no line search falls back
+        assert interior and not any(interior)
         assert batch[1].status == "indeterminate" and batch[1].iterations == 2
         assert batch[1].trace == solo[1].trace[:3]
         for i in (0, 2):
