@@ -32,6 +32,7 @@ __all__ = [
 
 NS_TOL = 1e-9
 MEMBERSHIP_CAP_BITS = 12.0  # settings * log2(outcomes) must stay below this
+MEMBER_TOL = 1e-7  # the largest robustness that lhs_membership reads as membership
 
 
 def _clean_operator_table(table: np.ndarray, what: str) -> np.ndarray:
@@ -260,11 +261,11 @@ class MembershipResult:
         return self.status == "member"
 
 
-def lhs_membership(sigma: Assemblage, tol: float = 1e-7) -> MembershipResult:
+def lhs_membership(sigma: Assemblage) -> MembershipResult:
     """Decide LHS membership with a certificate on either side.
 
     The underlying convex program is the robustness solve; membership is
-    declared when the optimal mixing weight is below `tol`.  Nonmember
+    declared when the optimal mixing weight is at most MEMBER_TOL.  Nonmember
     witnesses are verified against the exact enumeration bound before
     being returned.
     """
@@ -274,7 +275,7 @@ def lhs_membership(sigma: Assemblage, tol: float = 1e-7) -> MembershipResult:
     if report.status != "optimal":
         return MembershipResult(status="indeterminate", robustness=None, gap=report.gap)
 
-    if report.value <= tol:
+    if report.value <= MEMBER_TOL:
         proj = np.einsum("kxa,kij->xaij", report.strategy_indicator, report.model)
         residual = float(np.max(np.abs(proj - sigma.members)))
         return MembershipResult(

@@ -83,8 +83,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
+def _common(parser: argparse.ArgumentParser, solver: bool = False) -> None:
+    if solver:
+        parser.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
     parser.add_argument("--out", default=None, help="write the report to this file")
 
@@ -124,12 +125,12 @@ def build_parser() -> _Parser:
     p = subs.add_parser("lvs", help="largest violation of a steering functional by a state")
     p.add_argument("--state", required=True)
     p.add_argument("--functional", required=True)
-    _common(p)
+    _common(p, solver=True)
 
     p = subs.add_parser("monotone", help="convex steering monotone of an assemblage")
     p.add_argument("--assemblage", required=True)
     p.add_argument("--which", choices=("S_O", "S_W", "S_R"), default="S_O")
-    _common(p)
+    _common(p, solver=True)
 
     p = subs.add_parser("game", help="named game and measurement generators")
     game_subs = p.add_subparsers(dest="game", metavar="name", required=True)

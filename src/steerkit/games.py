@@ -53,6 +53,10 @@ CGLMP_LV_MAX_OUTCOMES = 10**7
 # at once: at d = 73 that takes 0.8 s (one BLAS thread, 2-vCPU host) and
 # peaks at about 0.7 GB; d = 79 takes 1.3-1.7 s.
 MUB_MAX_DIM = 73
+# `game mub` builds, validates and encodes mub_functional's (n, d, d, d)
+# table: d = 17, n = 18 (88,434 entries) takes about 1 s and writes 8 MB,
+# d = 31 took 7.7 s and 656 MB (2-vCPU host).
+MUB_FUNCTIONAL_MAX_ENTRIES = 2**17
 
 
 def _check_outcomes(n: int) -> None:
@@ -303,6 +307,10 @@ def mub(d: int, n: int) -> MubFamily:
 
 
 def mub_functional(fam: MubFamily) -> SteeringFunctional:
-    """Steering functional whose operators are the basis projectors."""
+    """Steering functional whose operators are the basis projectors, at most
+    MUB_FUNCTIONAL_MAX_ENTRIES numbers (ValueError past that)."""
+    entries = len(fam.vectors) * fam.d**3
+    if entries > MUB_FUNCTIONAL_MAX_ENTRIES:
+        raise ValueError(f"the functional has {entries} entries, above the cap of {MUB_FUNCTIONAL_MAX_ENTRIES}")
     ops = np.einsum("xia,xja->xaij", fam.vectors, fam.vectors.conj())
     return SteeringFunctional(fam.d, ops)

@@ -54,26 +54,25 @@ corrector needs.
 Schur solve. Each Newton system M dy = r is solved with the Cholesky factor
 M = L L^T by forward and back substitution over row blocks of _TRI_BLOCK
 rows (`_tri_solve`): one matrix product for a tile's coupling to the tiles
-already solved, O(n^2) per right-hand side once L is known. Each diagonal
-tile D of L is inverted once per iteration (`_tile_inverses`), and every
-sweep applies D^-1 with one refinement step against D: Z = D^-1 R, then
-X = Z + D^-1 (R - D Z). The inverse alone is not accurate enough near the
-end of a solve, where M is ill-conditioned: the tau-elimination
-denominator g2.q2 + <c, W c> + kappa/tau is a difference of terms of order
-1e9, and with unrefined inverses it rounded to exactly 0.0 on converging
-S_R and membership solves of (3, 2), (3, 3) and (4, 2) assemblages, which
-then ended indeterminate. The refined solve's residual is within twice
-that of LAPACK's LU solve on the same triangle. The g1 system and the
-predictor's system are one two-column solve, so an iteration makes four
-sweeps. The factor is built on the same tiles (`_cholesky`, a left-looking
-block Cholesky): one LAPACK factorization per diagonal tile, one LAPACK
-solve per tile column for the rows below it (a tile inverse there failed a
-solve), and products of single tile pairs for the updates. At the sizes of
-these programs (up to a few hundred rows) threads cannot pay, and calls
-this small run on the calling thread, whereas one LAPACK call on the whole
-matrix starts OpenBLAS's thread pool from about 128 rows: its workers then
-spin on the other cores, and waking them adds latency. A problem whose M
-does not factor solves by least squares on M (see below).
+already solved, O(n^2) per right-hand side once L is known. The factor is
+built on the same tiles (`_cholesky`, a left-looking block Cholesky):
+products of single tile pairs for the update, then one LAPACK factorization
+and one LAPACK inverse per diagonal tile D. Every solve against D, for the
+factor's rows below it and in every sweep, applies that inverse with one
+refinement step (`_refined`): Z = D^-1 R, then X = Z + D^-1 (R - D Z), with
+a residual within twice that of LAPACK's LU solve on the same triangle. The
+inverse alone is not accurate enough: below D it failed a solve, and near
+the end of a solve, where M is ill-conditioned, the tau-elimination
+denominator g2.q2 + <c, W c> + kappa/tau, a difference of terms of order
+1e9, rounded to exactly 0.0 on converging S_R and membership solves of
+(3, 2), (3, 3) and (4, 2) assemblages, which then ended indeterminate. The
+g1 system and the predictor's system are one two-column solve, so an
+iteration makes four sweeps. At these sizes (up to a few hundred rows)
+threads cannot pay, and calls this small run on the calling thread, whereas
+one LAPACK call on the whole matrix starts OpenBLAS's thread pool from
+about 128 rows: its workers then spin on the other cores, and waking them
+adds latency. A problem whose M does not factor solves by least squares on
+M (see below).
 
 Batched problems. `solve_many` solves problems that share their blocks and
 constraint rows, and differ only in b and in the objective, in one call
@@ -429,17 +428,22 @@ def _max_step(wmin: float, tau: float, dtau: float, kappa: float, dkappa: float)
     return a
 
 
-def _cholesky(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a positive definite (real or Hermitian)
-    matrix or (..., n, n) stack, by left-looking block Cholesky over tiles
-    of _TRI_BLOCK rows.
+def _refined(d: np.ndarray, dinv: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """D^-1 R for a triangular tile D (or stack) with inverse dinv, with one
+    refinement step against D: Z = D^-1 R, then X = Z + D^-1 (R - D Z)."""
+    z = dinv @ r
+    return z + dinv @ (r - d @ z)
 
-    Per tile column: the update from the columns already factored is one
-    stacked product of tile pairs, the diagonal tile is one LAPACK
-    factorization, and the rows below it are one LAPACK solve against that
-    factor. Up to _TRI_BLOCK rows this is the LAPACK call of
-    np.linalg.cholesky(m). Raises LinAlgError when a matrix is not positive
-    definite."""
+
+def _cholesky(m: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Lower Cholesky factor L of a positive definite (real or Hermitian)
+    matrix or (..., n, n) stack by left-looking block Cholesky over tiles of
+    _TRI_BLOCK rows, and the inverses of L's diagonal tiles D. Per tile
+    column: one stacked product of tile pairs for the update, one LAPACK
+    factorization and one LAPACK inverse of D, and the rows below D solved
+    through that inverse (`_refined`). Up to _TRI_BLOCK rows L is the LAPACK
+    call of np.linalg.cholesky(m). Raises LinAlgError when a matrix is not
+    positive definite."""
     n = m.shape[-1]
     lead = m.shape[:-2]
     size = min(n, _TRI_BLOCK)
@@ -447,6 +451,7 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
     # the factor, padded with zeros to whole tiles, and its tile view
     fac = np.zeros(lead + (count * size, count * size), dtype=m.dtype)
     tiles = fac.reshape(lead + (count, size, count, size)).swapaxes(-3, -2)
+    inv = []
     for k in range(count):
         i0, i1 = k * size, min(k * size + size, n)
         col = m[..., i0:, i0:i1]
@@ -454,26 +459,17 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
             update = (tiles[..., k:, :k, :, :] @ _ct(tiles[..., k:k + 1, :k, :, :])).sum(axis=-3)
             col = col - update.reshape(lead + (-1, size))[..., :n - i0, :i1 - i0]
         diag = fac[..., i0:i1, i0:i1] = np.linalg.cholesky(col[..., :i1 - i0, :])
+        inv.append(np.linalg.inv(diag))
         if i1 < n:
-            fac[..., i1:n, i0:i1] = _ct(np.linalg.solve(diag, _ct(col[..., i1 - i0:, :])))
-    return fac[..., :n, :n]
-
-
-def _tile_inverses(t: np.ndarray) -> list[np.ndarray]:
-    """Inverses of the diagonal tiles of _TRI_BLOCK rows of a triangular T
-    (or (..., n, n) stack), one LAPACK call per tile, for `_tri_solve`."""
-    return [np.linalg.inv(t[..., i0:i0 + _TRI_BLOCK, i0:i0 + _TRI_BLOCK])
-            for i0 in range(0, t.shape[-1], _TRI_BLOCK)]
+            fac[..., i1:n, i0:i1] = _ct(_refined(diag, inv[k], _ct(col[..., i1 - i0:, :])))
+    return fac[..., :n, :n], inv
 
 
 def _tri_solve(t: np.ndarray, inv: list[np.ndarray], v: np.ndarray, lower: bool) -> np.ndarray:
     """Solve T X = V for a triangular T by block substitution, for one
-    system or a stack of them ((..., n, n) and (..., n, k)); inv holds the
-    inverses of T's diagonal tiles (`_tile_inverses`).
-
-    Per tile D of at most _TRI_BLOCK rows, the coupling to the tiles already
-    solved is one matrix product and D is applied through its inverse with
-    one refinement step against D: Z = D^-1 R, then X = Z + D^-1 (R - D Z)."""
+    system or a stack of them ((..., n, n) and (..., n, k)): per tile D of
+    _TRI_BLOCK rows, one matrix product for the coupling to the tiles
+    already solved, then D^-1 from inv (`_cholesky`) through `_refined`."""
     n = v.shape[-2]
     starts = list(enumerate(range(0, n, _TRI_BLOCK)))
     x = np.empty(v.shape)
@@ -484,8 +480,7 @@ def _tri_solve(t: np.ndarray, inv: list[np.ndarray], v: np.ndarray, lower: bool)
             r = r - t[..., i0:i1, :i0] @ x[..., :i0, :]
         elif not lower and i1 < n:
             r = r - t[..., i0:i1, i1:] @ x[..., i1:, :]
-        z = inv[k] @ r
-        x[..., i0:i1, :] = z + inv[k] @ (r - t[..., i0:i1, i0:i1] @ z)
+        x[..., i0:i1, :] = _refined(t[..., i0:i1, i0:i1], inv[k], r)
     return x
 
 
@@ -520,6 +515,11 @@ class _Running:
     tau: np.ndarray
     kappa: np.ndarray
     factors: np.ndarray   # (P, 2B, n, n) Cholesky factors of the X, then the S blocks
+    # residuals and mu of the iterate, set at the top of every iteration
+    rp: np.ndarray | None = None
+    rd: np.ndarray | None = None
+    rg: np.ndarray | None = None
+    mu: np.ndarray | None = None
 
     def take(self, keep: np.ndarray) -> _Running:
         return _Running(*(getattr(self, f.name)[keep] for f in fields(self)))
@@ -580,23 +580,34 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
     traces: list[list[dict]] = [[] for _ in problems]
     out: list[SdpSolution | None] = [None] * count
 
-    def finish(j, status, iters, **extra):
-        i = run.ids[j]
-        out[i] = SdpSolution(status=status, iterations=iters, trace=traces[i], **extra)
+    def leave(run: _Running, ended: dict[int, dict], iters: int) -> tuple[_Running, np.ndarray]:
+        """Record the solutions that `ended` maps from stack positions (as SdpSolution
+        fields), at iteration iters, and drop those problems: the survivors and their mask."""
+        keep = np.ones(len(run.ids), dtype=bool)
+        for j, fields_j in ended.items():
+            i = run.ids[j]
+            out[i] = SdpSolution(iterations=iters, trace=traces[i], **fields_j)
+            keep[j] = False
+        return (run.take(keep) if ended else run), keep
 
     for it in range(max_iters):
         b, c, x, s, y, tau, kappa = run.b, run.c, run.x, run.s, run.y, run.tau, run.kappa
-        tau_col = tau[:, np.newaxis]
         by, cx, xs = _dot(b, y), _dot(c, x), _dot(x, s)
-        mu = (xs + tau * kappa) / (nu + _PAIR)
-
-        pres = np.abs(a_dot(x / tau_col) - b).max(axis=1, initial=0.0) / run.bnorm
-        dres = np.abs(at_dot(y / tau_col) + s / tau_col - c).max(axis=1, initial=0.0) / run.cnorm
+        run.rp = a_dot(x) - b * tau[:, np.newaxis]
+        run.rd = -at_dot(y) + c * tau[:, np.newaxis] - s
+        run.rg = by - cx - kappa
+        run.mu = (xs + tau * kappa) / (nu + _PAIR)
+        pres = np.abs(run.rp).max(axis=1, initial=0.0) / (tau * run.bnorm)
+        dres = np.abs(run.rd).max(axis=1, initial=0.0) / (tau * run.cnorm)
+        # NT scaling from the Cholesky factors of the iterate, which the line
+        # search computed. A problem whose blocks cannot be scaled ends
+        # before its Newton step.
+        nt, failed = _guarded(_nt_scaling, run.factors, start)
         # Per problem, in Python floats: the trace row and the exit tests.
-        gone = np.zeros(len(run.ids), dtype=bool)
-        rows = zip(run.sign.tolist(), mu.tolist(), tau.tolist(), kappa.tolist(), pres.tolist(),
-                   dres.tolist(), cx.tolist(), by.tolist(), xs.tolist())
-        for j, (sign, mu_j, tau_j, kappa_j, pres_j, dres_j, cx_j, by_j, xs_j) in enumerate(rows):
+        ended = {}
+        rows = zip(run.sign.tolist(), run.mu.tolist(), tau.tolist(), kappa.tolist(), pres.tolist(),
+                   dres.tolist(), cx.tolist(), by.tolist(), xs.tolist(), failed.tolist())
+        for j, (sign, mu_j, tau_j, kappa_j, pres_j, dres_j, cx_j, by_j, xs_j, failed_j) in enumerate(rows):
             pobj, dobj = cx_j / tau_j, by_j / tau_j
             relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
             po, do = sign * pobj, sign * dobj
@@ -604,47 +615,29 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
                                        "pres": pres_j, "dres": dres_j, "pobj": po, "dobj": do,
                                        "xs_inner": xs_j})
             if pres_j <= tol and dres_j <= tol and relgap <= tol:
-                finish(j, "optimal", it, x=split(x[j] / tau_j), y=sign * y[j][lay.order] / tau_j,
-                       s=split(s[j] / tau_j), primal_objective=po,
-                       dual_objective=do, gap=abs(po - do), rel_gap=relgap)
-                gone[j] = True
+                ended[j] = dict(status="optimal", x=split(x[j] / tau_j), y=sign * y[j][lay.order] / tau_j,
+                                s=split(s[j] / tau_j), primal_objective=po, dual_objective=do,
+                                gap=abs(po - do), rel_gap=relgap)
             # Infeasibility: test Farkas certificates once tau collapses.
             elif tau_j < 1e-8 * min(1.0, kappa_j) or (mu_j < 1e-10 * mu0 and tau_j < 1e-6):
                 status, certificate = _farkas(lay, tol, b[j], c[j], x[j], y[j])
-                finish(j, status, it, certificate=certificate)
-                gone[j] = True
-
-        if gone.any():
-            run = run.take(~gone)
-            if not len(run.ids):
-                break
-        # NT scaling from the Cholesky factors of the iterate, which the line
-        # search computed. A problem whose blocks cannot be scaled ends here,
-        # before its Newton step.
-        nt, failed = _guarded(_nt_scaling, run.factors)
-        if failed.any():
-            for j in np.flatnonzero(failed):
-                finish(j, "indeterminate", it)
-            run = run.take(~failed)
-            if not len(run.ids):
-                break
-            nt = _nt_scaling(run.factors)
-        # the residuals of the problems that take a step
+                ended[j] = dict(status=status, certificate=certificate)
+            elif failed_j:
+                ended[j] = dict(status="indeterminate")
+        run, keep = leave(run, ended, it)
+        if not len(run.ids):
+            break
+        nt = _Nt(*(part[keep] for part in nt))
         b, c, x, s, y, tau, kappa = run.b, run.c, run.x, run.s, run.y, run.tau, run.kappa
-        tau_col = tau[:, np.newaxis]
-        rp = a_dot(x) - b * tau_col
-        rd = -at_dot(y) + c * tau_col - s
-        rg = _dot(b, y) - _dot(c, x) - kappa
-        mu = (_dot(x, s) + tau * kappa) / (nu + _PAIR)
+        rp, rd, rg, mu = run.rp, run.rd, run.rg, run.mu
 
         m_schur, k = _schur_complement(lay, nt.w)
         m_schur = 0.5 * (m_schur + m_schur.swapaxes(-1, -2))
         shift = 1e-14 * np.trace(m_schur, axis1=-2, axis2=-1) / nrows
         shifted = m_schur + shift[:, np.newaxis, np.newaxis] * eye_rows
         # a problem whose Schur matrix does not factor solves by least squares
-        chol, failed = _guarded(_cholesky, shifted, eye_rows)
+        (chol, inv), failed = _guarded(_cholesky, shifted, eye_rows)
         chol_t = np.ascontiguousarray(chol.swapaxes(-1, -2))
-        inv = _tile_inverses(chol)
         inv_t = [tile.swapaxes(-1, -2) for tile in inv]
 
         def schur_solve(v):
@@ -751,14 +744,9 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
         # a stopped problem leaves the batch with whatever candidate it had
         run.x, run.s, run.tau, run.kappa, run.factors = x_new, s_new, tau_new, kappa_new, factors
         run.y = y + alpha[:, np.newaxis] * dy
-        if stop.any():
-            for j in np.flatnonzero(stop):
-                finish(j, "indeterminate", it)
-            run = run.take(~stop)
-            if not len(run.ids):
-                break
-
+        run, _ = leave(run, {j: dict(status="indeterminate") for j in np.flatnonzero(stop).tolist()}, it)
+        if not len(run.ids):
+            break
     else:
-        for j in range(len(run.ids)):
-            finish(j, "indeterminate", max_iters)
+        leave(run, {j: dict(status="indeterminate") for j in range(len(run.ids))}, max_iters)
     return out

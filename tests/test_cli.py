@@ -254,6 +254,16 @@ class TestGame:
         assert report["error"]["kind"] == "domain"
         assert "d <= 73" in report["error"]["message"]
 
+    def test_mub_functional_past_the_cap_is_domain_error(self, tmp_path):
+        # 20 bases in d = 19: 137,180 entries; 18 bases in d = 17 (88,434) still run
+        code, report = run_json(tmp_path, "game", "mub", "--d", "19", "--n", "20")
+        assert code == 1
+        assert report["error"]["kind"] == "domain"
+        assert "entries" in report["error"]["message"]
+        code, report = run_json(tmp_path, "game", "mub", "--d", "17", "--n", "18")
+        assert code == 0
+        assert report["functional"]["dim"] == 17 and report["functional"]["settings"] == 18
+
     def test_mub_report(self, tmp_path):
         code, report = run_json(tmp_path, "game", "mub", "--d", "3", "--n", "4")
         assert code == 0
@@ -396,12 +406,17 @@ class TestErrorHandling:
         assert report["error"]["kind"] == "domain"
 
     def test_tolerance_window(self, tmp_path):
-        state = write(tmp_path, "iso.json", {"isotropic": {"d": 2, "p": 0.5}})
-        code, report = run_json(tmp_path, "fef", "--state", state, "--tol", "1e-2")
+        asm = write(tmp_path, "asm.json", encode_assemblage(steer(max_entangled(2), zx_family())))
+        code, report = run_json(tmp_path, "monotone", "--assemblage", asm, "--tol", "1e-2")
         assert code == 1
         assert "tolerance" in report["error"]["message"]
-        code, report = run_json(tmp_path, "fef", "--state", state, "--tol", "1e-15")
+        code, report = run_json(tmp_path, "monotone", "--assemblage", asm, "--tol", "1e-15")
         assert code == 1
+
+    def test_tolerance_only_where_a_solver_runs(self, tmp_path, capsys):
+        state = write(tmp_path, "iso.json", {"isotropic": {"d": 2, "p": 0.5}})
+        assert run(["fef", "--state", state, "--tol", "1e-9"]) == 1
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, payload, message", [
         (("fef", "--state"), {"dA": 1, "dB": 2, "matrix": [[[1, 0], [0, 0]]]}, "square matrix"),

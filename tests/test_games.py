@@ -18,6 +18,7 @@ from steerkit.functionals import (
 from steerkit.assemblages import MeasurementFamily, steer
 from steerkit.games import (
     KV_MAX_OUTCOMES,
+    MUB_FUNCTIONAL_MAX_ENTRIES,
     MUB_MAX_DIM,
     KvGame,
     MubFamily,
@@ -407,6 +408,13 @@ class TestMubFunctional:
     def test_two_basis_steering_bound(self):
         func = mub_functional(mub(2, 2))
         assert abs(steering_bound(func).value - (1.0 + 1.0 / SQRT2)) <= 1e-9
+
+    def test_refuses_a_table_past_the_cap(self):
+        # 18 bases in d = 17 make 88,434 entries, 20 in d = 19 make 137,180
+        assert mub_functional(mub(17, 18)).operators.shape == (18, 17, 17, 17)
+        assert 18 * 17**3 <= MUB_FUNCTIONAL_MAX_ENTRIES < 20 * 19**3
+        with pytest.raises(ValueError, match="137180 entries"):
+            mub_functional(mub(19, 20))
 
     def test_three_basis_violation(self):
         func = mub_functional(mub(2, 3))

@@ -662,3 +662,20 @@ class TestLocalUnitaryInvariance:
             before, after = monotone(sig), monotone(turned)
             assert before.status == after.status == "optimal"
             assert abs(after.value - before.value) <= 1e-7
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("rho", [max_entangled(2), isotropic(2, 0.8), isotropic(2, 0.6)],
+                             ids=["max_entangled", "p=0.8", "p=0.6"])
+    def test_all_zero_outcome_changes_nothing(self, rho):
+        # a third setting whose outcome 0 is I and outcome 1 is 0: Alice's
+        # answer is fixed, so no monotone and no membership answer moves
+        trivial = np.stack([np.eye(2), np.zeros((2, 2))]).astype(complex)
+        fam = MeasurementFamily(2, np.concatenate([zx_family().effects, trivial[np.newaxis]]))
+        plain, padded = steer(rho, zx_family()), steer(rho, fam)
+        assert np.array_equal(padded.members[2, 1], np.zeros((2, 2)))
+        for monotone in (steering_robustness, optimal_steering_fraction, steerable_weight):
+            before, after = monotone(plain), monotone(padded)
+            assert before.status == after.status == "optimal"
+            assert abs(after.value - before.value) <= 1e-8
+        assert lhs_membership(padded).status == lhs_membership(plain).status

@@ -23,7 +23,6 @@ from steerkit.sdp import (
     _herm_basis,
     _Layout,
     _schur_complement,
-    _tile_inverses,
     _tri_solve,
     smat,
     solve,
@@ -523,11 +522,12 @@ class TestTriangularSolve:
     @pytest.mark.parametrize("n", SIZES)
     def test_lower_and_upper_factor_solves(self, n, cond):
         gen = rng(40 + n)
-        chol = np.linalg.cholesky(_spd(n, cond, gen))
+        chol, inv = _cholesky(_spd(n, cond, gen))
+        factors = ((chol, inv, True), (np.ascontiguousarray(chol.T), [tile.T for tile in inv], False))
         # one column, and two as in the solves of g1 and of the predictor
         for v in (gen.standard_normal((n, 1)), gen.standard_normal((n, 2))):
-            for t, lower in ((chol, True), (np.ascontiguousarray(chol.T), False)):
-                x = _tri_solve(t, _tile_inverses(t), v, lower)
+            for t, tile_inv, lower in factors:
+                x = _tri_solve(t, tile_inv, v, lower)
                 ref = np.linalg.solve(t, v)
                 # the refined tile inverses leave a residual of LAPACK's size
                 assert np.linalg.norm(t @ x - v) <= 2.0 * np.linalg.norm(t @ ref - v)
@@ -560,15 +560,24 @@ class TestTiledCholesky:
         single = _spd(n, 1e1, gen)
         stack = np.stack([_spd(n, 1e1, gen) for _ in range(3)])
         for m in (single, stack):
-            got, ref = _cholesky(m), np.linalg.cholesky(m)
+            (got, inv), ref = _cholesky(m), np.linalg.cholesky(m)
             if n <= _TRI_BLOCK:
                 # one tile: the very same LAPACK call
                 assert np.array_equal(got, ref)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
             assert np.array_equal(np.triu(got, 1), np.zeros_like(got))
-        # a matrix's factor does not depend on the stack it is in
-        batched = _cholesky(stack)
-        assert all(np.array_equal(batched[j], _cholesky(stack[j])) for j in range(3))
+            # one inverse per diagonal tile
+            assert len(inv) == -(-n // _TRI_BLOCK)
+            for k, tile_inv in enumerate(inv):
+                i0 = k * _TRI_BLOCK
+                tile = got[..., i0:i0 + _TRI_BLOCK, i0:i0 + _TRI_BLOCK]
+                assert np.array_equal(tile_inv, np.linalg.inv(tile))
+        # a matrix's factor and tile inverses do not depend on the stack it is in
+        batched, batched_inv = _cholesky(stack)
+        for j in range(3):
+            alone, alone_inv = _cholesky(stack[j])
+            assert np.array_equal(batched[j], alone)
+            assert all(np.array_equal(tile[j], tile_alone) for tile, tile_alone in zip(batched_inv, alone_inv))
 
     @pytest.mark.parametrize("n", (3, 64, 65, 130))
     def test_complex_hermitian(self, n):
@@ -576,7 +585,7 @@ class TestTiledCholesky:
         q, _ = np.linalg.qr(gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n)))
         m = (q * np.logspace(0, 1, n)) @ q.conj().T
         m = 0.5 * (m + m.conj().T)
-        got, ref = _cholesky(m), np.linalg.cholesky(m)
+        (got, _), ref = _cholesky(m), np.linalg.cholesky(m)
         if n <= _TRI_BLOCK:
             assert np.array_equal(got, ref)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -721,6 +730,24 @@ class TestSolveMany:
             assert sol.status == "optimal"
             assert_same_solution(sol, solve(p, tol=1e-9))
             assert [r["iter"] for r in sol.trace] == list(range(sol.iterations + 1))
+
+    def test_batch_that_ends_both_ways(self):
+        # with the cap at the largest solo iteration count, the problems
+        # that need fewer iterations converge and the others hit the cap,
+        # each as it does alone
+        problems = self.programs(64, 6)
+        counts = [solve(p, tol=1e-9).iterations for p in problems]
+        cap = max(counts)
+        assert min(counts) < cap
+        batch = solve_many(problems, tol=1e-9, max_iters=cap)
+        assert {s.status for s in batch} == {"optimal", "indeterminate"}
+        for p, sol in zip(problems, batch):
+            alone = solve(p, tol=1e-9, max_iters=cap)
+            assert_same_solution(sol, alone, tol=0.0)
+            assert sol.trace == alone.trace
+            if sol.status == "indeterminate":
+                assert sol.iterations == cap and len(sol.trace) == cap
+                assert sol.primal_objective is None and sol.x is None
 
     def test_result_does_not_depend_on_the_partners(self):
         target = self.programs(61, 1)[0]
