@@ -36,7 +36,9 @@ MEMBER_TOL = 1e-7  # the largest robustness that lhs_membership reads as members
 
 
 def _clean_operator_table(table: np.ndarray, what: str) -> np.ndarray:
-    """Validate a (..., d, d) table: Hermitian to 1e-12, PSD up to -1e-10."""
+    """Validate a (..., d, d) table: finite, Hermitian to 1e-12, PSD up to -1e-10."""
+    if not np.isfinite(table).all():
+        raise ValueError(f"{what}: entries must be finite")
     try:
         out = project_psd(herm(table))
     except ValueError as exc:
@@ -143,8 +145,8 @@ class WiringMap:
         po = np.asarray(self.p_outcome, dtype=float)
         if ps.ndim != 2 or po.ndim != 4 or po.shape[:2] != ps.shape:
             raise ValueError("wiring shapes inconsistent")
-        if ps.min() < -1e-12 or po.min() < -1e-12:
-            raise ValueError("wiring probabilities must be non-negative")
+        if not (np.isfinite(ps).all() and np.isfinite(po).all()) or min(ps.min(), po.min()) < -1e-12:
+            raise ValueError("wiring probabilities must be finite and non-negative")
         if np.max(np.abs(ps.sum(axis=1) - 1.0)) > NS_TOL:
             raise ValueError("setting kernel rows must sum to 1")
         if np.max(np.abs(po.sum(axis=3) - 1.0)) > NS_TOL:
@@ -209,6 +211,8 @@ class Instrument1W:
             k = np.asarray(br.kraus, dtype=np.complex128)
             if k.ndim != 2 or k.shape[1] != din:
                 raise ValueError("all Kraus operators must share the input dimension")
+            if not np.isfinite(k).all():
+                raise ValueError("Kraus operators must be finite")
             acc = acc + dagger(k) @ k
         top = float(np.linalg.eigvalsh(0.5 * (acc + dagger(acc)))[-1])
         if top > 1.0 + NS_TOL:

@@ -300,16 +300,7 @@ def _cmd_monotone(args, config: RunConfig):
         "S_R": steering_robustness,
     }[args.which]
     report = compute(sigma, tol=config.tol)
-    payload = {
-        "monotone": report.monotone,
-        "value": report.value,
-        "gap": report.gap,
-        "status": report.status,
-        "certificate": report.certificate,
-        "certificate_value": report.certificate_value,
-        "dual_value": report.dual_value,
-    }
-    return payload, 0 if report.status == "optimal" else 2
+    return asdict(report), 0 if report.status == "optimal" else 2
 
 
 def _cmd_game(args, config: RunConfig):

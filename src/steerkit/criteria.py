@@ -379,8 +379,8 @@ def amplification_plan(epsilon: float, delta: float, k: int = 3) -> Amplificatio
     integer representation. Targets that need ln d beyond 3e4 raise
     RuntimeError.
     """
-    if epsilon <= 0.0 or delta <= 0.0:
-        raise ValueError("targets must be positive")
+    if not (0.0 < epsilon < math.inf and 0.0 < delta < math.inf):
+        raise ValueError("targets must be positive and finite")
     if k < 3:
         raise ValueError("the bound shrinks with dimension below three copies")
     log_delta = math.log(delta)

@@ -66,6 +66,8 @@ class BellFunctional:
         c = np.asarray(self.coefficients, dtype=float)
         if c.ndim != 4:
             raise ValueError("coefficients must be a [x][y][a][b] array")
+        if not np.isfinite(c).all():
+            raise ValueError("Bell coefficients must be finite")
         if c.min() < -1e-12:
             raise ValueError(
                 "negative Bell coefficients; use shift_nonnegative to renormalize first"
@@ -141,8 +143,8 @@ class Correlation:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 4:
             raise ValueError("table must be a [x][y][a][b] array")
-        if t.min() < -1e-12:
-            raise ValueError("negative probabilities")
+        if not np.isfinite(t).all() or t.min() < -1e-12:
+            raise ValueError("probabilities must be finite and non-negative")
         t = np.clip(t, 0.0, None)
         if np.max(np.abs(t.sum(axis=(2, 3)) - 1.0)) > NS_TOL:
             raise ValueError("each setting pair must be normalized")

@@ -5,14 +5,12 @@ steering fraction (best normalized functional value minus one), the
 steerable weight (minimal weight on a steerable part in a convex split),
 and the steering robustness (minimal mixing with noise that destroys
 steerability).  Each is a semidefinite program over the deterministic
-response strategies of the measured side, and each solve returns both a
-primal certificate (a decomposition or an optimal functional) and a dual
-certificate whose independent evaluation reproduces the value.
+response strategies of the measured side.
 
 The steerable weight and the steering robustness are one program over
 PSD hidden states, one per strategy: a PSD slack holds their mixture below
 sigma when the weight maximizes their total trace, above it when the
-robustness minimizes it.
+robustness minimizes it.  `_hidden_state_outcome` reads either sense.
 
 The optimal steering fraction is the Lagrange dual of the robustness
 program, so both are read off one robustness solve: its dual slack is the
@@ -25,6 +23,13 @@ the derived tables the proposition chains check.
 The robustness program doubles as the membership engine for the LHS set:
 its optimal hidden-state table is the model for members, and its dual
 slack yields a violated functional for nonmembers.
+
+Not every certificate is checked apart from the solver.  `_functional_value`
+re-evaluates every functional by enumerating its strategy sums (S_R's and
+S_W's dual values, the fraction program's certificate value),
+`_cover_bound` shifts S_O's cover to exact feasibility, and membership is
+checked on both sides; S_R's tr(model) - 1 and S_W's 1 - tr(pi) are read
+off the solver's states unchecked.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 from .assemblages import MEMBERSHIP_CAP_BITS, Assemblage, Instrument1W, apply_instrument
 from .linalg import herm
 from .sdp import SdpProblem, solve, solve_many
-from .strategies import all_strategies, indicator
+from .strategies import all_strategies
 
 __all__ = [
     "MonotoneReport",
@@ -64,26 +69,27 @@ def _clamped(v: float) -> float:
     return 0.0 if v < VALUE_CLAMP else float(v)
 
 
-def _strategy_data(settings: int, outcomes: int) -> tuple[np.ndarray, np.ndarray]:
+def _strategy_indicator(settings: int, outcomes: int) -> np.ndarray:
+    """One-hot D[k, x, a] = 1 when strategy k (enumeration order) answers a on x."""
     if settings * np.log2(outcomes) > MEMBERSHIP_CAP_BITS:
         raise ValueError(
             f"the monotone and LHS-membership programs enumerate {outcomes}^{settings} "
             f"strategies; cap is settings*log2(outcomes) <= {MEMBERSHIP_CAP_BITS}"
         )
-    strat = all_strategies(settings, outcomes)
-    return strat, indicator(strat, outcomes)
+    return np.eye(outcomes)[all_strategies(settings, outcomes)]
 
 
-def _enumerated_norm(operators: np.ndarray, ind: np.ndarray) -> float:
-    """max over strategies of lambda_max(sum_x F_{D(x)|x}), by enumeration."""
-    summed = np.einsum("kxa,xaij->kij", ind, operators)
-    return float(np.linalg.eigvalsh(summed)[:, -1].max())
-
-
-def _fraction_of(members: np.ndarray, operators: np.ndarray, ind: np.ndarray) -> float:
-    """Honest steering-fraction evaluation of a functional on raw members."""
-    numerator = float(np.einsum("xaij,xaji->", operators, members).real)
-    return numerator / _enumerated_norm(operators, ind)
+def _functional_value(members: np.ndarray, ind: np.ndarray, functional: np.ndarray,
+                      sense: str) -> float | None:
+    """The bound a PSD functional certifies, its strategy sums enumerated:
+    payoff / max lambda_max - 1 for "min" (S_R, S_O), 1 - payoff / min
+    lambda_min for "max" (S_W); None when that lambda is not positive."""
+    eig = np.linalg.eigvalsh(np.einsum("kxa,xaij->kij", ind, functional))
+    lam = float(eig[:, -1].max()) if sense == "min" else float(eig[:, 0].min())
+    if lam <= 0:
+        return None
+    paid = float(np.einsum("xaij,xaji->", functional, members).real)
+    return _clamped((1.0 if sense == "min" else -1.0) * (paid / lam - 1.0))
 
 
 @dataclass(frozen=True)
@@ -91,10 +97,10 @@ class MonotoneReport:
     """One monotone value with certificates on both sides.
 
     `certificate` holds the primal optimizer (decomposition or
-    functional); `certificate_value` re-derives the value from it by
-    direct evaluation, and `dual_value` does the same from the dual side
-    after rescaling the dual variable to exact feasibility.  Both should
-    match `value` within solver accuracy.
+    functional); `certificate_value` and `dual_value` re-derive the value
+    from the two sides, each functional after rescaling to exact
+    feasibility (the module docstring says which side is checked).  Both
+    should match `value` within solver accuracy.
     """
 
     monotone: str
@@ -120,12 +126,12 @@ class RobustnessProgram:
     witness: np.ndarray | None = None             # (m, o, d, d) dual functional
     dual_value: float | None = None
     noise: np.ndarray | None = None               # (m, o, d, d), when value > 0
+    certificate_value: float | None = None        # tr(model) - 1
 
     def _robustness_report(self) -> MonotoneReport:
         """The S_R report of this solve (NaN unless it ended optimal)."""
         if self.status != "optimal":
             return MonotoneReport("S_R", float("nan"), float("nan"), self.status, {})
-        cert_value = _clamped(float(np.einsum("kii->", self.model).real) - 1.0)
         return MonotoneReport(
             monotone="S_R",
             value=self.value,
@@ -137,7 +143,7 @@ class RobustnessProgram:
                 "witness": self.witness,
                 "strategy_indicator": self.strategy_indicator,
             },
-            certificate_value=cert_value,
+            certificate_value=self.certificate_value,
             dual_value=self.dual_value,
         )
 
@@ -195,24 +201,24 @@ def _fraction_report(members: np.ndarray, dim: int, tol: float):
     on which the robustness program can stall.
     """
     m, o = members.shape[0], members.shape[1]
-    strat, ind = _strategy_data(m, o)
+    ind = _strategy_indicator(m, o)
     # blocks: F_{a|x} at x * o + a, then the slack T_k of strategy k
     p = SdpProblem()
-    for _ in range(m * o + len(strat)):
+    for _ in range(m * o + len(ind)):
         p.add_block(dim)
     p.set_objective(
         {x * o + a: herm(members[x, a], tol=1e-8) for x in range(m) for a in range(o)},
         sense="max",
     )
     eye = np.eye(dim)
-    for k, d_map in enumerate(strat):
-        terms = {x * o + d_map[x]: 1.0 for x in range(m)}
+    for k, row in enumerate(ind):
+        terms = dict.fromkeys(np.flatnonzero(row).tolist(), 1.0)
         terms[m * o + k] = 1.0
         p.add_matrix_equality(terms, eye)
     sol = solve(p, tol=tol)
     if sol.status != "optimal":
         return MonotoneReport("S_O", float("nan"), float("nan"), sol.status, {}), float("nan")
-    # copies, as in `_hidden_state_blocks`
+    # copies, as in `_hidden_state_outcome`
     functional = sol.x[:m * o].reshape(members.shape).copy()
     # the per-strategy dual matrices, PSD by construction
     duals = sol.s[m * o:].copy()
@@ -223,7 +229,7 @@ def _fraction_report(members: np.ndarray, dim: int, tol: float):
         gap=float(sol.gap),
         status=sol.status,
         certificate={"functional": functional, "dual_cover": duals, "supremum": supremum},
-        certificate_value=_clamped(_fraction_of(members, functional, ind) - 1.0),
+        certificate_value=_functional_value(members, ind, functional, "min"),
         dual_value=_cover_bound(members, ind, duals),
     )
     return report, supremum
@@ -237,25 +243,38 @@ def _hidden_state_program(members: np.ndarray, sense: str) -> tuple[SdpProblem, 
     shape, so tables of one shape give programs that `solve_many` batches.
     """
     m, o, dim = members.shape[0], members.shape[1], members.shape[-1]
-    strat, ind = _strategy_data(m, o)
+    ind = _strategy_indicator(m, o)
     slack = 1.0 if sense == "max" else -1.0
-    k_count = len(strat)
+    k_count = len(ind)
     p = SdpProblem()
     for _ in range(k_count + m * o):
         p.add_block(dim)
     p.set_objective({k: np.eye(dim) for k in range(k_count)}, sense=sense)
     for x in range(m):
         for a in range(o):
-            terms = {k: 1.0 for k in range(k_count) if strat[k, x] == a}
+            terms = dict.fromkeys(np.flatnonzero(ind[:, x, a]).tolist(), 1.0)
             terms[k_count + x * o + a] = slack
             p.add_matrix_equality(terms, herm(members[x, a], tol=1e-8))
     return p, ind
 
 
-def _hidden_state_blocks(sol, ind: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The pi_k and the (x, a) slacks of a solved hidden-state program, as
-    copies: views would keep every block of the solution alive in a report."""
-    return sol.x[:len(ind)].copy(), sol.s[len(ind):].reshape(shape).copy()
+def _hidden_state_outcome(members: np.ndarray, ind: np.ndarray, sol, sense: str):
+    """An optimal hidden-state program read off: the hidden states and the
+    functional (the (x, a) slacks) as copies, since views would keep every
+    block alive in a report; their mixture; the raw value; the part (noise
+    for "min", steerable part for "max", None when raw <= 1e-6); and the
+    certificate value (from the states' trace) and the dual value."""
+    states = sol.x[:len(ind)].copy()
+    functional = sol.s[len(ind):].reshape(members.shape).copy()
+    mixture = np.einsum("kxa,kij->xaij", ind, states)
+    sign = 1.0 if sense == "min" else -1.0
+    raw = sign * (float(sol.primal_objective) - 1.0)
+    part = None
+    if raw > 1e-6:  # each part keeps its own subtraction order, zeros' signs too
+        part = (mixture - members) / raw if sense == "min" else (members - mixture) / raw
+    cert_value = _clamped(sign * (float(np.einsum("kii->", states).real) - 1.0))
+    return (states, functional, mixture, raw, part, cert_value,
+            _functional_value(members, ind, functional, sense))
 
 
 def _cover_bound(members: np.ndarray, ind: np.ndarray, cover_states: np.ndarray) -> float:
@@ -285,8 +304,7 @@ def _fraction_from_robustness(members: np.ndarray, prog: RobustnessProgram, tol:
         gap=prog.gap,
         status=prog.status,
         certificate={"functional": prog.witness, "dual_cover": prog.model, "supremum": supremum},
-        # the enumerated fraction of the functional, which is the
-        # robustness program's own dual value
+        # the functional's enumerated value, the robustness program's dual value
         certificate_value=prog.dual_value,
         dual_value=_cover_bound(members, prog.strategy_indicator, prog.model),
     )
@@ -316,24 +334,11 @@ def steerable_weight(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
     sol = solve(problem, tol=tol)
     if sol.status != "optimal":
         return MonotoneReport("S_W", float("nan"), float("nan"), sol.status, {})
-    pi, witness = _hidden_state_blocks(sol, ind, members.shape)
-    unsteerable = np.einsum("kxa,kij->xaij", ind, pi)
-    raw = 1.0 - float(sol.primal_objective)
-    value = _clamped(raw)
-    steerable_part = (members - unsteerable) / raw if raw > 1e-6 else None
-    recovered = float(np.einsum("kii->", pi).real)
-    cert_value = _clamped(1.0 - recovered)
-    # Scale the dual witness to exact feasibility before trusting it: its
-    # strategy sums must dominate the identity.
-    summed = np.einsum("kxa,xaij->kij", ind, witness)
-    lam = float(np.linalg.eigvalsh(summed)[:, 0].min())
-    dual_value = None
-    if lam > 0:
-        paid = float(np.einsum("xaij,xaji->", witness, members).real)
-        dual_value = _clamped(1.0 - paid / lam)
+    pi, witness, unsteerable, raw, steerable_part, cert_value, dual_value = \
+        _hidden_state_outcome(members, ind, sol, "max")
     return MonotoneReport(
         monotone="S_W",
-        value=value,
+        value=_clamped(raw),
         gap=float(sol.gap),
         status=sol.status,
         certificate={
@@ -365,18 +370,10 @@ def _robustness_outcome(members: np.ndarray, ind: np.ndarray, sol) -> Robustness
     """The `RobustnessProgram` of a solved hidden-state program of sense "min"."""
     if sol.status != "optimal":
         return RobustnessProgram(status=sol.status, value=float("nan"), gap=sol.gap)
-    xi, witness = _hidden_state_blocks(sol, ind, members.shape)
-    raw = float(sol.primal_objective) - 1.0
-    value = _clamped(raw)
-    noise = None
-    if raw > 1e-6:
-        mixture = np.einsum("kxa,kij->xaij", ind, xi)
-        noise = (mixture - members) / raw
-    paid = float(np.einsum("xaij,xaji->", witness, members).real)
-    dual_value = _clamped(paid / _enumerated_norm(witness, ind) - 1.0)
+    xi, witness, _, raw, noise, cert_value, dual_value = _hidden_state_outcome(members, ind, sol, "min")
     return RobustnessProgram(
         status=sol.status,
-        value=value,
+        value=_clamped(raw),
         raw_value=raw,
         gap=float(sol.gap),
         model=xi,
@@ -384,6 +381,7 @@ def _robustness_outcome(members: np.ndarray, ind: np.ndarray, sol) -> Robustness
         witness=witness,
         dual_value=dual_value,
         noise=noise,
+        certificate_value=cert_value,
     )
 
 

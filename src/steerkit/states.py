@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    as_matrix,
     dagger,
     haar_unitary,
     herm,
@@ -57,9 +58,9 @@ ISOTROPIC_MAX_DIM = 30
 class DensityMatrix:
     """A bipartite density matrix on C^dA x C^dB.
 
-    The matrix is validated on construction: Hermitian to 1e-12 (then
-    symmetrized), positive semidefinite up to a -1e-10 eigenvalue floor
-    (then clipped), and unit trace to 1e-10 (then renormalized exactly).
+    The matrix is validated on construction: finite, Hermitian to 1e-12
+    (then symmetrized), positive semidefinite up to a -1e-10 eigenvalue
+    floor (then clipped), and unit trace to 1e-10 (then renormalized).
     """
 
     dA: int
@@ -69,7 +70,10 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         if self.dA < 1 or self.dB < 1:
             raise ValueError("local dimensions must be positive")
-        m = herm(self.matrix)
+        m = as_matrix(self.matrix)
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
+        m = herm(m)
         n = self.dA * self.dB
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match dA*dB={n}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["strategy_count", "all_strategies", "best_strategy", "indicator"]
+__all__ = ["strategy_count", "all_strategies", "best_strategy"]
 
 
 def strategy_count(settings: int, outcomes: int) -> int:
@@ -53,11 +53,3 @@ def best_strategy(settings: int, outcomes: int, score):
         if values[k] > best:
             best, best_row = float(values[k]), block[k].copy()
     return best, best_row
-
-
-def indicator(strategies: np.ndarray, outcomes: int) -> np.ndarray:
-    """One-hot table D[k, x, a] = 1 if strategy k answers a on setting x."""
-    k, m = strategies.shape
-    out = np.zeros((k, m, outcomes))
-    out[np.arange(k)[:, None], np.arange(m)[None, :], strategies] = 1.0
-    return out

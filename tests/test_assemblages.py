@@ -81,6 +81,13 @@ class TestMeasurementFamily:
         with pytest.raises(ValueError):
             MeasurementFamily(2, eff)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_effect_rejected(self, bad):
+        eff = zx_family().effects.copy()
+        eff[1, 0, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementFamily(2, eff)
+
 
 class TestSteer:
     def test_product_state_factorizes(self):
@@ -146,6 +153,13 @@ class TestAssemblageValidation:
         members[0, 0] = np.diag([0.3, 0.0])
         members[0, 1] = np.diag([0.0, 0.3])
         with pytest.raises(ValueError):
+            Assemblage(2, members)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_member_rejected(self, bad):
+        members = steer(max_entangled(2), zx_family()).members.copy()
+        members[0, 1, 1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
             Assemblage(2, members)
 
 
@@ -236,6 +250,15 @@ class TestWiring:
         with pytest.raises(ValueError):
             WiringMap(ps, po)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kernel", ["p_setting", "p_outcome"])
+    def test_non_finite_kernel_rejected(self, kernel, bad):
+        ident = WiringMap.identity(2, 2)
+        tables = {"p_setting": ident.p_setting.copy(), "p_outcome": ident.p_outcome.copy()}
+        tables[kernel].flat[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            WiringMap(**tables)
+
 
 def normalized_kraus_pair(d, gen):
     k1 = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
@@ -255,6 +278,13 @@ def random_instrument(settings, outcomes, d, gen):
 
 
 class TestInstruments:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kraus_rejected(self, bad):
+        kraus = 0.5 * np.eye(2, dtype=complex)
+        kraus[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Instrument1W((InstrumentBranch(kraus, WiringMap.identity(2, 2)),))
+
     def test_identity_instrument_returns_input(self):
         gen = rng(9)
         sig = steer(random_density_matrix(2, 2, rng=gen), zx_family())

@@ -93,6 +93,14 @@ class TestTwirl:
         assert report["monte_carlo"]["samples"] == 500
         assert 0.0 <= report["monte_carlo"]["trace_distance"] < 0.1
 
+    def test_nan_state_entry_is_domain_error(self, tmp_path):
+        payload = encode_state(max_entangled(2))
+        payload["matrix"][1][2][0] = float("nan")
+        code, report = run_json(tmp_path, "twirl", "--state", write(tmp_path, "rho.json", payload))
+        assert code == 1
+        assert report["error"]["kind"] == "domain"
+        assert "finite" in report["error"]["message"]
+
 
 class TestSteerAndMonotone:
     def test_chain(self, tmp_path):
@@ -133,6 +141,24 @@ class TestSteerAndMonotone:
         assert report["status"] == "indeterminate"
         assert report["value"] is None
 
+    def test_report_renders_every_field(self, tmp_path, monkeypatch):
+        # a field added to MonotoneReport reaches the report with no CLI change
+        @dataclasses.dataclass(frozen=True)
+        class Extended(steerkit.monotones.MonotoneReport):
+            bracket: tuple = (0.25, 0.5)
+
+        real = steerkit.monotones.steering_robustness
+
+        def extended(sigma, **kwargs):
+            return Extended(**dataclasses.asdict(real(sigma, **kwargs)))
+
+        monkeypatch.setattr(steerkit.monotones, "steering_robustness", extended)
+        asm = write(tmp_path, "asm.json", encode_assemblage(steer(max_entangled(2), zx_family())))
+        code, report = run_json(tmp_path, "monotone", "--which", "S_R", "--assemblage", asm)
+        assert code == 0
+        assert set(report) == {f.name for f in dataclasses.fields(Extended)}
+        assert report["bracket"] == [0.25, 0.5]
+
 
 class TestBound:
     def test_steering_bound(self, tmp_path):
@@ -155,6 +181,15 @@ class TestBound:
         code, report = run_json(tmp_path, "bound", "--functional", func, "--bell", bell)
         assert code == 1
         assert report["error"]["kind"] == "domain"
+
+    def test_nan_functional_entry_is_domain_error(self, tmp_path):
+        # json.dumps writes the NaN literal, which the decoder accepts
+        payload = encode_functional(mub_functional(mub(2, 2)))
+        payload["operators"]["0|1"][0][1][0] = float("nan")
+        code, report = run_json(tmp_path, "bound", "--functional", write(tmp_path, "f.json", payload))
+        assert code == 1
+        assert report["error"]["kind"] == "domain"
+        assert "finite" in report["error"]["message"]
 
 
 class TestFraction:
@@ -354,6 +389,13 @@ class TestCriteria:
         )
         assert code == 2
         assert report["error"]["kind"] == "solver"
+
+    @pytest.mark.parametrize("eps, delta", [("nan", "3"), ("0.5", "nan"), ("inf", "3"), ("0.5", "inf")])
+    def test_amplify_non_finite_target_is_domain_error(self, tmp_path, eps, delta):
+        code, report = run_json(tmp_path, "criteria", "amplify", "--eps", eps, "--delta", delta)
+        assert code == 1
+        assert report["error"]["kind"] == "domain"
+        assert "finite" in report["error"]["message"]
 
     def test_invalid_copy_count(self, tmp_path):
         code, report = run_json(

@@ -486,6 +486,13 @@ class TestAmplificationPlan:
         with pytest.raises(ValueError):
             amplification_plan(0.5, 10.0, 2)
 
+    @pytest.mark.parametrize("epsilon, delta", [
+        (math.nan, 3.0), (0.5, math.nan), (math.inf, 3.0), (0.5, math.inf),
+    ])
+    def test_non_finite_targets_refused_before_the_search(self, epsilon, delta):
+        with pytest.raises(ValueError, match="finite"):
+            amplification_plan(epsilon, delta, 3)
+
 
 class TestBoundsAreRespected:
     def test_random_functionals_respect_projective_bound(self):

@@ -106,6 +106,13 @@ class TestShiftNonnegative:
 
 
 class TestLocalBound:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        c = np.array(chsh_winning_form().coefficients)
+        c[1, 0, 1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BellFunctional(c)
+
     def test_constant_coefficients(self):
         bell = BellFunctional(np.full((3, 2, 2, 4), 0.7))
         assert abs(local_bound(bell).value - 0.7 * 3 * 2) <= 1e-12
@@ -138,6 +145,13 @@ class TestLocalBound:
 
 
 class TestSteeringBound:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_rejected(self, bad):
+        ops = mub2_functional().operators.copy()
+        ops[0, 1, 0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SteeringFunctional(2, ops)
+
     def test_two_mub_value(self):
         sb = steering_bound(mub2_functional())
         assert abs(sb.value - (1.0 + 1.0 / SQRT2)) <= 1e-12
@@ -183,6 +197,14 @@ class TestSteeringBound:
 
 
 class TestCorrelation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        fam = MeasurementFamily.from_bases([np.eye(2, dtype=complex)])
+        table = np.array(correlation_from(max_entangled(2), fam, fam).table)
+        table[0, 0, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Correlation(table)
+
     def test_max_entangled_z_measurements_correlate(self):
         fam = MeasurementFamily.from_bases([np.eye(2, dtype=complex)])
         corr = correlation_from(max_entangled(2), fam, fam)

@@ -679,3 +679,42 @@ class TestEdgeCases:
             assert before.status == after.status == "optimal"
             assert abs(after.value - before.value) <= 1e-8
         assert lhs_membership(padded).status == lhs_membership(plain).status
+
+
+class TestFunctionalValue:
+    """`_functional_value` is the one enumeration behind the dual values of
+    S_R and S_W and the fraction program's certificate value."""
+
+    @pytest.mark.parametrize("d, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_min_side_is_the_public_steering_fraction(self, d, m):
+        # imported here: the module's imports stay as they are, so line
+        # numbers above this class do not move
+        from steerkit.functionals import SteeringFunctional, steering_fraction
+
+        gen = rng(400 + 10 * d + m)
+        values = []
+        for trial in range(6):
+            # on the maximally entangled state a functional leaning on sigma
+            # itself has a fraction above 1, so half the values are not clamped
+            rho = random_density_matrix(d, d, rng=gen) if trial % 2 else max_entangled(d)
+            sig = steer(rho, random_projective_family(d, m, gen))
+            raw = gen.normal(size=(m, d, d, d)) + 1j * gen.normal(size=(m, d, d, d))
+            noise = np.einsum("xaij,xakj->xaik", raw, raw.conj())
+            ops = noise if trial % 2 else sig.members + 0.01 * noise
+            func = SteeringFunctional(d, ops)
+            ind = monotones._strategy_indicator(m, d)
+            got = monotones._functional_value(sig.members, ind, func.operators, "min")
+            want = monotones._clamped(steering_fraction(sig, func).value - 1.0)
+            assert abs(got - want) <= 1e-12
+            values.append(got)
+        assert max(values) > 0.0
+
+    def test_max_side_refuses_a_singular_strategy_sum(self):
+        gen = rng(417)
+        sig = steer(random_density_matrix(2, 2, rng=gen), random_projective_family(2, 3, gen))
+        raw = gen.normal(size=(3, 2, 2, 2)) + 1j * gen.normal(size=(3, 2, 2, 2))
+        ops = np.einsum("xaij,xakj->xaik", raw, raw.conj())
+        ops[:, 0] = 0.0  # the strategy answering 0 everywhere sums to zero
+        ind = monotones._strategy_indicator(3, 2)
+        assert monotones._functional_value(sig.members, ind, ops, "max") is None
+        assert monotones._functional_value(sig.members, ind, ops, "min") is not None

@@ -85,6 +85,13 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError):
             DensityMatrix(2, 2, m)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(2, 2, m)
+
     def test_accepts_roundoff_noise(self):
         gen = np.random.default_rng(0)
         m = np.eye(4) / 4 + 1e-13 * gen.standard_normal((4, 4))
