@@ -206,15 +206,11 @@ def _fraction_report(members: np.ndarray, dim: int, tol: float):
     p = SdpProblem()
     for _ in range(m * o + len(ind)):
         p.add_block(dim)
-    p.set_objective(
-        {x * o + a: herm(members[x, a], tol=1e-8) for x in range(m) for a in range(o)},
-        sense="max",
-    )
-    eye = np.eye(dim)
-    for k, row in enumerate(ind):
-        terms = dict.fromkeys(np.flatnonzero(row).tolist(), 1.0)
-        terms[m * o + k] = 1.0
-        p.add_matrix_equality(terms, eye)
+    p.set_objective(dict(enumerate(herm(members.reshape(m * o, dim, dim), tol=1e-8))), sense="max")
+    # the blocks F_{a|x} of strategy k's answers, one per setting
+    answers = np.nonzero(ind.reshape(len(ind), m * o))[1].reshape(len(ind), m).tolist()
+    terms = [{**dict.fromkeys(row, 1.0), m * o + k: 1.0} for k, row in enumerate(answers)]
+    p.add_matrix_equalities(terms, np.broadcast_to(np.eye(dim), (len(ind), dim, dim)))
     sol = solve(p, tol=tol)
     if sol.status != "optimal":
         return MonotoneReport("S_O", float("nan"), float("nan"), sol.status, {}), float("nan")
@@ -249,12 +245,11 @@ def _hidden_state_program(members: np.ndarray, sense: str) -> tuple[SdpProblem, 
     p = SdpProblem()
     for _ in range(k_count + m * o):
         p.add_block(dim)
-    p.set_objective({k: np.eye(dim) for k in range(k_count)}, sense=sense)
-    for x in range(m):
-        for a in range(o):
-            terms = dict.fromkeys(np.flatnonzero(ind[:, x, a]).tolist(), 1.0)
-            terms[k_count + x * o + a] = slack
-            p.add_matrix_equality(terms, herm(members[x, a], tol=1e-8))
+    p.set_objective(dict.fromkeys(range(k_count), np.eye(dim)), sense=sense)
+    # the strategies that answer a on x, for every (x, a): o^(m-1) each
+    answering = np.nonzero(ind.reshape(k_count, m * o).T)[1].reshape(m * o, -1).tolist()
+    terms = [{**dict.fromkeys(row, 1.0), k_count + xa: slack} for xa, row in enumerate(answering)]
+    p.add_matrix_equalities(terms, herm(members.reshape(m * o, dim, dim), tol=1e-8))
     return p, ind
 
 

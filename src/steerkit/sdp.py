@@ -25,7 +25,11 @@ The blocks are one (B, n, n) complex stack from the layout to the
 solution. Splitting a vector into that stack is one gather, and joining it
 back is one svec. Every per-block step of an iteration (NT scaling, step
 length, corrector, the line-search Cholesky test) is one batched numpy
-call.
+call. For n = 2 the two eigen-steps, the eigendecomposition of the NT
+scaling and the smallest eigenvalue of the step length, are exact closed
+forms on the whole stack (`_eigh`, `_eigvalsh_min`), and so are the block
+products (`_matmul`): on qubit blocks a LAPACK or BLAS call's per-matrix
+overhead costs more than the arithmetic.
 
 Constraints. The solver keeps the equalities' coefficient matrix C (B x E)
 and the scalar rows' svecs S (B x s x n^2) (see SdpProblem), and orders the
@@ -183,7 +187,13 @@ class SdpProblem:
     A matrix equality sum_b c_b X_b = R is n^2 rows, one per element E_p of
     the orthonormal Hermitian basis, kept as its first row, its scalar
     coefficients c_b and svec(R); a scalar row sum_b <A_b, X_b> = r is kept
-    as its row, the svec(A_b) and r. Rows are numbered as they are added."""
+    as its row, the svec(A_b) and r. Rows are numbered as they are added.
+
+    Each call checks its matrices (the objective's, a scalar row's, or the
+    right-hand sides of `add_matrix_equalities`) as one (k, n, n) stack:
+    one isfinite and one Hermiticity test, one symmetrization and one svec.
+    Only a stack that fails is checked again matrix by matrix, so that the
+    error names the first bad block."""
 
     def __init__(self):
         self.blocks: list[int] = []   # block dimensions
@@ -210,13 +220,32 @@ class SdpProblem:
             raise ValueError(f"block {idx} is {n} x {n}, its matrix has shape {a.shape}")
         if not np.isfinite(a).all():
             raise ValueError(f"the matrix of block {idx} must be finite")
-        return herm(a)
+        try:
+            return herm(a)
+        except ValueError as exc:
+            raise ValueError(f"the matrix of block {idx}: {exc}") from None
+
+    def _check_coeffs(self, idxs: list, mats) -> np.ndarray:
+        """The matrices of the blocks idxs, checked and symmetrized as one
+        (k, n, n) stack; a stack that fails goes to `_check_coeff` matrix by
+        matrix, whose error names the block."""
+        nb = len(self.blocks)
+        if not idxs:
+            return np.empty((0, 0, 0), dtype=np.complex128)
+        try:
+            a = np.asarray(mats, dtype=np.complex128)
+            if (all(i in range(nb) for i in idxs) and a.shape == (len(idxs),) + (self.blocks[0],) * 2
+                    and np.isfinite(a).all()):
+                return herm(a)
+        except ValueError:   # matrices of unequal shapes, or not Hermitian
+            pass
+        return np.array([self._check_coeff(i, m) for i, m in zip(idxs, mats)])
 
     def set_objective(self, terms: dict[int, np.ndarray], sense: str = "min"):
         if sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', not {sense!r}")
         self.sense = sense
-        self._objective = {i: self._check_coeff(i, m) for i, m in terms.items()}
+        self._objective = dict(zip(terms, self._check_coeffs(list(terms), list(terms.values()))))
 
     def add_scalar_constraint(self, terms: dict[int, np.ndarray], rhs: float):
         """<A_i, X_i> summed over the given blocks equals rhs."""
@@ -226,21 +255,33 @@ class SdpProblem:
             raise ValueError(f"a scalar row needs blocks among the problem's {len(self.blocks)}")
         if not np.isrealobj(rhs) or not np.isfinite(rhs):
             raise ValueError(f"a scalar row needs a finite real rhs, not {rhs!r}")
-        svecs = np.array([svec(self._check_coeff(i, m)) for i, m in terms.items()])
+        svecs = svec(self._check_coeffs(list(terms), list(terms.values())))
         self._scalars.append((self.n_constraints, list(terms), svecs, float(rhs)))
         self.n_constraints += 1
 
     def add_matrix_equality(self, terms: dict[int, float], rhs: np.ndarray):
         """sum_i coeff_i * X_i = rhs."""
-        idxs = list(terms)
-        if not idxs or not all(i in range(len(self.blocks)) for i in idxs):
-            raise ValueError(f"a matrix equality needs blocks among the problem's {len(self.blocks)}")
-        coef = np.asarray(list(terms.values()))
+        self.add_matrix_equalities([terms], [rhs])
+
+    def add_matrix_equalities(self, terms: list[dict[int, float]], rhs):
+        """sum_i terms[e][i] * X_i = rhs[e] for every e, the right-hand sides
+        an (E, n, n) stack, checked as one stack; each rhs is read as a
+        matrix of the first block of its row."""
+        nb = len(self.blocks)
+        if any(not row or not all(i in range(nb) for i in row) for row in terms):
+            raise ValueError(f"a matrix equality needs blocks among the problem's {nb}")
+        if len(rhs) != len(terms):
+            raise ValueError(f"{len(terms)} matrix equalities need as many right-hand sides, not {len(rhs)}")
+        coef = np.array([c for row in terms for c in row.values()])
         if not np.isrealobj(coef) or not np.isfinite(coef).all():
-            raise ValueError(f"a matrix equality needs finite real coefficients, not {coef}")
-        b = svec(self._check_coeff(idxs[0], rhs))
-        self._equalities.append((self.n_constraints, idxs, coef, b))
-        self.n_constraints += len(b)
+            bad = next(c for c in (np.asarray(list(row.values())) for row in terms)
+                       if not np.isrealobj(c) or not np.isfinite(c).all())
+            raise ValueError(f"a matrix equality needs finite real coefficients, not {bad}")
+        b = svec(self._check_coeffs([next(iter(row)) for row in terms], rhs))
+        ends = np.cumsum([len(row) for row in terms])
+        for row, c, b_row in zip(terms, np.split(coef, ends[:-1]), b):
+            self._equalities.append((self.n_constraints, list(row), c, b_row))
+            self.n_constraints += len(b_row)
 
     def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The constraints as arrays: the E equalities' first rows and their
@@ -312,8 +353,8 @@ class _Layout:
         and that sign for a problem with this layout's blocks and rows."""
         sign = 1.0 if problem.sense == "min" else -1.0
         c = np.zeros((len(self.blocks), self.dim * self.dim))
-        for i, m in problem._objective.items():
-            c[i] = sign * svec(m)
+        if problem._objective:
+            c[list(problem._objective)] = sign * svec(np.array(list(problem._objective.values())))
         b = [eq[3] for eq in problem._equalities] + [[row[3] for row in problem._scalars]]
         return np.concatenate(b), c.ravel(), sign
 
@@ -351,8 +392,8 @@ def _schur_complement(layout: _Layout, w: np.ndarray) -> tuple[np.ndarray, np.nd
     # W [E_1 ... E_t], then the W E_p stacked into rows times W: batched
     # complex products cost one BLAS call per matrix, so this makes two
     # calls per block rather than two per block and basis element
-    we = w @ _herm_basis(n).transpose(1, 0, 2).reshape(n, t * n)
-    wew = we.reshape(-1, n, t, n).transpose(0, 2, 1, 3).reshape(-1, t * n, n) @ w
+    we = _matmul(w, _herm_basis(n).transpose(1, 0, 2).reshape(n, t * n))
+    wew = _matmul(we.reshape(-1, n, t, n).transpose(0, 2, 1, 3).reshape(-1, t * n, n), w)
     k = svec(wew.reshape(count, nb, t, n, n))   # (P, B, t, t), symmetric
     sk = layout.scal @ k                        # (P, B, s, t): the S_b K_b
     m = np.empty((count, layout.nrows, layout.nrows))
@@ -376,6 +417,57 @@ class _Nt(NamedTuple):
     lam: np.ndarray
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks; over an inner dimension of 2, the two products of
+    columns and rows summed, which costs two multiplies and an add
+    whatever the stack's length, where matmul pays one BLAS call per
+    matrix."""
+    if a.shape[-1] != 2:
+        return a @ b
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a (..., n, n) Hermitian
+    stack: np.linalg.eigh, in closed form for n = 2.
+
+    With m = (a + d)/2 and r = hypot((a - d)/2, |b|) the eigenvalues are
+    m -+ r. The eigenvector of m - r is read off the row of h - (m - r) I
+    whose diagonal pivot, |a - d|/2 + r, is the larger, and the second
+    column is its unitary complement; b = 0, a = d gives the identity."""
+    if h.shape[-1] != 2:
+        return np.linalg.eigh(h)
+    a, d, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1]
+    half, mid = 0.5 * (a - d), 0.5 * (a + d)
+    size = np.abs(b)
+    r = np.hypot(half, size)
+    pivot = np.abs(half) + r
+    pivot = pivot + (pivot == 0.0)   # 1 where h is a multiple of I
+    scale = 1.0 / np.hypot(pivot, size)
+    pivot, b = pivot * scale, b * scale
+    # the column (x, -conj(y)) is the eigenvector of m - r: (b, -pivot)
+    # from the first row when a > d, (pivot, -conj(b)) from the second
+    first = half > 0.0
+    v = np.empty(h.shape, dtype=np.complex128)
+    v[..., 0, 0] = x = np.where(first, b, pivot)
+    v[..., 0, 1] = y = np.where(first, pivot, b)
+    v[..., 1, 0] = -y.conj()
+    v[..., 1, 1] = x.conj()
+    lam = np.empty(h.shape[:-1])
+    lam[..., 0] = mid - r
+    lam[..., 1] = mid + r
+    return lam, v
+
+
+def _eigvalsh_min(h: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each matrix of a (..., n, n) Hermitian stack,
+    (a + d)/2 - hypot((a - d)/2, |b|) for n = 2."""
+    if h.shape[-1] != 2:
+        return np.linalg.eigvalsh(h)[..., 0]
+    a, d = h[..., 0, 0].real, h[..., 1, 1].real
+    return 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(h[..., 0, 1]))
+
+
 def _nt_scaling(factors: np.ndarray) -> _Nt:
     """NT scaling of the blocks X, then S, from their Cholesky factors L_x,
     then L_s, stacked on axis -3.
@@ -384,13 +476,13 @@ def _nt_scaling(factors: np.ndarray) -> _Nt:
     R^-1 = lam^-3/2 V^H A^H L_s^H."""
     nb = factors.shape[-3] // 2
     lx, ls = factors[..., :nb, :, :], factors[..., nb:, :, :]
-    a = _ct(ls) @ lx
-    lam2, v = np.linalg.eigh(_ct(a) @ a)
+    a = _matmul(_ct(ls), lx)
+    lam2, v = _eigh(_matmul(_ct(a), a))
     lam = np.sqrt(np.maximum(lam2, 1e-300))
     isq = 1.0 / np.sqrt(lam)
-    r = lx @ v * isq[..., np.newaxis, :]
-    rinv = ((isq / lam)[..., :, np.newaxis] * _ct(a @ v)) @ _ct(ls)
-    return _Nt(r, rinv, r @ _ct(r), lam)
+    r = _matmul(lx, v) * isq[..., np.newaxis, :]
+    rinv = _matmul((isq / lam)[..., :, np.newaxis] * _ct(_matmul(a, v)), _ct(ls))
+    return _Nt(r, rinv, _matmul(r, _ct(r)), lam)
 
 
 def _guarded(fn, stack: np.ndarray, fill=None):
@@ -590,6 +682,9 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
             keep[j] = False
         return (run.take(keep) if ended else run), keep
 
+    def indeterminate(mask: np.ndarray) -> dict[int, dict]:
+        return {j: dict(status="indeterminate") for j in np.flatnonzero(mask).tolist()}
+
     for it in range(max_iters):
         b, c, x, s, y, tau, kappa = run.b, run.c, run.x, run.s, run.y, run.tau, run.kappa
         by, cx, xs = _dot(b, y), _dot(c, x), _dot(x, s)
@@ -599,15 +694,11 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
         run.mu = (xs + tau * kappa) / (nu + _PAIR)
         pres = np.abs(run.rp).max(axis=1, initial=0.0) / (tau * run.bnorm)
         dres = np.abs(run.rd).max(axis=1, initial=0.0) / (tau * run.cnorm)
-        # NT scaling from the Cholesky factors of the iterate, which the line
-        # search computed. A problem whose blocks cannot be scaled ends
-        # before its Newton step.
-        nt, failed = _guarded(_nt_scaling, run.factors, start)
         # Per problem, in Python floats: the trace row and the exit tests.
         ended = {}
         rows = zip(run.sign.tolist(), run.mu.tolist(), tau.tolist(), kappa.tolist(), pres.tolist(),
-                   dres.tolist(), cx.tolist(), by.tolist(), xs.tolist(), failed.tolist())
-        for j, (sign, mu_j, tau_j, kappa_j, pres_j, dres_j, cx_j, by_j, xs_j, failed_j) in enumerate(rows):
+                   dres.tolist(), cx.tolist(), by.tolist(), xs.tolist())
+        for j, (sign, mu_j, tau_j, kappa_j, pres_j, dres_j, cx_j, by_j, xs_j) in enumerate(rows):
             pobj, dobj = cx_j / tau_j, by_j / tau_j
             relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
             po, do = sign * pobj, sign * dobj
@@ -622,12 +713,18 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
             elif tau_j < 1e-8 * min(1.0, kappa_j) or (mu_j < 1e-10 * mu0 and tau_j < 1e-6):
                 status, certificate = _farkas(lay, tol, b[j], c[j], x[j], y[j])
                 ended[j] = dict(status=status, certificate=certificate)
-            elif failed_j:
-                ended[j] = dict(status="indeterminate")
-        run, keep = leave(run, ended, it)
+        run, _ = leave(run, ended, it)
         if not len(run.ids):
             break
-        nt = _Nt(*(part[keep] for part in nt))
+        # NT scaling from the Cholesky factors of the iterate, which the line
+        # search computed. A problem whose blocks cannot be scaled ends
+        # before its Newton step.
+        nt, failed = _guarded(_nt_scaling, run.factors, start)
+        if failed.any():
+            run, keep = leave(run, indeterminate(failed), it)
+            if not len(run.ids):
+                break
+            nt = _Nt(*(part[keep] for part in nt))
         b, c, x, s, y, tau, kappa = run.b, run.c, run.x, run.s, run.y, run.tau, run.kappa
         rp, rd, rg, mu = run.rp, run.rd, run.rg, run.mu
 
@@ -654,7 +751,7 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
         def newton_rhs(p1, p2, p4):
             """h = R p4 R^H + W p2 W (p4 a block stack) and the Schur
             right-hand side p1 - A h."""
-            h = join(nt.r @ p4 @ r_h) + apply_w(p2)
+            h = join(_matmul(_matmul(nt.r, p4), r_h)) + apply_w(p2)
             return h, p1 - a_dot(h)
 
         def newton(h, q1, p2, p3, p5):
@@ -675,14 +772,15 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
         frame = np.concatenate([nt.rinv, r_h], axis=-3)
         frame_h = _ct(frame)
         isq = 1.0 / np.sqrt(lam)
-        unit = np.tile(isq[..., :, np.newaxis] * isq[..., np.newaxis, :], (1, 2, 1, 1))
+        # lam^-1/2 on both sides, for the (X, S) halves of a frame stack
+        unit = (isq[..., :, np.newaxis] * isq[..., np.newaxis, :])[:, np.newaxis]
 
         def in_frame(dx, ds):
-            return frame @ np.concatenate([split(dx), split(ds)], axis=-3) @ frame_h
+            return _matmul(_matmul(frame, np.concatenate([split(dx), split(ds)], axis=-3)), frame_h)
 
         def max_alpha(d, dtau, dkappa):
-            g = d * unit
-            wmin = np.linalg.eigvalsh(0.5 * (g + _ct(g)))[..., 0].min(axis=-1)
+            g = d.reshape(unit.shape[:1] + (2,) + unit.shape[2:]) * unit
+            wmin = _eigvalsh_min(0.5 * (g + _ct(g))).min(axis=(-2, -1))
             return np.array([_max_step(*v) for v in zip(wmin.tolist(), tau.tolist(), dtau.tolist(),
                                                         kappa.tolist(), dkappa.tolist())])
 
@@ -713,7 +811,7 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
         # Corrector (combined direction).
         nb = len(lay.blocks)
         dxs, dss = d_a[:, :nb], d_a[:, nb:]
-        hcorr = 0.5 * (dxs @ dss + dss @ dxs)
+        hcorr = 0.5 * (_matmul(dxs, dss) + _matmul(dss, dxs))
         target = ((sigma * mu)[:, np.newaxis, np.newaxis] - lam * lam)[..., np.newaxis] * eye - hcorr
         p4 = target / (0.5 * (lam[..., :, np.newaxis] + lam[..., np.newaxis, :]))
         p5 = _PAIR * sigma * mu - tau * kappa - dtau_a * dkap_a
@@ -744,9 +842,9 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
         # a stopped problem leaves the batch with whatever candidate it had
         run.x, run.s, run.tau, run.kappa, run.factors = x_new, s_new, tau_new, kappa_new, factors
         run.y = y + alpha[:, np.newaxis] * dy
-        run, _ = leave(run, {j: dict(status="indeterminate") for j in np.flatnonzero(stop).tolist()}, it)
+        run, _ = leave(run, indeterminate(stop), it)
         if not len(run.ids):
             break
     else:
-        leave(run, {j: dict(status="indeterminate") for j in range(len(run.ids))}, max_iters)
+        leave(run, indeterminate(np.ones(len(run.ids))), max_iters)
     return out

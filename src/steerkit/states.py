@@ -348,8 +348,9 @@ def fef(
         ascent; "closed-form" raises if no exact class applies; "ascent"
         forces the iterative optimizer.
     restarts : int
-        Number of ascent starts (identity, two spectral warm starts, the
-        rest Haar random).
+        Number of ascent starts, at least 1 (ValueError below).  The
+        identity and the two spectral warm starts always run; the starts
+        past those three are Haar random.
     seed
         Seed or Generator for the random restarts.
 
@@ -362,6 +363,8 @@ def fef(
     d = _require_square(rho)
     if strategy not in ("auto", "closed-form", "ascent"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, not {restarts}")
 
     if strategy != "ascent":
         closed = _fef_closed_form(rho, d)
@@ -382,8 +385,7 @@ def fef(
     w, v = herm_eig(rho.matrix)
     pm, _, qh = np.linalg.svd(v[:, -1].reshape(d, d))
     starts.append((pm @ qh).conj().T)
-    while len(starts) < max(restarts, len(starts)):
-        starts.append(haar_unitary(d, gen))
+    starts += [haar_unitary(d, gen) for _ in range(restarts - len(starts))]
 
     best_u = starts[0]
     best = -np.inf

@@ -68,6 +68,13 @@ class TestFef:
         assert code == 0
         assert abs(report["fef"] - 1.0) < 1e-9
 
+    def test_negative_restarts_is_domain_error(self, tmp_path):
+        rho = random_density_matrix(2, 2, rng=np.random.default_rng(0))
+        state = write(tmp_path, "rho.json", encode_state(rho))
+        code, report = run_json(tmp_path, "fef", "--state", state, "--strategy", "ascent", "--restarts", "-3")
+        assert code == 1
+        assert report["error"] == {"kind": "domain", "message": "restarts must be at least 1, not -3"}
+
 
 class TestTwirl:
     def test_output_feeds_back_as_state(self, tmp_path):

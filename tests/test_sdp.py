@@ -20,8 +20,12 @@ from steerkit.sdp import (
     _TRI_BLOCK,
     SdpProblem,
     _cholesky,
+    _eigh,
+    _eigvalsh_min,
     _herm_basis,
     _Layout,
+    _matmul,
+    _nt_scaling,
     _schur_complement,
     _tri_solve,
     smat,
@@ -210,6 +214,117 @@ class TestInvalidInput:
         message, call = INVALID[case]
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def _equality_rows(gen):
+    """Three matrix equalities over four 2 x 2 blocks: their terms and a
+    seeded stack of Hermitian right-hand sides."""
+    terms = [{0: 1.0, 2: -1.0}, {1: 0.5, 3: 1.0, 0: 2.0}, {3: 1.0}]
+    return terms, np.array([random_hermitian(2, gen) for _ in terms])
+
+
+class TestStackedBuilder:
+    def test_equalities_match_row_by_row(self):
+        terms, rhs = _equality_rows(rng(80))
+        stacked, rowwise = _blocks(2, 2, 2, 2), _blocks(2, 2, 2, 2)
+        objective = {i: random_hermitian(2, rng(81 + i)) for i in (3, 0)}
+        for p in (stacked, rowwise):
+            p.set_objective(objective, sense="max")
+            p.add_scalar_constraint({1: np.eye(2), 2: np.diag([1.0, 2.0])}, 1.5)
+        stacked.add_matrix_equalities(terms, rhs)
+        for row, r in zip(terms, rhs):
+            rowwise.add_matrix_equality(row, r)
+        stacked.add_scalar_constraint({0: np.eye(2)}, 2.0)
+        rowwise.add_scalar_constraint({0: np.eye(2)}, 2.0)
+        assert stacked.blocks == rowwise.blocks
+        assert stacked.n_constraints == rowwise.n_constraints == 1 + 3 * 4 + 1
+        assert all(map(np.array_equal, stacked._rows(), rowwise._rows()))
+        lay = _Layout(stacked)
+        assert all(map(np.array_equal, lay.data(stacked), lay.data(rowwise)))
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), "the matrix of block 1: matrix is not Hermitian"),
+        (np.diag([1.0, np.nan]), "the matrix of block 1 must be finite"),
+    ], ids=["not_hermitian", "nan"])
+    def test_bad_matrix_in_the_stack_names_its_block(self, bad, message):
+        # the second row's right-hand side is read as a matrix of its first block, 1
+        terms, rhs = _equality_rows(rng(82))
+        rhs[1] = bad
+        p = _blocks(2, 2, 2, 2)
+        with pytest.raises(ValueError, match=message):
+            p.add_matrix_equalities(terms, rhs)
+        assert p.n_constraints == 0 and not p._equalities
+
+    def test_one_right_hand_side_per_row(self):
+        terms, rhs = _equality_rows(rng(83))
+        with pytest.raises(ValueError, match="3 matrix equalities need as many right-hand sides, not 2"):
+            _blocks(2, 2, 2, 2).add_matrix_equalities(terms, rhs[:2])
+
+
+def _qubit_stacks():
+    """Seeded 2 x 2 Hermitian stacks, by kind: random, diagonal, exactly
+    degenerate (a = d, b = 0), nearly degenerate (|b| = 1e-14) and graded
+    (lambda_min / lambda_max from 1 down to 1e-12, entries scaled by 1e-8,
+    1 and 1e8)."""
+    gen = rng(84)
+    random = np.array([random_hermitian(2, gen) for _ in range(40)])
+    diagonal = np.array([np.diag(v) for v in [(2.0, -1.0), (-1.0, 2.0), (0.0, 3.0), (1e-9, 0.0)]],
+                        dtype=complex)
+    degenerate = np.array([a * np.eye(2) for a in (0.0, 1.0, -2.5, 1e-30)], dtype=complex)
+    offdiag = 1e-14 * np.exp(1j * gen.uniform(0, 2 * np.pi, 4))
+    nearly = np.array([[[a, z], [z.conjugate(), a]] for a, z in zip((0.0, 1.0, 1.0, -3.0), offdiag)])
+    graded = []
+    for scale in (1e-8, 1.0, 1e8):
+        for k in range(13):
+            u = np.linalg.qr(random_hermitian(2, gen) + 1j * np.eye(2))[0]
+            graded.append(scale * (u * [1.0, 10.0 ** -k]) @ dagger(u))
+    return {"random": random, "diagonal": diagonal, "degenerate": degenerate,
+            "nearly_degenerate": nearly, "graded": np.array(graded)}
+
+
+class TestQubitClosedForms:
+    @pytest.mark.parametrize("kind", list(_qubit_stacks()))
+    def test_eigendecomposition_matches_lapack(self, kind):
+        h = _qubit_stacks()[kind]
+        lam, v = _eigh(h)
+        ref = np.linalg.eigvalsh(h)
+        norm = np.abs(ref).max(axis=-1)
+        assert np.all(np.abs(lam - ref).max(axis=-1) <= 1e-13 * norm)
+        assert np.all(np.abs(_eigvalsh_min(h) - ref[:, 0]) <= 1e-13 * norm)
+        assert np.abs(dagger(v) @ v - np.eye(2)).max() <= 1e-14
+        rebuilt = (v * lam[:, np.newaxis, :]) @ dagger(v)
+        assert np.all(np.abs(rebuilt - h).max(axis=(-2, -1)) <= 1e-13 * norm)
+        if kind == "degenerate":
+            assert np.array_equal(v, np.broadcast_to(np.eye(2), v.shape))
+
+    def test_other_dimensions_are_lapack(self):
+        h = np.array([random_hermitian(3, rng(85)) for _ in range(5)])
+        lam, v = _eigh(h)
+        ref_lam, ref_v = np.linalg.eigh(h)
+        assert np.array_equal(lam, ref_lam) and np.array_equal(v, ref_v)
+        assert np.array_equal(_eigvalsh_min(h), np.linalg.eigvalsh(h)[:, 0])
+        assert np.array_equal(_matmul(h, h[::-1]), h @ h[::-1])
+
+    @pytest.mark.parametrize("shapes", [((3, 5, 2, 2), (3, 5, 2, 2)), ((7, 2, 2), (2, 8)),
+                                        ((7, 8, 2), (7, 2, 2)), ((4, 2, 2), (1, 2, 3))])
+    def test_products_over_an_inner_dimension_of_two(self, shapes):
+        gen = rng(87)
+        a, b = (gen.standard_normal(s) + 1j * gen.standard_normal(s) for s in shapes)
+        ref = a @ b
+        assert _matmul(a, b).shape == ref.shape
+        assert np.abs(_matmul(a, b) - ref).max() <= 1e-14 * np.abs(a).max() * np.abs(b).max()
+
+    def test_nt_scaling_of_qubit_blocks(self):
+        # R^H S R = R^-1 X R^-H = diag(lam) and W = R R^H, from the factors
+        gen = rng(86)
+        x, s = ([_positive(2, gen) for _ in range(6)] for _ in range(2))
+        x, s = np.array(x), np.array(s)
+        nt = _nt_scaling(np.linalg.cholesky(np.concatenate([x, s])))
+        diag = nt.lam[..., np.newaxis] * np.eye(2)
+        assert np.abs(dagger(nt.r) @ s @ nt.r - diag).max() <= 1e-12
+        assert np.abs(nt.rinv @ x @ dagger(nt.rinv) - diag).max() <= 1e-12
+        assert np.abs(nt.w - nt.r @ dagger(nt.r)).max() <= 1e-12
+        assert np.abs(nt.w @ s @ nt.w - x).max() <= 1e-12
 
 
 def constructed_problem(n, m, gen, complex_blocks):
@@ -835,6 +950,21 @@ class TestSolveMany:
         for i in (0, 2):
             assert batch[i].status == "optimal"
             assert_same_solution(batch[i], solo[i], tol=0.0)
+
+    def test_no_nt_scaling_for_a_problem_that_ends(self, monkeypatch):
+        # a solve that ends optimal at iteration k scales its iterates at
+        # iterations 0 .. k - 1 only
+        problem = self.programs(68, 1)[0]
+        real, calls = sdp._nt_scaling, []
+
+        def nt_scaling(factors):
+            calls.append(factors.shape[0])
+            return real(factors)
+
+        monkeypatch.setattr(sdp, "_nt_scaling", nt_scaling)
+        sol = solve(problem, tol=1e-9)
+        assert sol.status == "optimal" and sol.iterations > 0
+        assert len(calls) == sol.iterations
 
     def test_problems_with_other_rows_or_blocks_raise(self):
         gen = rng(65)

@@ -156,6 +156,11 @@ class TestFefAscent:
         res = fef(rho, strategy="ascent", restarts=32, seed=0)
         assert abs(res.value - 0.625) <= 1e-6
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_needs_a_start(self, restarts):
+        with pytest.raises(ValueError, match=f"restarts must be at least 1, not {restarts}"):
+            fef(random_density_matrix(2, 2, rng=3), strategy="ascent", restarts=restarts)
+
     def test_certificate_reproduces_value(self):
         rho = random_density_matrix(2, 2, rng=3)
         res = fef(rho)
