@@ -170,7 +170,6 @@ def build_parser() -> _Parser:
     _common(c)
 
     p = subs.add_parser("reproduce", help="regression table of the library's reference numbers")
-    p.add_argument("--table", choices=("paper",), default="paper")
     _common(p)
 
     return parser
@@ -444,7 +443,7 @@ def _cmd_reproduce(args, config: RunConfig):
     rows = _reference_rows()
     failures = sum(1 for row in rows if not row["pass"])
     report = {
-        "table": args.table,
+        "table": "paper",
         "rows": rows,
         "passed": failures == 0,
         "failures": failures,

@@ -336,33 +336,24 @@ _PLAN_LOG_CAP = 3e4
 def _plan_metrics(d: int, epsilon: float, k: int) -> tuple[bool, float, float]:
     """(feasible, log_bound, log_p) for one candidate dimension.
 
-    Feasible means the mixing parameter lands strictly between the
-    entanglement threshold and 1.  The multi-copy bracket is evaluated
-    as eps*(H_d - 1)/(d - H_d) + (1 + eps)/d^2, an exact rewrite of the
-    mixture fidelity that stays stable when d is huge.
+    Feasible means the mixing parameter p = eps/(U - 1), with
+    U = d^2/(H_d(1 + d) - d), lands strictly between the entanglement
+    threshold and 1.  The multi-copy bracket eps*(H_d - 1)/(d - H_d)
+    + (1 + eps)/d^2 is an exact rewrite of the mixture fidelity.  All of
+    it is carried in log space, for every d and however small eps is.
     """
     log_d = math.log(d)
     h = harmonic(d)
-    if log_d <= 300.0:
-        df = float(d)
-        denominator = df * df / (h + h * df - df) - 1.0
-        if denominator <= 0.0:
-            return False, -math.inf, math.inf
-        p = epsilon / denominator
-        log_p = math.log(p)
-        feasible = p <= 1.0 and p > 1.0 / (df + 1.0)
-        bracket = epsilon * (h - 1.0) / (df - h) + (1.0 + epsilon) / (df * df)
-        log_bracket = math.log(bracket)
-    else:
-        inv_d = math.exp(-log_d)
-        # ln(U - 1) with U = d^2/(H(1+d) - d); U is astronomically large
-        log_u = log_d - math.log(h - 1.0 + h * inv_d)
-        log_p = math.log(epsilon) - log_u - math.log1p(-math.exp(-log_u))
-        feasible = log_p <= 0.0 and log_p > -(log_d + math.log1p(inv_d))
-        term1 = math.log(epsilon) + math.log(h - 1.0) - (log_d + math.log1p(-h * inv_d))
-        term2 = math.log1p(epsilon) - 2.0 * log_d
-        high, low = max(term1, term2), min(term1, term2)
-        log_bracket = high + math.log1p(math.exp(low - high))
+    inv_d = math.exp(-log_d)
+    log_u = log_d - math.log(h - 1.0 + h * inv_d)
+    if log_u <= 0.0:
+        return False, -math.inf, math.inf
+    log_p = math.log(epsilon) - log_u - math.log1p(-math.exp(-log_u))
+    feasible = log_p <= 0.0 and log_p > -(log_d + math.log1p(inv_d))
+    term1 = math.log(epsilon) + math.log(h - 1.0) - (log_d + math.log1p(-h * inv_d))
+    term2 = math.log1p(epsilon) - 2.0 * log_d
+    high, low = max(term1, term2), min(term1, term2)
+    log_bracket = high + math.log1p(math.exp(low - high))
     log_bound = (
         math.log(KV_CONSTANT) + k * log_d - 2.0 * math.log(k * log_d) + k * log_bracket
     )
@@ -376,8 +367,8 @@ def amplification_plan(epsilon: float, delta: float, k: int = 3) -> Amplificatio
     relying on the bound's monotone growth in d past its first crossing;
     the minimal dimension is astronomically large for typical targets
     (the bound only grows like log d at fixed epsilon), hence the exact
-    integer representation. Targets that need ln d beyond 3e4 raise
-    RuntimeError.
+    integer representation. Targets that need ln d beyond 3e4 (a tiny
+    epsilon among them) raise RuntimeError.
     """
     if not (0.0 < epsilon < math.inf and 0.0 < delta < math.inf):
         raise ValueError("targets must be positive and finite")

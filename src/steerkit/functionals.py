@@ -235,9 +235,16 @@ def steering_bound_sdp(func: SteeringFunctional, tol: float = 1e-9) -> float:
     return float(sol.primal_objective)
 
 
+def _same_shape(data: str, table: np.ndarray, func: str, coefficients: np.ndarray) -> None:
+    """Refuse a functional whose table would broadcast against the data's."""
+    if table.shape != coefficients.shape:
+        raise ValueError(f"{data} shape {table.shape} does not match {func} shape {coefficients.shape}")
+
+
 def nonlocality_fraction(corr: Correlation, bell: BellFunctional) -> Fraction:
     """Ratio of the functional's value on the correlation to its classical
     bound; above 1 means Bell violation."""
+    _same_shape("correlation", corr.table, "Bell", bell.coefficients)
     numerator = float(np.sum(bell.coefficients * corr.table))
     bound = local_bound(bell).value
     if bound <= 0.0:
@@ -248,6 +255,7 @@ def nonlocality_fraction(corr: Correlation, bell: BellFunctional) -> Fraction:
 def steering_fraction(sigma: Assemblage, func: SteeringFunctional) -> Fraction:
     """Ratio of sum_ax tr(F sigma) to the steering bound; above 1 certifies
     steerability."""
+    _same_shape("assemblage", sigma.members, "functional", func.operators)
     numerator = float(np.einsum("xaij,xaji->", func.operators, sigma.members).real)
     bound = steering_bound(func).value
     if bound <= 0.0:
@@ -524,6 +532,7 @@ def best_rotated_fraction(
     d = rho.dA
     if rho.dB != d or alice.dim != d or func.dim != d:
         raise ValueError("rotation argument needs equal dimensions on all parts")
+    _same_shape("measurement family", alice.effects, "functional", func.operators)
     effects = alice.effects
     ops = func.operators
     rho4 = rho.matrix.reshape(d, d, d, d)

@@ -93,11 +93,6 @@ def haar_unitary(d: int, rng) -> np.ndarray:
     return q * diag[np.newaxis, :]
 
 
-def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
-    w = np.linalg.eigvalsh(herm(m, tol=np.inf))
-    return bool(w.min(initial=0.0) >= -tol)
-
-
 def project_psd(m: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     """Clip slightly negative eigenvalues to zero.
 
@@ -112,16 +107,6 @@ def project_psd(m: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
         raise ValueError(f"matrix is not PSD: min eigenvalue {lowest[bad][0]:.3e} below -{tol:.1e}")
     w = np.clip(w, 0.0, None)
     return (v * w[..., np.newaxis, :]) @ dagger(v)
-
-
-def trace_norm(m: np.ndarray) -> float:
-    return float(np.abs(np.linalg.svd(m, compute_uv=False)).sum())
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) || a - b ||_1 for Hermitian a, b."""
-    w = np.linalg.eigvalsh(herm(a, tol=np.inf) - herm(b, tol=np.inf))
-    return 0.5 * float(np.abs(w).sum())
 
 
 def permute_systems(m: np.ndarray, dims: list[int], perm: list[int]) -> np.ndarray:

@@ -108,10 +108,15 @@ def _operator_table(block: dict, settings: int, outcomes: int, dim: int, what: s
     return np.array([[table[x, a] for a in range(outcomes)] for x in range(settings)], dtype=np.complex128)
 
 
-def _encode_operator_table(table: np.ndarray) -> dict:
+def _encode_table(dim: int, table: np.ndarray, key: str) -> dict:
+    """Sizes of an operator table, and its members under "a|x" keys in block `key`."""
     settings, outcomes = table.shape[:2]
+    pairs = encode_matrix(table)
     return {
-        f"{a}|{x}": encode_matrix(table[x, a]) for x in range(settings) for a in range(outcomes)
+        "dim": dim,
+        "settings": settings,
+        "outcomes": outcomes,
+        key: {f"{a}|{x}": pairs[x][a] for x in range(settings) for a in range(outcomes)},
     }
 
 
@@ -132,12 +137,7 @@ def decode_state(obj: dict) -> DensityMatrix:
 
 
 def encode_assemblage(sigma: Assemblage) -> dict:
-    return {
-        "dim": sigma.dim,
-        "settings": sigma.settings,
-        "outcomes": sigma.outcomes,
-        "sigma": _encode_operator_table(sigma.members),
-    }
+    return _encode_table(sigma.dim, sigma.members, "sigma")
 
 
 def _unwrap(obj: dict, marker: str, *wrappers: str) -> dict:
@@ -164,12 +164,7 @@ def decode_assemblage(obj: dict) -> Assemblage:
 
 
 def encode_functional(func: SteeringFunctional) -> dict:
-    return {
-        "dim": func.dim,
-        "settings": func.settings,
-        "outcomes": func.outcomes,
-        "operators": _encode_operator_table(func.operators),
-    }
+    return _encode_table(func.dim, func.operators, "operators")
 
 
 def decode_functional(obj: dict) -> SteeringFunctional:
@@ -179,12 +174,7 @@ def decode_functional(obj: dict) -> SteeringFunctional:
 
 
 def encode_measurements(fam: MeasurementFamily) -> dict:
-    return {
-        "dim": fam.dim,
-        "settings": fam.effects.shape[0],
-        "outcomes": fam.effects.shape[1],
-        "effects": _encode_operator_table(fam.effects),
-    }
+    return _encode_table(fam.dim, fam.effects, "effects")
 
 
 def decode_measurements(obj: dict) -> MeasurementFamily:

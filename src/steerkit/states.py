@@ -30,7 +30,6 @@ from .linalg import (
     partial_trace,
     permute_systems,
     project_psd,
-    trace_distance,
 )
 
 __all__ = [

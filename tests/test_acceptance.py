@@ -102,7 +102,7 @@ def random_instrument(d: int, gen) -> Instrument1W:
 def test_criterion_01_reference_number_regression(tmp_path):
     started = time.monotonic()
     out = tmp_path / "table.json"
-    code = run(["reproduce", "--table", "paper", "--out", str(out)])
+    code = run(["reproduce", "--out", str(out)])
     report = json.loads(out.read_text())
     elapsed = time.monotonic() - started
     assert code == 0

@@ -11,7 +11,7 @@ import steerkit.monotones
 from steerkit.assemblages import MeasurementFamily, steer
 from steerkit.cli import run
 from steerkit.criteria import amplification_plan
-from steerkit.functionals import correlation_from
+from steerkit.functionals import BellFunctional, correlation_from
 from steerkit.games import cglmp, mub, mub_functional
 from steerkit.serialize import (
     encode_assemblage,
@@ -227,6 +227,24 @@ class TestFraction:
         assert report["bound"] == 6.0
         assert 0.0 < report["value"] <= 1.0
 
+    def test_steering_functional_of_other_shape(self, tmp_path):
+        family = mub(2, 2).to_measurements()
+        asm = write(tmp_path, "asm.json", encode_assemblage(steer(max_entangled(2), family)))
+        func = write(tmp_path, "f.json", encode_functional(mub_functional(mub(2, 1))))
+        code, report = run_json(tmp_path, "fraction", "--assemblage", asm, "--functional", func)
+        assert code == 1
+        assert report["error"]["kind"] == "domain"
+        assert "does not match" in report["error"]["message"]
+
+    def test_bell_table_of_other_shape(self, tmp_path):
+        family = mub(2, 2).to_measurements()
+        corr = write(tmp_path, "c.json", encode_correlation(correlation_from(max_entangled(2), family, family)))
+        bell = write(tmp_path, "b.json", encode_bell(BellFunctional(np.ones((1, 1, 2, 2)))))
+        code, report = run_json(tmp_path, "fraction", "--correlation", corr, "--bell", bell)
+        assert code == 1
+        assert report["error"]["kind"] == "domain"
+        assert "does not match" in report["error"]["message"]
+
     def test_mixed_inputs_rejected(self, tmp_path):
         state = write(tmp_path, "psi.json", encode_state(max_entangled(2)))
         code, report = run_json(tmp_path, "fraction", "--assemblage", state)
@@ -358,6 +376,11 @@ class TestCriteria:
         assert code == 2
         assert report["error"]["kind"] == "solver"
 
+    def test_amplify_tiny_epsilon_is_solver_exit(self, tmp_path):
+        code, report = run_json(tmp_path, "criteria", "amplify", "--eps", "1e-300", "--delta", "3")
+        assert code == 2
+        assert report["error"]["kind"] == "solver"
+
     def test_amplify(self, tmp_path):
         code, report = run_json(
             tmp_path, "criteria", "amplify", "--eps", "0.5", "--delta", "10"
@@ -414,8 +437,9 @@ class TestCriteria:
 
 class TestReproduce:
     def test_table_passes(self, tmp_path):
-        code, report = run_json(tmp_path, "reproduce", "--table", "paper")
+        code, report = run_json(tmp_path, "reproduce")
         assert code == 0
+        assert report["table"] == "paper"
         assert report["passed"] is True
         assert report["failures"] == 0
         assert len(report["rows"]) == 11
@@ -430,6 +454,10 @@ class TestReproduce:
                 "comparison",
                 "pass",
             }
+
+    def test_table_flag_is_gone(self, capsys):
+        assert run(["reproduce", "--table", "paper"]) == 1
+        assert "unrecognized arguments: --table" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         first = tmp_path / "a.json"

@@ -1,6 +1,7 @@
 """Closed-form criteria: thresholds, bounds, copy-count search, planner."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -380,18 +381,37 @@ class TestSuperactivation:
             superactivation_min_copies(2, -0.1)
 
 
-def _log_space_metrics(d: int, epsilon: float, k: int) -> tuple[float, float]:
-    """Independent log-space evaluation of the planner quantities."""
-    log_d = math.log(d)
+def _float_metrics(d: int, epsilon: float, k: int) -> tuple[float, float]:
+    """The planner quantities evaluated directly in floats, where d^2 still fits."""
+    df = float(d)
     h = harmonic(d)
-    inv_d = math.exp(-log_d)
-    log_u = log_d - math.log(h - 1.0 + h * inv_d)
-    log_p = math.log(epsilon) - log_u - math.log1p(-math.exp(-log_u))
-    term1 = math.log(epsilon) + math.log(h - 1.0) - (log_d + math.log1p(-h * inv_d))
-    term2 = math.log1p(epsilon) - 2.0 * log_d
-    log_bracket = np.logaddexp(term1, term2)
-    log_bound = math.log(KV_CONSTANT) + k * log_d - 2.0 * math.log(k * log_d) + k * log_bracket
-    return log_bound, log_p
+    p = epsilon / (df * df / (h + h * df - df) - 1.0)
+    bracket = epsilon * (h - 1.0) / (df - h) + (1.0 + epsilon) / (df * df)
+    log_bound = math.log(KV_CONSTANT) + k * math.log(df) - 2.0 * math.log(k * math.log(df)) + k * math.log(bracket)
+    return log_bound, math.log(p)
+
+
+def _decimal_metrics(epsilons, k: int, d_max: int):
+    """(d, epsilon, feasible, ln bound, ln p) for d = 2..d_max at 60 digits,
+    from the exact harmonic sum."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        eps_ln = [(eps, Decimal(eps), Decimal(eps).ln()) for eps in epsilons]
+        log_c = Decimal(4).ln() - 4
+        h = Fraction(1)
+        for d in range(2, d_max + 1):
+            h += Fraction(1, d)
+            hd = Decimal(h.numerator) / Decimal(h.denominator)
+            dd = Decimal(d)
+            u1 = dd * dd / (hd * (1 + dd) - dd) - 1  # p = eps/u1
+            log_u1 = u1.ln()
+            log_d = dd.ln()
+            log_fixed = log_c + k * log_d - 2 * (k * log_d).ln()
+            slope, inv_d2 = (hd - 1) / (dd - hd), 1 / (dd * dd)
+            for eps, e, log_e in eps_ln:
+                log_bound = log_fixed + k * (e * slope + (1 + e) * inv_d2).ln()
+                # feasible: 1/(d + 1) < p <= 1
+                yield d, eps, u1 < e * (dd + 1) and e <= u1, log_bound, log_e - log_u1
 
 
 class TestAmplificationPlan:
@@ -434,13 +454,29 @@ class TestAmplificationPlan:
         assert here < doubled < quadrupled
 
     def test_float_and_log_space_routes_agree(self):
-        # the metrics switch to log-space evaluation for astronomically
-        # large d; both routes must agree where floats still work
+        # the metrics are evaluated in log space for every d; where floats
+        # still work, the direct float formulas must give the same values
         for d in (10**6, 2**100, 2**430):
             _, log_bound, log_p = _plan_metrics(d, 0.5, 3)
-            oracle_bound, oracle_p = _log_space_metrics(d, 0.5, 3)
+            oracle_bound, oracle_p = _float_metrics(d, 0.5, 3)
             assert abs(log_bound - oracle_bound) < 1e-9 * max(1.0, abs(oracle_bound))
             assert abs(log_p - oracle_p) < 1e-9 * max(1.0, abs(oracle_p))
+
+    def test_metrics_match_sixty_digit_arithmetic(self):
+        # small d included: the same log-space formulas serve every d
+        for d, eps, feasible, log_bound, log_p in _decimal_metrics(
+            (1e-30, 0.05, 0.5, 0.6, 5.0, 100.0), 3, 5000
+        ):
+            ok, got_bound, got_p = _plan_metrics(d, eps, 3)
+            assert abs(got_p - float(log_p)) <= 1e-13 * max(1.0, abs(float(log_p))), (d, eps)
+            assert abs(got_bound - float(log_bound)) <= 1e-13 * max(1.0, abs(float(log_bound))), (d, eps)
+            assert ok == feasible, (d, eps)
+
+    def test_tiny_epsilon_runs_to_the_search_cap(self):
+        # p = eps/(U - 1) stays below the entanglement threshold until
+        # H_d reaches about 1/eps, far past ln d = 3e4
+        with pytest.raises(RuntimeError, match="search cap"):
+            amplification_plan(1e-300, 3.0, 3)
 
     def test_bracket_equals_the_mixture_fidelity(self):
         # the stable bracket rewrite must equal p + (1 - p)/d^2 at the

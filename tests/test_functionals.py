@@ -1,6 +1,7 @@
 """Bell and steering functionals, bounds, fractions, and optimizers."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from steerkit.functionals import (
     steering_bound_sdp,
     steering_fraction,
 )
-from steerkit.games import cglmp, cglmp_lv_lower
+from steerkit.games import cglmp, cglmp_lv_lower, mub, mub_functional
 from steerkit.states import (
     DensityMatrix,
     isotropic,
@@ -280,6 +281,41 @@ class TestFractions:
         f1 = steering_fraction(sig, func)
         f2 = steering_fraction(sig, scaled)
         assert abs(f1.value - f2.value) <= 1e-10
+
+
+class TestShapeChecks:
+    """A functional whose table would broadcast against the data's is
+    refused, before its bound is enumerated."""
+
+    @pytest.fixture(autouse=True)
+    def no_bound(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the bound was enumerated before the shape check")
+
+        monkeypatch.setattr("steerkit.functionals.local_bound", refuse)
+        monkeypatch.setattr("steerkit.functionals.steering_bound", refuse)
+
+    def test_bell_table_of_other_shape(self):
+        fam = mub(2, 2).to_measurements()
+        corr = correlation_from(max_entangled(2), fam, fam)
+        bell = BellFunctional(np.ones((1, 1, 2, 2)))
+        with pytest.raises(ValueError, match=r"\(2, 2, 2, 2\) does not match .*\(1, 1, 2, 2\)"):
+            nonlocality_fraction(corr, bell)
+
+    @pytest.mark.parametrize("func", [
+        mub_functional(mub(2, 1)),
+        SteeringFunctional(3, np.broadcast_to(np.eye(3), (2, 2, 3, 3))),
+    ], ids=["settings", "dim"])
+    def test_steering_functional_of_other_shape(self, func):
+        sig = steer(max_entangled(2), mub(2, 2).to_measurements())
+        expected = re.escape(str(func.operators.shape))
+        with pytest.raises(ValueError, match=rf"\(2, 2, 2, 2\) does not match .*{expected}"):
+            steering_fraction(sig, func)
+
+    def test_rotated_family_of_other_settings(self):
+        fam = mub(2, 1).to_measurements()
+        with pytest.raises(ValueError, match=r"\(1, 2, 2, 2\) does not match .*\(2, 2, 2, 2\)"):
+            best_rotated_fraction(max_entangled(2), fam, mub2_functional(), samples=2, steps=1)
 
 
 class TestInducedFunctional:

@@ -8,13 +8,10 @@ from steerkit.linalg import (
     haar_unitary,
     herm,
     herm_eig,
-    is_psd,
     kron,
     partial_trace,
     permute_systems,
     project_psd,
-    trace_distance,
-    trace_norm,
 )
 
 
@@ -192,33 +189,11 @@ class TestPositivity:
     def test_project_psd_clips_tiny_negatives(self):
         m = np.diag([1.0, -5e-11])
         out = project_psd(m)
-        assert is_psd(out)
         assert np.linalg.eigvalsh(out)[0] >= 0.0
 
     def test_project_psd_rejects_negative_beyond_floor(self):
         with pytest.raises(ValueError):
             project_psd(np.diag([1.0, -1e-6]))
-
-    def test_is_psd(self):
-        assert is_psd(np.eye(3))
-        assert not is_psd(np.diag([1.0, -1.0]))
-
-
-class TestDistances:
-    def test_orthogonal_pure_states(self):
-        a = np.diag([1.0, 0.0])
-        b = np.diag([0.0, 1.0])
-        assert abs(trace_distance(a, b) - 1.0) <= 1e-12
-
-    def test_self_distance(self):
-        gen = rng(7)
-        m = random_hermitian(3, gen)
-        assert trace_distance(m, m) <= 1e-14
-
-    def test_trace_norm_matches_singular_values(self):
-        gen = rng(8)
-        m = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
-        assert abs(trace_norm(m) - np.linalg.svd(m, compute_uv=False).sum()) <= 1e-10
 
 
 class TestPermuteSystems:

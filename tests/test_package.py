@@ -1,9 +1,11 @@
 """Cold start of the package: lazy public names and the CLI's BLAS default.
 
 Each check runs in a fresh interpreter, because the package and numpy are
-already loaded in the test process.
+already loaded in the test process.  The last check only parses the
+sources: no module of the package imports a name it never uses.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -211,3 +213,38 @@ print(json.dumps(raised))
 
         for name in ("jsonify", "render_report", "load_json"):
             assert getattr(serialize, name) is getattr(report, name)
+
+
+def _module_imports(tree: ast.Module):
+    """(line, bound name) of each import at module level, `if` blocks
+    (TYPE_CHECKING among them) included and `from __future__` skipped."""
+    body = list(tree.body)
+    while body:
+        node = body.pop(0)
+        if isinstance(node, ast.If):
+            body[:0] = node.body + node.orelse
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def _used_names(tree: ast.Module) -> set:
+    """Every name the module reads, plus the names a literal `__all__` lists."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.List) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(Path(SRC, "steerkit").glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used_names(tree)
+    unused = [f"{path.name}:{line} {name}" for line, name in _module_imports(tree) if name not in used]
+    assert unused == []
