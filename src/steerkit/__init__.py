@@ -86,7 +86,6 @@ _EXPORTS = {
         "AuditRow",
         "MonotoneReport",
         "PropositionReport",
-        "RobustnessProgram",
         "check_proposition_robustness",
         "check_proposition_weight",
         "monotonicity_audit",

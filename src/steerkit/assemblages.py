@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, herm, project_psd
+from .linalg import PSD_TOL, dagger, herm, project_psd
 from .states import DensityMatrix
 
 __all__ = [
@@ -36,11 +36,12 @@ MEMBER_TOL = 1e-7  # the largest robustness that lhs_membership reads as members
 
 
 def _clean_operator_table(table: np.ndarray, what: str) -> np.ndarray:
-    """Validate a (..., d, d) table: finite, Hermitian to 1e-12, PSD up to -1e-10."""
+    """Validate a (..., d, d) table: finite, Hermitian to 1e-12, PSD up to
+    -1e-10 times its largest entry."""
     if not np.isfinite(table).all():
         raise ValueError(f"{what}: entries must be finite")
     try:
-        out = project_psd(herm(table))
+        out = project_psd(herm(table), tol=PSD_TOL * float(np.abs(table).max(initial=0.0)))
     except ValueError as exc:
         raise ValueError(f"{what}: {exc}") from exc
     out.setflags(write=False)
@@ -277,22 +278,23 @@ def lhs_membership(sigma: Assemblage) -> MembershipResult:
 
     report = robustness_program(sigma)
     if report.status != "optimal":
-        return MembershipResult(status="indeterminate", robustness=None, gap=report.gap)
+        return MembershipResult(status="indeterminate", robustness=None, gap=None)
+    cert = report.certificate
 
     if report.value <= MEMBER_TOL:
-        proj = np.einsum("kxa,kij->xaij", report.strategy_indicator, report.model)
+        proj = np.einsum("kxa,kij->xaij", cert["strategy_indicator"], cert["model"])
         residual = float(np.max(np.abs(proj - sigma.members)))
         return MembershipResult(
             status="member",
             robustness=report.value,
             gap=report.gap,
-            model=report.model,
+            model=cert["model"],
             residual=residual,
         )
 
     from .functionals import SteeringFunctional, steering_bound
 
-    witness = SteeringFunctional(sigma.dim, report.witness)
+    witness = SteeringFunctional(sigma.dim, cert["witness"])
     bound = steering_bound(witness).value
     value = float(np.einsum("xaij,xaji->", witness.operators, sigma.members).real)
     if value <= bound:

@@ -10,26 +10,28 @@ response strategies of the measured side.
 The steerable weight and the steering robustness are one program over
 PSD hidden states, one per strategy: a PSD slack holds their mixture below
 sigma when the weight maximizes their total trace, above it when the
-robustness minimizes it.  `_hidden_state_outcome` reads either sense.
+robustness minimizes it.  `_hidden_state_report` reads either sense into
+a `MonotoneReport`, the one record of a hidden-state solve.
 
 The optimal steering fraction is the Lagrange dual of the robustness
 program, so both are read off one robustness solve: its dual slack is the
 optimal functional, its hidden states are the fraction's dual cover, and
-1 + robustness is the supremum; the monotonicity audit reads it so too.  A
-separate fraction program, with one matrix equality per strategy, remains
-as the fallback when the robustness solve stalls and for the fraction of
-the derived tables the proposition chains check.
+1 + robustness is the supremum.  S_O's two values are S_R's two values
+swapped; the monotonicity audit reads it so too.  A separate fraction
+program, with one matrix equality per strategy, remains as the fallback
+when the robustness solve stalls and for the fraction of the derived
+tables the proposition chains check.
 
 The robustness program doubles as the membership engine for the LHS set:
 its optimal hidden-state table is the model for members, and its dual
 slack yields a violated functional for nonmembers.
 
-Not every certificate is checked apart from the solver.  `_functional_value`
-re-evaluates every functional by enumerating its strategy sums (S_R's and
-S_W's dual values, the fraction program's certificate value),
-`_cover_bound` shifts S_O's cover to exact feasibility, and membership is
-checked on both sides; S_R's tr(model) - 1 and S_W's 1 - tr(pi) are read
-off the solver's states unchecked.
+Each side of a program has one reader.  `_functional_value` re-evaluates
+every functional by enumerating its strategy sums (S_R's and S_W's dual
+values, S_O's certificate value), `_cover_bound` shifts a covering
+hidden-state table to exact feasibility (S_R's certificate value, S_O's
+dual value), and membership is checked on both sides.  Only S_W's
+1 - tr(pi) is read off the solver's states unchecked.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .strategies import all_strategies
 
 __all__ = [
     "MonotoneReport",
-    "RobustnessProgram",
     "PropositionReport",
     "AuditRow",
     "AuditReport",
@@ -98,9 +99,11 @@ class MonotoneReport:
 
     `certificate` holds the primal optimizer (decomposition or
     functional); `certificate_value` and `dual_value` re-derive the value
-    from the two sides, each functional after rescaling to exact
-    feasibility (the module docstring says which side is checked).  Both
-    should match `value` within solver accuracy.
+    from the two sides, each checked apart from the solver except S_W's
+    1 - tr(pi) (the module docstring says how).  Both should match `value`
+    within solver accuracy.  S_R's certificate also carries `raw`, the
+    unclamped robustness.  A solve that did not end optimal gives NaN
+    value and gap and an empty certificate.
     """
 
     monotone: str
@@ -110,42 +113,6 @@ class MonotoneReport:
     certificate: dict
     certificate_value: float | None = None
     dual_value: float | None = None
-
-
-@dataclass(frozen=True)
-class RobustnessProgram:
-    """Full detail of one robustness solve, reused for LHS membership and
-    for the optimal steering fraction."""
-
-    status: str
-    value: float
-    raw_value: float | None = None
-    gap: float | None = None
-    model: np.ndarray | None = None               # (L, d, d) hidden states
-    strategy_indicator: np.ndarray | None = None  # (L, m, o)
-    witness: np.ndarray | None = None             # (m, o, d, d) dual functional
-    dual_value: float | None = None
-    noise: np.ndarray | None = None               # (m, o, d, d), when value > 0
-    certificate_value: float | None = None        # tr(model) - 1
-
-    def _robustness_report(self) -> MonotoneReport:
-        """The S_R report of this solve (NaN unless it ended optimal)."""
-        if self.status != "optimal":
-            return MonotoneReport("S_R", float("nan"), float("nan"), self.status, {})
-        return MonotoneReport(
-            monotone="S_R",
-            value=self.value,
-            gap=self.gap,
-            status=self.status,
-            certificate={
-                "model": self.model,
-                "noise": self.noise,
-                "witness": self.witness,
-                "strategy_indicator": self.strategy_indicator,
-            },
-            certificate_value=self.certificate_value,
-            dual_value=self.dual_value,
-        )
 
 
 @dataclass(frozen=True)
@@ -214,7 +181,7 @@ def _fraction_report(members: np.ndarray, dim: int, tol: float):
     sol = solve(p, tol=tol)
     if sol.status != "optimal":
         return MonotoneReport("S_O", float("nan"), float("nan"), sol.status, {}), float("nan")
-    # copies, as in `_hidden_state_outcome`
+    # copies, as in `_hidden_state_report`
     functional = sol.x[:m * o].reshape(members.shape).copy()
     # the per-strategy dual matrices, PSD by construction
     duals = sol.s[m * o:].copy()
@@ -253,23 +220,37 @@ def _hidden_state_program(members: np.ndarray, sense: str) -> tuple[SdpProblem, 
     return p, ind
 
 
-def _hidden_state_outcome(members: np.ndarray, ind: np.ndarray, sol, sense: str):
-    """An optimal hidden-state program read off: the hidden states and the
-    functional (the (x, a) slacks) as copies, since views would keep every
-    block alive in a report; their mixture; the raw value; the part (noise
-    for "min", steerable part for "max", None when raw <= 1e-6); and the
-    certificate value (from the states' trace) and the dual value."""
+def _hidden_state_report(members: np.ndarray, ind: np.ndarray, sol, sense: str) -> MonotoneReport:
+    """The report of a solved hidden-state program: S_W for sense "max",
+    S_R for "min" (NaN unless the solve ended optimal).  The hidden states
+    and the functional (the (x, a) slacks) are copies, since views would
+    keep every block alive in a report; the part (steerable part for
+    "max", noise for "min") is None when the raw value is at most 1e-6."""
+    name = "S_W" if sense == "max" else "S_R"
+    if sol.status != "optimal":
+        return MonotoneReport(name, float("nan"), float("nan"), sol.status, {})
     states = sol.x[:len(ind)].copy()
     functional = sol.s[len(ind):].reshape(members.shape).copy()
     mixture = np.einsum("kxa,kij->xaij", ind, states)
-    sign = 1.0 if sense == "min" else -1.0
-    raw = sign * (float(sol.primal_objective) - 1.0)
+    raw = (1.0 if sense == "min" else -1.0) * (float(sol.primal_objective) - 1.0)
     part = None
     if raw > 1e-6:  # each part keeps its own subtraction order, zeros' signs too
         part = (mixture - members) / raw if sense == "min" else (members - mixture) / raw
-    cert_value = _clamped(sign * (float(np.einsum("kii->", states).real) - 1.0))
-    return (states, functional, mixture, raw, part, cert_value,
-            _functional_value(members, ind, functional, sense))
+    if sense == "max":
+        certificate = {"weights": states, "unsteerable": mixture, "steerable": part}
+        cert_value = _clamped(1.0 - float(np.einsum("kii->", states).real))
+    else:
+        certificate = {"model": states, "noise": part, "raw": raw}
+        cert_value = _cover_bound(members, ind, states)
+    return MonotoneReport(
+        monotone=name,
+        value=_clamped(raw),
+        gap=float(sol.gap),
+        status=sol.status,
+        certificate={**certificate, "witness": functional, "strategy_indicator": ind},
+        certificate_value=cert_value,
+        dual_value=_functional_value(members, ind, functional, sense),
+    )
 
 
 def _cover_bound(members: np.ndarray, ind: np.ndarray, cover_states: np.ndarray) -> float:
@@ -283,25 +264,26 @@ def _cover_bound(members: np.ndarray, ind: np.ndarray, cover_states: np.ndarray)
     return _clamped(total + max(0.0, -feas) * dim * len(cover_states) - 1.0)
 
 
-def _fraction_from_robustness(members: np.ndarray, prog: RobustnessProgram, tol: float):
-    """S_O report and unclamped supremum read off a robustness solve.
+def _fraction_from_robustness(members: np.ndarray, sr: MonotoneReport, tol: float):
+    """S_O report and unclamped supremum read off an S_R report.
 
     The robustness dual slack is an optimal functional and the hidden
-    states are an optimal dual cover.  Only when that solve did not end
-    optimal is the fraction program solved instead.
+    states are an optimal dual cover, so S_O's two values are S_R's two
+    values swapped.  Only when that solve did not end optimal is the
+    fraction program solved instead.
     """
-    if prog.status != "optimal":
+    if sr.status != "optimal":
         return _fraction_report(members, members.shape[-1], tol)
-    supremum = 1.0 + prog.raw_value
+    supremum = 1.0 + sr.certificate["raw"]
     report = MonotoneReport(
         monotone="S_O",
-        value=prog.value,
-        gap=prog.gap,
-        status=prog.status,
-        certificate={"functional": prog.witness, "dual_cover": prog.model, "supremum": supremum},
-        # the functional's enumerated value, the robustness program's dual value
-        certificate_value=prog.dual_value,
-        dual_value=_cover_bound(members, prog.strategy_indicator, prog.model),
+        value=sr.value,
+        gap=sr.gap,
+        status=sr.status,
+        certificate={"functional": sr.certificate["witness"], "dual_cover": sr.certificate["model"],
+                     "supremum": supremum},
+        certificate_value=sr.dual_value,
+        dual_value=sr.certificate_value,
     )
     return report, supremum
 
@@ -324,65 +306,26 @@ def steerable_weight(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
     part and, when the weight is positive, the steerable remainder
     (sigma - mixture) / weight.
     """
-    members = sigma.members
-    problem, ind = _hidden_state_program(members, "max")
-    sol = solve(problem, tol=tol)
-    if sol.status != "optimal":
-        return MonotoneReport("S_W", float("nan"), float("nan"), sol.status, {})
-    pi, witness, unsteerable, raw, steerable_part, cert_value, dual_value = \
-        _hidden_state_outcome(members, ind, sol, "max")
-    return MonotoneReport(
-        monotone="S_W",
-        value=_clamped(raw),
-        gap=float(sol.gap),
-        status=sol.status,
-        certificate={
-            "weights": pi,
-            "unsteerable": unsteerable,
-            "steerable": steerable_part,
-            "witness": witness,
-            "strategy_indicator": ind,
-        },
-        certificate_value=cert_value,
-        dual_value=dual_value,
-    )
+    problem, ind = _hidden_state_program(sigma.members, "max")
+    return _hidden_state_report(sigma.members, ind, solve(problem, tol=tol), "max")
 
 
-def robustness_program(sigma: Assemblage, tol: float = 1e-9) -> RobustnessProgram:
-    """Robustness solve with the detail the membership test consumes.
+def robustness_program(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
+    """The S_R report, with the detail the membership test consumes.
 
     The model rows are the subnormalized hidden states; mixing them along
     `strategy_indicator` reproduces sigma exactly at robustness 0.  The
     witness is the dual functional, already positive semidefinite, whose
     value on sigma approaches 1 + robustness while its enumeration bound
-    stays near 1.
+    stays near 1.  `raw` is the unclamped robustness.
     """
     problem, ind = _hidden_state_program(sigma.members, "min")
-    return _robustness_outcome(sigma.members, ind, solve(problem, tol=tol))
-
-
-def _robustness_outcome(members: np.ndarray, ind: np.ndarray, sol) -> RobustnessProgram:
-    """The `RobustnessProgram` of a solved hidden-state program of sense "min"."""
-    if sol.status != "optimal":
-        return RobustnessProgram(status=sol.status, value=float("nan"), gap=sol.gap)
-    xi, witness, _, raw, noise, cert_value, dual_value = _hidden_state_outcome(members, ind, sol, "min")
-    return RobustnessProgram(
-        status=sol.status,
-        value=_clamped(raw),
-        raw_value=raw,
-        gap=float(sol.gap),
-        model=xi,
-        strategy_indicator=ind,
-        witness=witness,
-        dual_value=dual_value,
-        noise=noise,
-        certificate_value=cert_value,
-    )
+    return _hidden_state_report(sigma.members, ind, solve(problem, tol=tol), "min")
 
 
 def steering_robustness(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
     """Minimal noise admixture that lands inside the LHS set."""
-    return robustness_program(sigma, tol=tol)._robustness_report()
+    return robustness_program(sigma, tol=tol)
 
 
 def _derived_fraction(table: np.ndarray | None, source: MonotoneReport, dim: int):
@@ -440,17 +383,17 @@ def check_proposition_robustness(sigma: Assemblage, slack_tol: float = 1e-5) -> 
     r * value(tau) - 2 <= value(sigma) <= r * (value(tau) + 2).  One
     robustness solve gives both r and value(sigma).
     """
-    prog = robustness_program(sigma)
-    sr_report = prog._robustness_report()
-    so_report, _ = _fraction_from_robustness(sigma.members, prog, tol=1e-9)
+    sr_report = robustness_program(sigma)
+    so_report, _ = _fraction_from_robustness(sigma.members, sr_report, tol=1e-9)
     so, sr = so_report.value, sr_report.value
-    noise_report, so_noise = _derived_fraction(prog.noise, sr_report, sigma.dim)
+    noise = sr_report.certificate.get("noise")
+    noise_report, so_noise = _derived_fraction(noise, sr_report, sigma.dim)
     # without noise (so_noise = 0) these are so + 2 and 2 r - so, exactly
     slacks = (so - (sr * so_noise - 2.0), sr * (so_noise + 2.0) - so)
     window = (so / (so_noise + 2.0), (so + 2.0) / so_noise) if so_noise > 0 else None
     terms = {"fraction": so, "robustness": sr, "fraction_of_noise": so_noise}
     return _chain_report("robustness", terms, (sr_report, so_report, noise_report),
-                         prog.noise is not None, slacks, window, slack_tol)
+                         noise is not None, slacks, window, slack_tol)
 
 
 def monotonicity_audit(
@@ -486,8 +429,8 @@ def monotonicity_audit(
         progs = [_hidden_state_program(tables[i], "min") for i in idx]
         sols = solve_many([problem for problem, _ in progs], tol=1e-9)
         for i, (_, ind), sol in zip(idx, progs, sols):
-            prog = _robustness_outcome(tables[i], ind, sol)
-            outcomes[i] = _fraction_from_robustness(tables[i], prog, tol=1e-9)
+            sr = _hidden_state_report(tables[i], ind, sol, "min")
+            outcomes[i] = _fraction_from_robustness(tables[i], sr, tol=1e-9)
     (base_report, base_sup), *outcomes = outcomes
     rows = []
     for index, row in enumerate(branches):

@@ -153,6 +153,17 @@ class TestSteeringBound:
         with pytest.raises(ValueError, match="finite"):
             SteeringFunctional(2, ops)
 
+    def test_indefinite_operators_at_tiny_scale_rejected(self):
+        ops = np.broadcast_to(1e-12 * np.diag([1.0, -0.5]), (2, 2, 2, 2))
+        with pytest.raises(ValueError, match="not PSD"):
+            SteeringFunctional(2, ops)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_noise_relative_to_the_largest_entry_clipped(self, scale):
+        ops = np.broadcast_to(scale * np.diag([1.0, -1e-11]), (2, 2, 2, 2))
+        func = SteeringFunctional(2, ops)
+        assert np.linalg.eigvalsh(func.operators).min() >= 0.0
+
     def test_two_mub_value(self):
         sb = steering_bound(mub2_functional())
         assert abs(sb.value - (1.0 + 1.0 / SQRT2)) <= 1e-12

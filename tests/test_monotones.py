@@ -139,12 +139,13 @@ class TestNonOptimalSolve:
         prog = robustness_program(steer(max_entangled(2), zx_family()))
         assert prog.status == "indeterminate"
         assert np.isnan(prog.value)
-        assert prog.model is None and prog.witness is None
+        assert prog.certificate == {}
 
     def test_membership_is_indeterminate(self):
         res = lhs_membership(steer(max_entangled(2), zx_family()))
         assert res.status == "indeterminate"
         assert res.robustness is None
+        assert res.gap is None
 
     @pytest.mark.parametrize(
         "chain", [check_proposition_weight, check_proposition_robustness],
@@ -201,8 +202,8 @@ class TestBoundaryStall:
                     eff[x, a] = np.outer(q[:, a], q[:, a].conj())
             sig = steer(rho, MeasurementFamily(2, eff))
         prog = robustness_program(sig)
-        assert abs(prog.raw_value - 0.00265) <= 1e-5
-        noise = Assemblage(2, prog.noise)
+        assert abs(prog.certificate["raw"] - 0.00265) <= 1e-5
+        noise = Assemblage(2, prog.certificate["noise"])
         assert optimal_steering_fraction(noise).status == "optimal"
         assert steering_robustness(noise).status == "optimal"
         assert steerable_weight(noise).status == "optimal"
@@ -224,6 +225,20 @@ def pure_qubit_draw(seed, draws):
     return sig
 
 
+def scan_draw(seed):
+    """A rank-1 qutrit state at visibility 0.85 under three random
+    projective bases, drawn as in the ROADMAP's non-optimal-exit scan."""
+    gen = np.random.default_rng(seed)
+    rho = random_density_matrix(3, 3, rank=1, rng=gen)
+    mixed = DensityMatrix(3, 3, 0.85 * rho.matrix + 0.15 * np.eye(9) / 9)
+    eff = np.empty((3, 3, 3, 3), dtype=np.complex128)
+    for x in range(3):
+        q, _ = np.linalg.qr(gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3)))
+        for a in range(3):
+            eff[x, a] = np.outer(q[:, a], q[:, a].conj())
+    return steer(mixed, MeasurementFamily(3, eff))
+
+
 class TestFractionFromRobustness:
     """S_O is read off the robustness program; the fraction program is
     solved only when the robustness solve does not end optimal."""
@@ -231,15 +246,7 @@ class TestFractionFromRobustness:
     def test_fraction_on_input_where_the_fraction_program_stalls(self):
         # a (d, m) = (3, 3) draw of the ROADMAP's non-optimal-exit scan at
         # visibility 0.85, on which the fraction program ends indeterminate
-        gen = np.random.default_rng([85, 3, 3, 32])
-        rho = random_density_matrix(3, 3, rank=1, rng=gen)
-        mixed = DensityMatrix(3, 3, 0.85 * rho.matrix + 0.15 * np.eye(9) / 9)
-        eff = np.empty((3, 3, 3, 3), dtype=np.complex128)
-        for x in range(3):
-            q, _ = np.linalg.qr(gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3)))
-            for a in range(3):
-                eff[x, a] = np.outer(q[:, a], q[:, a].conj())
-        sig = steer(mixed, MeasurementFamily(3, eff))
+        sig = scan_draw([85, 3, 3, 32])
         so = optimal_steering_fraction(sig)
         sr = steering_robustness(sig)
         assert so.status == sr.status == "optimal"
@@ -249,21 +256,28 @@ class TestFractionFromRobustness:
     def test_fraction_of_boundary_noise_falls_back_to_the_fraction_program(self):
         # the noise part of the seventh draw of criterion 3, on which the
         # robustness program stalls and the fraction program does not
-        noise = Assemblage(2, robustness_program(pure_qubit_draw(33, 7)).noise)
+        noise = Assemblage(2, robustness_program(pure_qubit_draw(33, 7)).certificate["noise"])
         so = optimal_steering_fraction(noise)
         fallback, _ = monotones._fraction_report(noise.members, 2, 1e-9)
         assert so.status == fallback.status == "optimal"
         assert abs(so.value - fallback.value) <= 1e-9
 
     def test_report_matches_the_robustness_solve(self):
-        sig = steer(isotropic(2, 0.9), zx_family())
-        so = optimal_steering_fraction(sig)
-        prog = robustness_program(sig)
-        assert so.value == prog.value
-        assert so.certificate["supremum"] == 1.0 + prog.raw_value
-        assert so.certificate_value == prog.dual_value
-        assert np.array_equal(so.certificate["functional"], prog.witness)
-        assert np.array_equal(so.certificate["dual_cover"], prog.model)
+        # the scan draw's model covers sigma only after the identity shift
+        # of `_cover_bound`, which raises the bound by 1.9e-7 there
+        for sig in (steer(isotropic(2, 0.9), zx_family()), scan_draw([85, 3, 3, 2])):
+            so = optimal_steering_fraction(sig)
+            sr = robustness_program(sig)
+            cert = sr.certificate
+            assert so.value == sr.value
+            assert so.certificate["supremum"] == 1.0 + cert["raw"]
+            assert np.array_equal(so.certificate["functional"], cert["witness"])
+            assert np.array_equal(so.certificate["dual_cover"], cert["model"])
+            # S_R's upper side is the checked cover, and S_O reads the two swapped
+            assert sr.certificate_value == monotones._cover_bound(
+                sig.members, cert["strategy_indicator"], cert["model"])
+            assert (so.certificate_value, so.dual_value) == (sr.dual_value, sr.certificate_value)
+            assert sr.dual_value <= sr.certificate_value
 
 
 class TestCertificates:
@@ -274,8 +288,8 @@ class TestCertificates:
         prog = robustness_program(sig)
         weight = steerable_weight(sig).certificate
         fraction = monotones._fraction_report(sig.members, 2, 1e-9)[0].certificate
-        arrays = (prog.model, prog.witness, weight["weights"], weight["witness"],
-                  fraction["functional"], fraction["dual_cover"])
+        arrays = (prog.certificate["model"], prog.certificate["witness"], weight["weights"],
+                  weight["witness"], fraction["functional"], fraction["dual_cover"])
         assert all(a.base is None for a in arrays)
 
     def test_fraction_certificates(self):
@@ -319,21 +333,20 @@ class TestCertificates:
     def test_robustness_mixture_restores_membership(self):
         sig = steer(max_entangled(2), zx_family())
         prog = robustness_program(sig)
-        assert prog.raw_value > 1e-3
-        noise_sig = Assemblage(2, prog.noise)
-        mixture = Assemblage(
-            2, (sig.members + prog.raw_value * noise_sig.members) / (1.0 + prog.raw_value)
-        )
+        raw = prog.certificate["raw"]
+        assert raw > 1e-3
+        noise_sig = Assemblage(2, prog.certificate["noise"])
+        mixture = Assemblage(2, (sig.members + raw * noise_sig.members) / (1.0 + raw))
         assert lhs_membership(mixture).member
 
     def test_robustness_program_contract(self):
         sig = steer(max_entangled(2), zx_family())
-        prog = robustness_program(sig)
-        assert prog.model.shape == (4, 2, 2)
-        assert prog.strategy_indicator.shape == (4, 2, 2)
-        assert prog.witness.shape == (2, 2, 2, 2)
-        assert np.linalg.eigvalsh(prog.model).min() >= -1e-9
-        assert np.linalg.eigvalsh(prog.witness.reshape(-1, 2, 2)).min() >= -1e-9
+        cert = robustness_program(sig).certificate
+        assert cert["model"].shape == (4, 2, 2)
+        assert cert["strategy_indicator"].shape == (4, 2, 2)
+        assert cert["witness"].shape == (2, 2, 2, 2)
+        assert np.linalg.eigvalsh(cert["model"]).min() >= -1e-9
+        assert np.linalg.eigvalsh(cert["witness"].reshape(-1, 2, 2)).min() >= -1e-9
 
     def test_weight_witness_dominates_identity(self):
         sig = steer(isotropic(2, 0.85), zx_family())
@@ -348,8 +361,7 @@ class TestCertificates:
         rep = optimal_steering_fraction(sig)
         duals = rep.certificate["dual_cover"]
         # reconstruct the per-(x, a) cover from the strategy sums
-        prog = robustness_program(sig)
-        ind = prog.strategy_indicator
+        ind = robustness_program(sig).certificate["strategy_indicator"]
         cover = np.einsum("kxa,kij->xaij", ind, duals)
         gap = cover - sig.members
         assert np.linalg.eigvalsh(gap.reshape(-1, 2, 2)).min() >= -1e-7

@@ -33,7 +33,7 @@ EXPORTS = {
     "steering_bound steering_bound_sdp steering_fraction",
     "games": "KvFraction KvGame MubFamily cglmp cglmp_lv_lower kv_fraction kv_game "
     "kv_measurements mub mub_functional",
-    "monotones": "AuditReport AuditRow MonotoneReport PropositionReport RobustnessProgram "
+    "monotones": "AuditReport AuditRow MonotoneReport PropositionReport "
     "check_proposition_robustness check_proposition_weight monotonicity_audit "
     "optimal_steering_fraction robustness_program steerable_weight steering_robustness",
     "states": "DensityMatrix FefResult IsotropicState fef isotropic ket_max_entangled "
@@ -231,15 +231,20 @@ def _module_imports(tree: ast.Module):
                 yield node.lineno, alias.asname or alias.name
 
 
-def _used_names(tree: ast.Module) -> set:
-    """Every name the module reads, plus the names a literal `__all__` lists."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _all_names(tree: ast.Module) -> set:
+    """The names a literal `__all__` list at module level holds."""
+    listed = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.List) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
-            used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
-    return used
+            listed.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    return listed
+
+
+def _used_names(tree: ast.Module) -> set:
+    """Every name the module reads, plus the names a literal `__all__` lists."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _all_names(tree)
 
 
 @pytest.mark.parametrize("path", sorted(Path(SRC, "steerkit").glob("*.py")), ids=lambda p: p.name)
@@ -248,3 +253,16 @@ def test_no_unused_module_imports(path):
     used = _used_names(tree)
     unused = [f"{path.name}:{line} {name}" for line, name in _module_imports(tree) if name not in used]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(SRC, "steerkit").glob("*.py")), ids=lambda p: p.name)
+def test_every_all_entry_is_bound(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {name for _, name in _module_imports(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert sorted(_all_names(tree) - bound) == []
