@@ -303,13 +303,13 @@ def _cmd_monotone(args, config: RunConfig):
 
 
 def _cmd_game(args, config: RunConfig):
-    from .games import cglmp, cglmp_lv_lower, kv_fraction, kv_game, kv_measurements, mub, mub_functional
+    from .games import _kv_fraction, cglmp, cglmp_lv_lower, kv_game, kv_measurements, mub, mub_functional
     from .serialize import encode_bell, encode_functional, encode_measurements
 
     if args.game == "kv":
         game = kv_game(args.n, args.eta)
         fam = kv_measurements(args.n)
-        frac = kv_fraction(args.n, args.eta)
+        frac = _kv_fraction(game, fam)
         return {
             "kind": "kv",
             "n": game.n,

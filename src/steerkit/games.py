@@ -174,8 +174,12 @@ def kv_fraction(n: int, eta: float | None = None) -> KvFraction:
     The reported `estimate` is the asymptotic guarantee 4e^-4 * n/(ln n)^2;
     it undershoots 1 for every enumerable n and is informational only.
     """
-    game = kv_game(n, eta)
-    fam = kv_measurements(n)
+    return _kv_fraction(kv_game(n, eta), kv_measurements(n))
+
+
+def _kv_fraction(game: KvGame, fam: MeasurementFamily) -> KvFraction:
+    """`kv_fraction` of a game and its measurements, already built."""
+    n = game.n
     corr = correlation_from(max_entangled(n), fam, fam)
     value = float(np.sum(game.coefficients.coefficients * corr.table))
     settings = (1 << n) // n

@@ -157,9 +157,9 @@ class AuditReport:
         return all(r.holds_average and r.holds_branches for r in self.rows)
 
 
-def _fraction_report(members: np.ndarray, dim: int, tol: float):
-    """S_O report and unclamped supremum (NaN unless the solve ends optimal)
-    of max sum tr(F sigma) over F >= 0 with every strategy sum of F below 1.
+def _fraction_report(members: np.ndarray, tol: float) -> MonotoneReport:
+    """S_O report of max sum tr(F sigma) over F >= 0 with every strategy sum
+    of F below 1; the certificate's `supremum` is that maximum, unclamped.
 
     The robustness program gives the same value with o^m / (m o) times
     fewer rows; this one is kept for two uses: the fallback when a
@@ -167,7 +167,7 @@ def _fraction_report(members: np.ndarray, dim: int, tol: float):
     steerable part and the noise in the proposition chains, boundary tables
     on which the robustness program can stall.
     """
-    m, o = members.shape[0], members.shape[1]
+    m, o, dim = members.shape[0], members.shape[1], members.shape[-1]
     ind = _strategy_indicator(m, o)
     # blocks: F_{a|x} at x * o + a, then the slack T_k of strategy k
     p = SdpProblem()
@@ -180,13 +180,13 @@ def _fraction_report(members: np.ndarray, dim: int, tol: float):
     p.add_matrix_equalities(terms, np.broadcast_to(np.eye(dim), (len(ind), dim, dim)))
     sol = solve(p, tol=tol)
     if sol.status != "optimal":
-        return MonotoneReport("S_O", float("nan"), float("nan"), sol.status, {}), float("nan")
+        return MonotoneReport("S_O", float("nan"), float("nan"), sol.status, {})
     # copies, as in `_hidden_state_report`
     functional = sol.x[:m * o].reshape(members.shape).copy()
     # the per-strategy dual matrices, PSD by construction
     duals = sol.s[m * o:].copy()
     supremum = float(sol.primal_objective)
-    report = MonotoneReport(
+    return MonotoneReport(
         monotone="S_O",
         value=_clamped(supremum - 1.0),
         gap=float(sol.gap),
@@ -195,7 +195,6 @@ def _fraction_report(members: np.ndarray, dim: int, tol: float):
         certificate_value=_functional_value(members, ind, functional, "min"),
         dual_value=_cover_bound(members, ind, duals),
     )
-    return report, supremum
 
 
 def _hidden_state_program(members: np.ndarray, sense: str) -> tuple[SdpProblem, np.ndarray]:
@@ -264,8 +263,8 @@ def _cover_bound(members: np.ndarray, ind: np.ndarray, cover_states: np.ndarray)
     return _clamped(total + max(0.0, -feas) * dim * len(cover_states) - 1.0)
 
 
-def _fraction_from_robustness(members: np.ndarray, sr: MonotoneReport, tol: float):
-    """S_O report and unclamped supremum read off an S_R report.
+def _fraction_from_robustness(members: np.ndarray, sr: MonotoneReport, tol: float) -> MonotoneReport:
+    """S_O report read off an S_R report.
 
     The robustness dual slack is an optimal functional and the hidden
     states are an optimal dual cover, so S_O's two values are S_R's two
@@ -273,19 +272,17 @@ def _fraction_from_robustness(members: np.ndarray, sr: MonotoneReport, tol: floa
     fraction program solved instead.
     """
     if sr.status != "optimal":
-        return _fraction_report(members, members.shape[-1], tol)
-    supremum = 1.0 + sr.certificate["raw"]
-    report = MonotoneReport(
+        return _fraction_report(members, tol)
+    return MonotoneReport(
         monotone="S_O",
         value=sr.value,
         gap=sr.gap,
         status=sr.status,
         certificate={"functional": sr.certificate["witness"], "dual_cover": sr.certificate["model"],
-                     "supremum": supremum},
+                     "supremum": 1.0 + sr.certificate["raw"]},
         certificate_value=sr.dual_value,
         dual_value=sr.certificate_value,
     )
-    return report, supremum
 
 
 def optimal_steering_fraction(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
@@ -296,7 +293,7 @@ def optimal_steering_fraction(sigma: Assemblage, tol: float = 1e-9) -> MonotoneR
     0, which every unsteerable assemblage attains.  When the robustness
     solve does not end optimal, the fraction program is solved instead.
     """
-    return _fraction_from_robustness(sigma.members, robustness_program(sigma, tol=tol), tol)[0]
+    return _fraction_from_robustness(sigma.members, robustness_program(sigma, tol=tol), tol)
 
 
 def steerable_weight(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
@@ -328,13 +325,13 @@ def steering_robustness(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
     return robustness_program(sigma, tol=tol)
 
 
-def _derived_fraction(table: np.ndarray | None, source: MonotoneReport, dim: int):
+def _derived_fraction(table: np.ndarray | None, source: MonotoneReport):
     """S_O report (None without a table) and value of a chain's derived table,
     the steerable part or the noise; without one the value is 0 when the
     solve that derives it ended optimal, NaN when it did not."""
     if table is None:
         return None, 0.0 if source.status == "optimal" else float("nan")
-    report = _fraction_report(table, dim, tol=1e-9)[0]
+    report = _fraction_report(table, tol=1e-9)
     return report, report.value
 
 
@@ -365,7 +362,7 @@ def check_proposition_weight(sigma: Assemblage, slack_tol: float = 1e-5) -> Prop
     sw_report = steerable_weight(sigma)
     so, sw = so_report.value, sw_report.value
     part = sw_report.certificate.get("steerable")
-    part_report, so_part = _derived_fraction(part, sw_report, sigma.dim)
+    part_report, so_part = _derived_fraction(part, sw_report)
     if part is None:
         slacks, window = (-so, so + 2.0 * (1.0 - sw)), None
     else:
@@ -384,10 +381,10 @@ def check_proposition_robustness(sigma: Assemblage, slack_tol: float = 1e-5) -> 
     robustness solve gives both r and value(sigma).
     """
     sr_report = robustness_program(sigma)
-    so_report, _ = _fraction_from_robustness(sigma.members, sr_report, tol=1e-9)
+    so_report = _fraction_from_robustness(sigma.members, sr_report, tol=1e-9)
     so, sr = so_report.value, sr_report.value
     noise = sr_report.certificate.get("noise")
-    noise_report, so_noise = _derived_fraction(noise, sr_report, sigma.dim)
+    noise_report, so_noise = _derived_fraction(noise, sr_report)
     # without noise (so_noise = 0) these are so + 2 and 2 r - so, exactly
     slacks = (so - (sr * so_noise - 2.0), sr * (so_noise + 2.0) - so)
     window = (so / (so_noise + 2.0), (so + 2.0) / so_noise) if so_noise > 0 else None
@@ -431,13 +428,14 @@ def monotonicity_audit(
         for i, (_, ind), sol in zip(idx, progs, sols):
             sr = _hidden_state_report(tables[i], ind, sol, "min")
             outcomes[i] = _fraction_from_robustness(tables[i], sr, tol=1e-9)
-    (base_report, base_sup), *outcomes = outcomes
+    base_report, *outcomes = outcomes
+    base_sup = base_report.certificate.get("supremum", float("nan"))
     rows = []
     for index, row in enumerate(branches):
         weights = [weight for weight, _ in row]
         mine, outcomes = outcomes[:len(row)], outcomes[len(row):]
-        values = [rep.value for rep, _ in mine]
-        suprema = [sup for _, sup in mine]
+        values = [rep.value for rep in mine]
+        suprema = [rep.certificate.get("supremum", float("nan")) for rep in mine]
         average = float(np.dot(weights, values))
         rows.append(AuditRow(
             index=index,

@@ -13,6 +13,11 @@ Standard form handled internally:
     minimize    <c, x>
     subject to  A x = b,   x in K = H_+^n x ... x H_+^n   (B blocks)
 
+Exits. A problem ends `optimal` when its residuals and relative gap are
+within tol. Every other exit is `indeterminate`, with no solution: tau
+collapsing to 0 (the embedding's sign of infeasibility, which no program of
+the package has), a failed NT scaling or Newton step, or max_iters.
+
 Coordinates. A Hermitian n x n block is a real svec vector of length n^2:
 the diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper triangle,
 so that svec(A) . svec(B) = tr(AB). The unit vectors of these coordinates
@@ -114,7 +119,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import herm
+from .linalg import dagger, herm
 
 _STEP_FRACTION = 0.98
 # Tile size of the Schur factorization and of the triangular solves on its
@@ -174,10 +179,6 @@ def _herm_basis(n: int) -> np.ndarray:
     basis = smat(np.eye(n * n), n)
     basis.flags.writeable = False
     return basis
-
-
-def _ct(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
 
 
 class SdpProblem:
@@ -299,7 +300,7 @@ class SdpProblem:
 
 @dataclass
 class SdpSolution:
-    status: str                             # optimal | primal_infeasible | dual_infeasible | indeterminate
+    status: str                             # optimal, or indeterminate with no solution (None)
     x: np.ndarray | None = None             # (B, n, n) primal blocks
     y: np.ndarray | None = None             # equality multipliers
     s: np.ndarray | None = None             # (B, n, n) dual slack blocks
@@ -308,7 +309,6 @@ class SdpSolution:
     gap: float | None = None                # absolute duality gap, caller's sense
     rel_gap: float | None = None
     iterations: int = 0
-    certificate: dict | None = None         # Farkas ray for infeasible statuses
     trace: list[dict] = field(default_factory=list)
 
 
@@ -476,13 +476,13 @@ def _nt_scaling(factors: np.ndarray) -> _Nt:
     R^-1 = lam^-3/2 V^H A^H L_s^H."""
     nb = factors.shape[-3] // 2
     lx, ls = factors[..., :nb, :, :], factors[..., nb:, :, :]
-    a = _matmul(_ct(ls), lx)
-    lam2, v = _eigh(_matmul(_ct(a), a))
+    a = _matmul(dagger(ls), lx)
+    lam2, v = _eigh(_matmul(dagger(a), a))
     lam = np.sqrt(np.maximum(lam2, 1e-300))
     isq = 1.0 / np.sqrt(lam)
     r = _matmul(lx, v) * isq[..., np.newaxis, :]
-    rinv = _matmul((isq / lam)[..., :, np.newaxis] * _ct(_matmul(a, v)), _ct(ls))
-    return _Nt(r, rinv, _matmul(r, _ct(r)), lam)
+    rinv = _matmul((isq / lam)[..., :, np.newaxis] * dagger(_matmul(a, v)), dagger(ls))
+    return _Nt(r, rinv, _matmul(r, dagger(r)), lam)
 
 
 def _guarded(fn, stack: np.ndarray, fill=None):
@@ -548,12 +548,12 @@ def _cholesky(m: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         i0, i1 = k * size, min(k * size + size, n)
         col = m[..., i0:, i0:i1]
         if k:
-            update = (tiles[..., k:, :k, :, :] @ _ct(tiles[..., k:k + 1, :k, :, :])).sum(axis=-3)
+            update = (tiles[..., k:, :k, :, :] @ dagger(tiles[..., k:k + 1, :k, :, :])).sum(axis=-3)
             col = col - update.reshape(lead + (-1, size))[..., :n - i0, :i1 - i0]
         diag = fac[..., i0:i1, i0:i1] = np.linalg.cholesky(col[..., :i1 - i0, :])
         inv.append(np.linalg.inv(diag))
         if i1 < n:
-            fac[..., i1:n, i0:i1] = _ct(_refined(diag, inv[k], _ct(col[..., i1 - i0:, :])))
+            fac[..., i1:n, i0:i1] = dagger(_refined(diag, inv[k], dagger(col[..., i1 - i0:, :])))
     return fac[..., :n, :n], inv
 
 
@@ -574,22 +574,6 @@ def _tri_solve(t: np.ndarray, inv: list[np.ndarray], v: np.ndarray, lower: bool)
             r = r - t[..., i0:i1, i1:] @ x[..., i1:, :]
         x[..., i0:i1, :] = _refined(t[..., i0:i1, i0:i1], inv[k], r)
     return x
-
-
-def _farkas(lay: _Layout, tol: float, b, c, x, y) -> tuple[str, dict | None]:
-    """Status and certificate of a problem whose tau has collapsed."""
-    by, cx = float(b @ y), float(c @ x)
-    if by > tol:
-        yhat = y / by
-        wmin = float(np.linalg.eigvalsh(lay.split(-lay.at_dot(yhat)))[:, 0].min())
-        if wmin > -1e-6:
-            return "primal_infeasible", {"y": yhat[lay.order], "min_eig_slack": wmin}
-    if cx < -tol:
-        xhat = x / (-cx)
-        axn = float(np.abs(lay.a_dot(xhat)).max(initial=0.0))
-        if axn < 1e-6:
-            return "dual_infeasible", {"x": lay.split(xhat), "primal_residual": axn}
-    return "indeterminate", None
 
 
 @dataclass
@@ -618,13 +602,9 @@ class _Running:
 
 
 def solve(problem: SdpProblem, tol: float = 1e-8, max_iters: int = 100) -> SdpSolution:
-    """Solve the problem to the requested tolerance.
-
-    Returns an optimal solution with a certified duality gap, or an
-    infeasibility certificate (Farkas ray), or an indeterminate status after
-    max_iters. The iterate trace (mu, residuals, objectives, <x,s>) is kept
-    on the solution for auditing.
-    """
+    """Solve the problem to the requested tolerance: `optimal` with a
+    certified duality gap, or `indeterminate` (see Exits above). The iterate
+    trace (mu, residuals, objectives, <x,s>) is kept for auditing."""
     return solve_many([problem], tol=tol, max_iters=max_iters)[0]
 
 
@@ -709,10 +689,9 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
                 ended[j] = dict(status="optimal", x=split(x[j] / tau_j), y=sign * y[j][lay.order] / tau_j,
                                 s=split(s[j] / tau_j), primal_objective=po, dual_objective=do,
                                 gap=abs(po - do), rel_gap=relgap)
-            # Infeasibility: test Farkas certificates once tau collapses.
+            # a collapsed tau leaves no optimum to certify
             elif tau_j < 1e-8 * min(1.0, kappa_j) or (mu_j < 1e-10 * mu0 and tau_j < 1e-6):
-                status, certificate = _farkas(lay, tol, b[j], c[j], x[j], y[j])
-                ended[j] = dict(status=status, certificate=certificate)
+                ended[j] = dict(status="indeterminate")
         run, _ = leave(run, ended, it)
         if not len(run.ids):
             break
@@ -768,9 +747,9 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
         # iterate is diag(lam) in that frame, so scaled by lam^-1/2 on both
         # sides their smallest eigenvalue gives the largest step.
         lam = nt.lam
-        r_h = _ct(nt.r)
+        r_h = dagger(nt.r)
         frame = np.concatenate([nt.rinv, r_h], axis=-3)
-        frame_h = _ct(frame)
+        frame_h = dagger(frame)
         isq = 1.0 / np.sqrt(lam)
         # lam^-1/2 on both sides, for the (X, S) halves of a frame stack
         unit = (isq[..., :, np.newaxis] * isq[..., np.newaxis, :])[:, np.newaxis]
@@ -780,7 +759,7 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
 
         def max_alpha(d, dtau, dkappa):
             g = d.reshape(unit.shape[:1] + (2,) + unit.shape[2:]) * unit
-            wmin = _eigvalsh_min(0.5 * (g + _ct(g))).min(axis=(-2, -1))
+            wmin = _eigvalsh_min(0.5 * (g + dagger(g))).min(axis=(-2, -1))
             return np.array([_max_step(*v) for v in zip(wmin.tolist(), tau.tolist(), dtau.tolist(),
                                                         kappa.tolist(), dkappa.tolist())])
 

@@ -116,8 +116,7 @@ def test_criterion_01_reference_number_regression(tmp_path):
 def fraction_program_value(sig):
     """S_O from the separately solved fraction program, an oracle independent
     of the robustness solve that `optimal_steering_fraction` reads."""
-    report, _ = _fraction_report(sig.members, sig.dim, 1e-9)
-    return report
+    return _fraction_report(sig.members, 1e-9)
 
 
 def test_criterion_02_fraction_equals_robustness():

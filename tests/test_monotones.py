@@ -258,7 +258,7 @@ class TestFractionFromRobustness:
         # robustness program stalls and the fraction program does not
         noise = Assemblage(2, robustness_program(pure_qubit_draw(33, 7)).certificate["noise"])
         so = optimal_steering_fraction(noise)
-        fallback, _ = monotones._fraction_report(noise.members, 2, 1e-9)
+        fallback = monotones._fraction_report(noise.members, 1e-9)
         assert so.status == fallback.status == "optimal"
         assert abs(so.value - fallback.value) <= 1e-9
 
@@ -287,7 +287,7 @@ class TestCertificates:
         sig = steer(isotropic(2, 0.9), zx_family())
         prog = robustness_program(sig)
         weight = steerable_weight(sig).certificate
-        fraction = monotones._fraction_report(sig.members, 2, 1e-9)[0].certificate
+        fraction = monotones._fraction_report(sig.members, 1e-9).certificate
         arrays = (prog.certificate["model"], prog.certificate["witness"], weight["weights"],
                   weight["witness"], fraction["functional"], fraction["dual_cover"])
         assert all(a.base is None for a in arrays)
@@ -652,7 +652,8 @@ class TestAudit:
             table = branch.members
             row = report.rows[failing - 1]
             value, supremum = row.branch_values[0], row.branch_suprema[0]
-        fallback, fallback_sup = monotones._fraction_report(table, 2, 1e-9)
+        fallback = monotones._fraction_report(table, 1e-9)
+        fallback_sup = fallback.certificate["supremum"]
         assert fallback.status == "optimal"
         assert (value, supremum) == (fallback.value, fallback_sup)
 

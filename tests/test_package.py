@@ -255,6 +255,24 @@ def test_no_unused_module_imports(path):
     assert unused == []
 
 
+def test_every_private_helper_is_referenced():
+    # a private (not dunder) function or class, at any depth, that no module
+    # reads by name, as an attribute or through an import is dead code
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(Path(SRC, "steerkit").glob("*.py"))}
+    read = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    defined = [(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not (node.name.startswith("__") and node.name.endswith("__"))]
+    assert [f"{name}: {helper}" for name, helper in defined if helper not in read] == []
+
+
 @pytest.mark.parametrize("path", sorted(Path(SRC, "steerkit").glob("*.py")), ids=lambda p: p.name)
 def test_every_all_entry_is_bound(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))

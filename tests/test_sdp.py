@@ -123,26 +123,25 @@ class TestSmallProblems:
             assert sol.status == "optimal"
             assert abs(sol.primal_objective - target) <= 1e-7
 
-    def test_primal_infeasible_certificate(self):
-        # tr X = -1 cannot hold for X >= 0
+    def test_primal_infeasible_problem_ends_indeterminate_early(self):
+        # tr X = -1 cannot hold for X >= 0; tau collapses long before the cap
         p = SdpProblem()
         x = p.add_block(2)
         p.set_objective({x: np.eye(2)}, sense="min")
         p.add_scalar_constraint({x: np.eye(2)}, -1.0)
-        sol = solve(p)
-        assert sol.status == "primal_infeasible"
-        assert sol.certificate["min_eig_slack"] > -1e-6
+        sol = solve(p, max_iters=100)
+        assert sol.status == "indeterminate" and sol.x is None
+        assert sol.iterations <= 10
 
-    def test_dual_infeasible_certificate(self):
+    def test_unbounded_problem_ends_indeterminate_early(self):
         # max x11 with only x22 pinned is unbounded above
         p = SdpProblem()
         x = p.add_block(2)
         p.set_objective({x: np.array([[1.0, 0.0], [0.0, 0.0]])}, sense="max")
         p.add_scalar_constraint({x: np.array([[0.0, 0.0], [0.0, 1.0]])}, 1.0)
-        sol = solve(p)
-        assert sol.status == "dual_infeasible"
-        assert sol.certificate["primal_residual"] <= 1e-6
-        assert sol.certificate["x"].shape == (1, 2, 2)
+        sol = solve(p, max_iters=100)
+        assert sol.status == "indeterminate" and sol.x is None
+        assert sol.iterations <= 10
 
 
 def _blocks(*dims):
@@ -575,23 +574,6 @@ class TestConstraintProducts:
         gen = rng(34)
         self.check(*rows_problem(gen, kinds), gen)
 
-    def test_farkas_ray_comes_back_in_the_callers_row_order(self):
-        # X_0 + X_1 = -I cannot hold, between two scalar rows
-        p = _blocks(2, 2, 2)
-        p.add_scalar_constraint({2: np.eye(2)}, 1.0)
-        p.add_matrix_equality({0: 1.0, 1: 1.0}, -np.eye(2))
-        p.add_scalar_constraint({0: np.diag([1.0, 2.0])}, 1.0)
-        a = np.zeros((6, 3, 4))
-        a[0, 2] = svec(np.eye(2))
-        a[1:5, 0] = a[1:5, 1] = np.eye(4)
-        a[5, 0] = svec(np.diag([1.0, 2.0]))
-        b = np.concatenate([[1.0], svec(-np.eye(2)), [1.0]])
-        sol = solve(p)
-        assert sol.status == "primal_infeasible"
-        y = sol.certificate["y"]
-        assert abs(b @ y - 1.0) <= 1e-9
-        assert np.linalg.eigvalsh(smat(-(y @ a.reshape(6, -1)).reshape(3, 4), 2)).min() > -1e-6
-
     def test_multipliers_come_back_in_the_callers_row_order(self):
         p, a = rows_problem(rng(35), "SESEES")
         assert not np.array_equal(_Layout(p).order, np.arange(p.n_constraints))
@@ -879,10 +861,7 @@ class TestSolveMany:
         problems = [fraction_program(tables[0]), fraction_program(tables[1], rhs=-np.eye(2)),
                     fraction_program(tables[2])]
         batch = solve_many(problems)
-        assert [s.status for s in batch] == ["optimal", "primal_infeasible", "optimal"]
-        cert = batch[1].certificate
-        assert cert["min_eig_slack"] > -1e-6
-        assert batch[0].certificate is None and batch[2].certificate is None
+        assert [s.status for s in batch] == ["optimal", "indeterminate", "optimal"]
         for i in (0, 1, 2):
             assert_same_solution(batch[i], solve(problems[i]))
 
