@@ -5,7 +5,8 @@ writes a JSON report to standard output or to --out.  Reports are
 rendered with sorted keys, so identical inputs and seed produce byte
 identical output.  Exit codes: 0 on success, 1 on a domain error (the
 report is a structured error object) or a failed reproduction table,
-2 when a solver ends without a certified optimum.
+2 when a solver ends without a certified optimum.  Each leaf parser
+carries its handler as the `command` default, and `run` calls it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 # One BLAS thread unless the caller chose, set before numpy loads: numpy
 # starts OpenBLAS's thread pool on import and no command gains from it.
@@ -55,21 +56,9 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main", "run"]
 
 TOL_RANGE = (1e-12, 1e-4)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common options of one invocation."""
-
-    tol: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not TOL_RANGE[0] <= self.tol <= TOL_RANGE[1]:
-            raise ValueError(f"tolerance must lie in [{TOL_RANGE[0]}, {TOL_RANGE[1]}]")
 
 
 class _UsageError(Exception):
@@ -83,7 +72,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
-def _common(parser: argparse.ArgumentParser, solver: bool = False) -> None:
+def _common(parser: argparse.ArgumentParser, command, solver: bool = False) -> None:
+    parser.set_defaults(command=command)
     if solver:
         parser.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
@@ -92,68 +82,68 @@ def _common(parser: argparse.ArgumentParser, solver: bool = False) -> None:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="steerkit", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="subcommand", metavar="subcommand", required=True)
+    subs = parser.add_subparsers(metavar="subcommand", required=True)
 
     p = subs.add_parser("fef", help="fully entangled fraction of a state")
     p.add_argument("--state", required=True, help="state descriptor JSON")
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--strategy", choices=("auto", "closed-form", "ascent"), default="auto")
-    _common(p)
+    _common(p, _cmd_fef)
 
     p = subs.add_parser("twirl", help="project a state onto the isotropic family")
     p.add_argument("--state", required=True)
     p.add_argument("--samples", type=int, default=None, help="also average this many random unitaries")
-    _common(p)
+    _common(p, _cmd_twirl)
 
     p = subs.add_parser("steer", help="assemblage produced by measuring a state")
     p.add_argument("--state", required=True)
     p.add_argument("--measurements", required=True, help="measurement family JSON")
-    _common(p)
+    _common(p, _cmd_steer)
 
     p = subs.add_parser("bound", help="classical bound of a functional")
     p.add_argument("--functional", help="steering functional JSON")
     p.add_argument("--bell", help="Bell coefficient JSON")
-    _common(p)
+    _common(p, _cmd_bound)
 
     p = subs.add_parser("fraction", help="violation fraction of data against a functional")
     p.add_argument("--assemblage", help="assemblage JSON (with --functional)")
     p.add_argument("--functional", help="steering functional JSON")
     p.add_argument("--correlation", help="correlation JSON (with --bell)")
     p.add_argument("--bell", help="Bell coefficient JSON")
-    _common(p)
+    _common(p, _cmd_fraction)
 
     p = subs.add_parser("lvs", help="largest violation of a steering functional by a state")
     p.add_argument("--state", required=True)
     p.add_argument("--functional", required=True)
-    _common(p, solver=True)
+    _common(p, _cmd_lvs, solver=True)
 
     p = subs.add_parser("monotone", help="convex steering monotone of an assemblage")
     p.add_argument("--assemblage", required=True)
     p.add_argument("--which", choices=("S_O", "S_W", "S_R"), default="S_O")
-    _common(p, solver=True)
+    _common(p, _cmd_monotone, solver=True)
 
     p = subs.add_parser("game", help="named game and measurement generators")
     game_subs = p.add_subparsers(dest="game", metavar="name", required=True)
     g = game_subs.add_parser("kv", help="biased coset game on n-bit strings")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--eta", type=float, default=None)
-    _common(g)
+    _common(g, _cmd_game)
     g = game_subs.add_parser("cglmp", help="two-setting d-outcome inequality")
     g.add_argument("--d", type=int, required=True)
-    _common(g)
+    _common(g, _cmd_game)
     g = game_subs.add_parser("mub", help="mutually unbiased basis functional")
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
-    _common(g)
+    _common(g, _cmd_game)
 
     p = subs.add_parser("criteria", help="closed-form thresholds and planners")
     crit_subs = p.add_subparsers(dest="criteria", metavar="name", required=True)
     c = crit_subs.add_parser("thresholds", help="isotropic steerability thresholds")
     c.add_argument("--d", type=int, required=True)
-    _common(c)
+    _common(c, _cmd_criteria)
     c = crit_subs.add_parser("upper-bounds", help="violation ceilings of the maximally entangled state")
     c.add_argument("--d", type=int, required=True)
-    _common(c)
+    _common(c, _cmd_criteria)
     c = crit_subs.add_parser(
         "amplify", help="dimension planner for a target multi-copy violation",
         description="Smallest isotropic dimension d meeting both targets. d is an exact "
@@ -163,24 +153,24 @@ def build_parser() -> _Parser:
     c.add_argument("--eps", type=float, required=True)
     c.add_argument("--delta", type=float, required=True)
     c.add_argument("--k", type=int, default=3)
-    _common(c)
+    _common(c, _cmd_criteria)
     c = crit_subs.add_parser("superactivate", help="copy count activating an isotropic state")
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--p", type=float, required=True)
-    _common(c)
+    _common(c, _cmd_criteria)
 
     p = subs.add_parser("reproduce", help="regression table of the library's reference numbers")
-    _common(p)
+    _common(p, _cmd_reproduce)
 
     return parser
 
 
-def _cmd_fef(args, config: RunConfig):
+def _cmd_fef(args):
     from .serialize import decode_state, encode_matrix
     from .states import fef
 
     rho = decode_state(load_json(args.state))
-    res = fef(rho, strategy=args.strategy, restarts=args.restarts, seed=config.seed)
+    res = fef(rho, strategy=args.strategy, restarts=args.restarts, seed=args.seed)
     return {
         "fef": res.value,
         "exact": res.exact,
@@ -190,7 +180,7 @@ def _cmd_fef(args, config: RunConfig):
     }, 0
 
 
-def _cmd_twirl(args, config: RunConfig):
+def _cmd_twirl(args):
     import numpy as np
 
     from .serialize import decode_state
@@ -200,7 +190,7 @@ def _cmd_twirl(args, config: RunConfig):
     iso = twirl(rho)
     report = {"isotropic": {"d": iso.d, "p": iso.p}}
     if args.samples is not None:
-        sampled = twirl_monte_carlo(rho, samples=args.samples, rng=config.seed)
+        sampled = twirl_monte_carlo(rho, samples=args.samples, rng=args.seed)
         target = isotropic(iso.d, iso.p).matrix
         spectrum = np.linalg.eigvalsh(sampled.matrix - target)
         report["monte_carlo"] = {
@@ -210,7 +200,7 @@ def _cmd_twirl(args, config: RunConfig):
     return report, 0
 
 
-def _cmd_steer(args, config: RunConfig):
+def _cmd_steer(args):
     from .assemblages import steer
     from .serialize import decode_measurements, decode_state, encode_assemblage
 
@@ -219,7 +209,7 @@ def _cmd_steer(args, config: RunConfig):
     return encode_assemblage(steer(rho, fam)), 0
 
 
-def _cmd_bound(args, config: RunConfig):
+def _cmd_bound(args):
     from .functionals import local_bound, steering_bound
     from .serialize import decode_bell, decode_functional, encode_matrix
 
@@ -244,7 +234,7 @@ def _cmd_bound(args, config: RunConfig):
     }, 0
 
 
-def _cmd_fraction(args, config: RunConfig):
+def _cmd_fraction(args):
     from .functionals import nonlocality_fraction, steering_fraction
     from .serialize import decode_assemblage, decode_bell, decode_correlation, decode_functional
 
@@ -273,13 +263,13 @@ def _cmd_fraction(args, config: RunConfig):
     }, 0
 
 
-def _cmd_lvs(args, config: RunConfig):
+def _cmd_lvs(args):
     from .functionals import lv_s
     from .serialize import decode_functional, decode_state, encode_measurements
 
     rho = decode_state(load_json(args.state))
     func = decode_functional(load_json(args.functional))
-    res = lv_s(rho, func, tol=config.tol)
+    res = lv_s(rho, func, tol=args.tol)
     return {
         "value": res.value,
         "gap": res.gap,
@@ -288,7 +278,7 @@ def _cmd_lvs(args, config: RunConfig):
     }, 0
 
 
-def _cmd_monotone(args, config: RunConfig):
+def _cmd_monotone(args):
     from .monotones import optimal_steering_fraction, steerable_weight, steering_robustness
     from .serialize import decode_assemblage
 
@@ -298,11 +288,11 @@ def _cmd_monotone(args, config: RunConfig):
         "S_W": steerable_weight,
         "S_R": steering_robustness,
     }[args.which]
-    report = compute(sigma, tol=config.tol)
+    report = compute(sigma, tol=args.tol)
     return asdict(report), 0 if report.status == "optimal" else 2
 
 
-def _cmd_game(args, config: RunConfig):
+def _cmd_game(args):
     from .games import _kv_fraction, cglmp, cglmp_lv_lower, kv_game, kv_measurements, mub, mub_functional
     from .serialize import encode_bell, encode_functional, encode_measurements
 
@@ -350,7 +340,7 @@ def _cmd_game(args, config: RunConfig):
         return report, 0
 
 
-def _cmd_criteria(args, config: RunConfig):
+def _cmd_criteria(args):
     from . import criteria as crit
 
     if args.criteria == "thresholds":
@@ -439,7 +429,7 @@ def _reference_rows() -> list[dict]:
     return rows
 
 
-def _cmd_reproduce(args, config: RunConfig):
+def _cmd_reproduce(args):
     rows = _reference_rows()
     failures = sum(1 for row in rows if not row["pass"])
     report = {
@@ -449,20 +439,6 @@ def _cmd_reproduce(args, config: RunConfig):
         "failures": failures,
     }
     return report, 0 if failures == 0 else 1
-
-
-_DISPATCH = {
-    "fef": _cmd_fef,
-    "twirl": _cmd_twirl,
-    "steer": _cmd_steer,
-    "bound": _cmd_bound,
-    "fraction": _cmd_fraction,
-    "lvs": _cmd_lvs,
-    "monotone": _cmd_monotone,
-    "game": _cmd_game,
-    "criteria": _cmd_criteria,
-    "reproduce": _cmd_reproduce,
-}
 
 
 def _error(kind: str, message: str, **where) -> str:
@@ -477,10 +453,11 @@ def run(argv=None) -> int:
         err.parser.print_usage(sys.stderr)
         sys.stderr.write(f"error: {err}\n")
         return 1
-    out = getattr(args, "out", None)
+    out = args.out
     try:
-        config = RunConfig(tol=getattr(args, "tol", 1e-9), seed=getattr(args, "seed", 0))
-        payload, code = _DISPATCH[args.subcommand](args, config)
+        if not TOL_RANGE[0] <= getattr(args, "tol", TOL_RANGE[0]) <= TOL_RANGE[1]:
+            raise ValueError(f"tolerance must lie in [{TOL_RANGE[0]}, {TOL_RANGE[1]}]")
+        payload, code = args.command(args)
         text = render_report(payload)
     except json.JSONDecodeError as err:
         text, code = _error("input", err.msg, line=err.lineno, column=err.colno), 1

@@ -56,8 +56,12 @@ def render_report(obj) -> str:
 
 
 def load_json(path: str):
+    """The decoded JSON file at path.  A decoding fault, nesting too deep
+    for the decoder's recursion included, is a JSONDecodeError naming it."""
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
         except json.JSONDecodeError as err:
             raise json.JSONDecodeError(f"{path}: {err.msg}", err.doc, err.pos) from None
+        except RecursionError as err:
+            raise json.JSONDecodeError(f"{path}: nesting too deep ({err})", "", 0) from None

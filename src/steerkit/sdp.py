@@ -485,13 +485,13 @@ def _nt_scaling(factors: np.ndarray) -> _Nt:
     return _Nt(r, rinv, _matmul(r, dagger(r)), lam)
 
 
-def _guarded(fn, stack: np.ndarray, fill=None):
+def _guarded(fn, stack: np.ndarray, fill):
     """fn of the (P, ...) stack, and the (P,) mask of the problems whose
     slice makes fn raise LinAlgError.
 
     Only when fn of the whole stack raises is each slice tried alone with
     the same fn. The failing slices are then replaced by `fill` and fn of
-    the stack is the result; without a fill the result is None."""
+    the stack is the result."""
     failed = np.zeros(len(stack), dtype=bool)
     try:
         return fn(stack), failed
@@ -502,8 +502,6 @@ def _guarded(fn, stack: np.ndarray, fill=None):
             fn(part)
         except np.linalg.LinAlgError:
             failed[j] = True
-    if fill is None:
-        return None, failed
     stack = stack.copy()
     stack[failed] = fill
     return fn(stack), failed

@@ -17,6 +17,7 @@ certified optimum from a lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -348,8 +349,8 @@ def fef(
         forces the iterative optimizer.
     restarts : int
         Number of ascent starts, at least 1 (ValueError below).  The
-        identity and the two spectral warm starts always run; the starts
-        past those three are Haar random.
+        identity and the two spectral warm starts come first; the starts
+        past those three are Haar random, drawn as they are needed.
     seed
         Seed or Generator for the random restarts.
 
@@ -384,12 +385,13 @@ def fef(
     w, v = herm_eig(rho.matrix)
     pm, _, qh = np.linalg.svd(v[:, -1].reshape(d, d))
     starts.append((pm @ qh).conj().T)
-    starts += [haar_unitary(d, gen) for _ in range(restarts - len(starts))]
+    # Haar starts are drawn as the loop reaches them: none past a certified one
+    haar = (haar_unitary(d, gen) for _ in range(restarts - len(starts)))
 
     best_u = starts[0]
     best = -np.inf
     certified = False
-    for u0 in starts:
+    for u0 in chain(starts, haar):
         u, val = _ascend(u0, m_form, d)
         if val > best:
             best, best_u = val, u

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: reports, round trips, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -7,9 +8,10 @@ import math
 import numpy as np
 import pytest
 
+import steerkit.cli
 import steerkit.monotones
 from steerkit.assemblages import MeasurementFamily, steer
-from steerkit.cli import run
+from steerkit.cli import build_parser, run
 from steerkit.criteria import amplification_plan
 from steerkit.functionals import BellFunctional, correlation_from
 from steerkit.games import cglmp, mub, mub_functional
@@ -477,6 +479,17 @@ class TestErrorHandling:
         assert err["line"] == 1 and err["column"] > 1
         assert "bad.json" in err["message"]
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"isotropic": ' + "[" * 5_000 + "]" * 5_000 + "}",
+    ], ids=["arrays", "inside_a_descriptor"])
+    def test_nesting_too_deep_is_input_error(self, tmp_path, text):
+        # the decoder's recursion limit, not a solver failure
+        code, report = run_json(tmp_path, "fef", "--state", write(tmp_path, "deep.json", text))
+        assert code == 1
+        assert report["error"]["kind"] == "input"
+        assert "deep.json: nesting too deep" in report["error"]["message"]
+
     def test_missing_file(self, tmp_path):
         code, report = run_json(tmp_path, "fef", "--state", str(tmp_path / "nope.json"))
         assert code == 1
@@ -489,6 +502,18 @@ class TestErrorHandling:
         assert "tolerance" in report["error"]["message"]
         code, report = run_json(tmp_path, "monotone", "--assemblage", asm, "--tol", "1e-15")
         assert code == 1
+
+    @pytest.mark.parametrize("tol, code", [("1e-12", 0), ("1e-4", 0), ("1e-2", 1), ("1e-13", 1)])
+    def test_tolerance_window_edges(self, tmp_path, tol, code):
+        # two outcomes per setting: lvs takes the closed form and runs no solve
+        state = write(tmp_path, "psi.json", encode_state(max_entangled(2)))
+        func = write(tmp_path, "f.json", encode_functional(mub_functional(mub(2, 2))))
+        got, report = run_json(tmp_path, "lvs", "--state", state, "--functional", func, "--tol", tol)
+        assert got == code
+        if code:
+            assert report["error"] == {
+                "kind": "domain", "message": "tolerance must lie in [1e-12, 0.0001]"
+            }
 
     def test_tolerance_only_where_a_solver_runs(self, tmp_path, capsys):
         state = write(tmp_path, "iso.json", {"isotropic": {"d": 2, "p": 0.5}})
@@ -557,6 +582,21 @@ class TestErrorHandling:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_every_leaf_names_one_handler(self):
+        def leaves(parser):
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                return [parser]
+            return [leaf for sub in subs for child in sub.choices.values() for leaf in leaves(child)]
+
+        handlers = {leaf.get_default("command") for leaf in leaves(build_parser())}
+        assert all(callable(handler) for handler in handlers)
+        assert {handler.__name__ for handler in handlers} == {
+            name for name in vars(steerkit.cli) if name.startswith("_cmd_")
+        }
 
 
 class TestDeterminism:

@@ -694,7 +694,7 @@ class TestTiledCholesky:
         stack = np.stack([np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, failed = sdp._guarded(np.linalg.cholesky, stack[:, np.newaxis])
+            _, failed = sdp._guarded(np.linalg.cholesky, stack[:, np.newaxis], np.eye(2))
         assert (~failed).tolist() == [True, False]
 
     @pytest.mark.parametrize("n", (64, 65, 243))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import steerkit.states
 from steerkit.linalg import dagger, haar_unitary, kron
 from steerkit.states import (
     DensityMatrix,
@@ -160,6 +161,18 @@ class TestFefAscent:
     def test_needs_a_start(self, restarts):
         with pytest.raises(ValueError, match=f"restarts must be at least 1, not {restarts}"):
             fef(random_density_matrix(2, 2, rng=3), strategy="ascent", restarts=restarts)
+
+    def test_draws_no_start_past_the_certified_one(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return haar_unitary(*args)
+
+        monkeypatch.setattr(steerkit.states, "haar_unitary", counted)
+        res = fef(max_entangled(2), strategy="ascent", restarts=1000)
+        assert res.exact and abs(res.value - 1.0) <= 1e-9
+        assert calls == []
 
     def test_certificate_reproduces_value(self):
         rho = random_density_matrix(2, 2, rng=3)
