@@ -16,6 +16,7 @@ import numpy as np
 
 from .linalg import PSD_TOL, dagger, herm, project_psd
 from .states import DensityMatrix
+from .strategies import mixture
 
 __all__ = [
     "MeasurementFamily",
@@ -245,9 +246,9 @@ def apply_instrument(sigma: Assemblage, ins: Instrument1W) -> list[tuple[float, 
 class MembershipResult:
     """Outcome of an LHS membership test.
 
-    For members, `model` holds the hidden states sigma_lambda (indexed in
-    the shared lexicographic strategy order) whose deterministic mixture
-    reproduces the assemblage within `residual`.  For nonmembers,
+    For members, `model` holds the hidden states sigma_lambda, one per row
+    of the S_R certificate's `strategies`, whose mixture reproduces the
+    assemblage within `residual`.  For nonmembers,
     `witness` is a steering functional whose value on the assemblage
     exceeds its LHS bound (both recomputed exactly by enumeration).
     """
@@ -282,7 +283,7 @@ def lhs_membership(sigma: Assemblage) -> MembershipResult:
     cert = report.certificate
 
     if report.value <= MEMBER_TOL:
-        proj = np.einsum("kxa,kij->xaij", cert["strategy_indicator"], cert["model"])
+        proj = mixture(cert["strategies"], sigma.members.shape[1], cert["model"])
         residual = float(np.max(np.abs(proj - sigma.members)))
         return MembershipResult(
             status="member",

@@ -24,7 +24,7 @@ from .assemblages import Assemblage, MeasurementFamily, _clean_operator_table, s
 from .linalg import dagger, haar_unitary, herm, herm_eig
 from .sdp import SdpProblem, solve, solve_many
 from .states import DensityMatrix
-from .strategies import all_strategies, best_strategy, strategy_count
+from .strategies import all_strategies, best_strategy, strategy_count, strategy_sums
 
 __all__ = [
     "BellFunctional",
@@ -195,10 +195,8 @@ def local_bound(bell: BellFunctional) -> LocalBound:
         raise ValueError(f"strategy space exceeds the enumeration cap {LOCAL_BOUND_CAP}")
     # arr[y, b, x, a] lets a Bob strategy gather its (x, a) reply table
     arr = np.ascontiguousarray(c.transpose(1, 3, 0, 2))
-    best, best_bob = best_strategy(
-        mb, ob, lambda chunk: arr[np.arange(mb)[None, :], chunk].sum(axis=1).max(axis=2).sum(axis=1)
-    )
-    reply = arr[np.arange(mb), best_bob].sum(axis=0)  # (ma, oa)
+    best, best_bob = best_strategy(mb, ob, lambda chunk: strategy_sums(arr, chunk).max(axis=2).sum(axis=1))
+    reply = strategy_sums(arr, best_bob)  # (ma, oa)
     best_alice = reply.argmax(axis=1)
     return LocalBound(best, best_alice.astype(np.int64), best_bob)
 
@@ -210,10 +208,8 @@ def steering_bound(func: SteeringFunctional) -> SteeringBound:
     m, o = func.settings, func.outcomes
     if strategy_count(m, o) > STEERING_BOUND_CAP:
         raise ValueError(f"strategy space exceeds the enumeration cap {STEERING_BOUND_CAP}")
-    best, strategy = best_strategy(
-        m, o, lambda chunk: np.linalg.eigvalsh(f[np.arange(m)[None, :], chunk].sum(axis=1))[:, -1]
-    )
-    _, vecs = herm_eig(f[np.arange(m), strategy].sum(axis=0))
+    best, strategy = best_strategy(m, o, lambda chunk: np.linalg.eigvalsh(strategy_sums(f, chunk))[:, -1])
+    _, vecs = herm_eig(strategy_sums(f, strategy))
     return SteeringBound(best, strategy, vecs[:, -1])
 
 
@@ -221,14 +217,11 @@ def steering_bound_sdp(func: SteeringFunctional, tol: float = 1e-9) -> float:
     """Steering bound as a conic program: max sum_k tr(S_k rho_k) over PSD
     rho_k of total trace 1, S_k the deterministic strategy sums.
     Cross-validates the enumeration."""
-    f = func.operators
-    m, o, d = func.settings, func.outcomes, func.dim
-    strategies = all_strategies(m, o, cap=4096)
+    sums = strategy_sums(func.operators, all_strategies(func.settings, func.outcomes, cap=4096))
     p = SdpProblem()
-    blocks = [p.add_block(d) for _ in strategies]
-    p.set_objective({blk: herm(f[np.arange(m), strat].sum(axis=0))
-                     for blk, strat in zip(blocks, strategies)}, sense="max")
-    p.add_scalar_constraint({blk: np.eye(d) for blk in blocks}, 1.0)
+    blocks = [p.add_block(func.dim) for _ in sums]
+    p.set_objective({blk: herm(total) for blk, total in zip(blocks, sums)}, sense="max")
+    p.add_scalar_constraint({blk: np.eye(func.dim) for blk in blocks}, 1.0)
     sol = solve(p, tol=tol)
     if sol.status != "optimal":
         raise RuntimeError(f"steering bound solve ended {sol.status}")

@@ -11,7 +11,8 @@ The steerable weight and the steering robustness are one program over
 PSD hidden states, one per strategy: a PSD slack holds their mixture below
 sigma when the weight maximizes their total trace, above it when the
 robustness minimizes it.  `_hidden_state_report` reads either sense into
-a `MonotoneReport`, the one record of a hidden-state solve.
+a `MonotoneReport`, the one record of a hidden-state solve; hidden state k
+answers as row k of its certificate's (o^m, m) answer table `strategies`.
 
 The optimal steering fraction is the Lagrange dual of the robustness
 program, so both are read off one robustness solve: its dual slack is the
@@ -44,7 +45,7 @@ import numpy as np
 from .assemblages import MEMBERSHIP_CAP_BITS, Assemblage, Instrument1W, apply_instrument
 from .linalg import herm
 from .sdp import SdpProblem, solve, solve_many
-from .strategies import all_strategies
+from .strategies import all_strategies, mixture, strategy_sums
 
 __all__ = [
     "MonotoneReport",
@@ -70,22 +71,22 @@ def _clamped(v: float) -> float:
     return 0.0 if v < VALUE_CLAMP else float(v)
 
 
-def _strategy_indicator(settings: int, outcomes: int) -> np.ndarray:
-    """One-hot D[k, x, a] = 1 when strategy k (enumeration order) answers a on x."""
+def _strategies(settings: int, outcomes: int) -> np.ndarray:
+    """The (o^m, m) answer table of every strategy, in enumeration order."""
     if settings * np.log2(outcomes) > MEMBERSHIP_CAP_BITS:
         raise ValueError(
             f"the monotone and LHS-membership programs enumerate {outcomes}^{settings} "
             f"strategies; cap is settings*log2(outcomes) <= {MEMBERSHIP_CAP_BITS}"
         )
-    return np.eye(outcomes)[all_strategies(settings, outcomes)]
+    return all_strategies(settings, outcomes)
 
 
-def _functional_value(members: np.ndarray, ind: np.ndarray, functional: np.ndarray,
+def _functional_value(members: np.ndarray, strategies: np.ndarray, functional: np.ndarray,
                       sense: str) -> float | None:
     """The bound a PSD functional certifies, its strategy sums enumerated:
     payoff / max lambda_max - 1 for "min" (S_R, S_O), 1 - payoff / min
     lambda_min for "max" (S_W); None when that lambda is not positive."""
-    eig = np.linalg.eigvalsh(np.einsum("kxa,xaij->kij", ind, functional))
+    eig = np.linalg.eigvalsh(strategy_sums(functional, strategies))
     lam = float(eig[:, -1].max()) if sense == "min" else float(eig[:, 0].min())
     if lam <= 0:
         return None
@@ -168,16 +169,16 @@ def _fraction_report(members: np.ndarray, tol: float) -> MonotoneReport:
     on which the robustness program can stall.
     """
     m, o, dim = members.shape[0], members.shape[1], members.shape[-1]
-    ind = _strategy_indicator(m, o)
+    strategies = _strategies(m, o)
     # blocks: F_{a|x} at x * o + a, then the slack T_k of strategy k
     p = SdpProblem()
-    for _ in range(m * o + len(ind)):
+    for _ in range(m * o + len(strategies)):
         p.add_block(dim)
     p.set_objective(dict(enumerate(herm(members.reshape(m * o, dim, dim), tol=1e-8))), sense="max")
     # the blocks F_{a|x} of strategy k's answers, one per setting
-    answers = np.nonzero(ind.reshape(len(ind), m * o))[1].reshape(len(ind), m).tolist()
+    answers = (strategies + o * np.arange(m)).tolist()
     terms = [{**dict.fromkeys(row, 1.0), m * o + k: 1.0} for k, row in enumerate(answers)]
-    p.add_matrix_equalities(terms, np.broadcast_to(np.eye(dim), (len(ind), dim, dim)))
+    p.add_matrix_equalities(terms, np.broadcast_to(np.eye(dim), (len(strategies), dim, dim)))
     sol = solve(p, tol=tol)
     if sol.status != "optimal":
         return MonotoneReport("S_O", float("nan"), float("nan"), sol.status, {})
@@ -192,8 +193,8 @@ def _fraction_report(members: np.ndarray, tol: float) -> MonotoneReport:
         gap=float(sol.gap),
         status=sol.status,
         certificate={"functional": functional, "dual_cover": duals, "supremum": supremum},
-        certificate_value=_functional_value(members, ind, functional, "min"),
-        dual_value=_cover_bound(members, ind, duals),
+        certificate_value=_functional_value(members, strategies, functional, "min"),
+        dual_value=_cover_bound(members, mixture(strategies, o, duals), duals),
     )
 
 
@@ -205,21 +206,21 @@ def _hidden_state_program(members: np.ndarray, sense: str) -> tuple[SdpProblem, 
     shape, so tables of one shape give programs that `solve_many` batches.
     """
     m, o, dim = members.shape[0], members.shape[1], members.shape[-1]
-    ind = _strategy_indicator(m, o)
+    strategies = _strategies(m, o)
     slack = 1.0 if sense == "max" else -1.0
-    k_count = len(ind)
+    k_count = len(strategies)
     p = SdpProblem()
     for _ in range(k_count + m * o):
         p.add_block(dim)
     p.set_objective(dict.fromkeys(range(k_count), np.eye(dim)), sense=sense)
     # the strategies that answer a on x, for every (x, a): o^(m-1) each
-    answering = np.nonzero(ind.reshape(k_count, m * o).T)[1].reshape(m * o, -1).tolist()
+    answering = [np.flatnonzero(strategies[:, x] == a).tolist() for x in range(m) for a in range(o)]
     terms = [{**dict.fromkeys(row, 1.0), k_count + xa: slack} for xa, row in enumerate(answering)]
     p.add_matrix_equalities(terms, herm(members.reshape(m * o, dim, dim), tol=1e-8))
-    return p, ind
+    return p, strategies
 
 
-def _hidden_state_report(members: np.ndarray, ind: np.ndarray, sol, sense: str) -> MonotoneReport:
+def _hidden_state_report(members: np.ndarray, strategies: np.ndarray, sol, sense: str) -> MonotoneReport:
     """The report of a solved hidden-state program: S_W for sense "max",
     S_R for "min" (NaN unless the solve ended optimal).  The hidden states
     and the functional (the (x, a) slacks) are copies, since views would
@@ -228,36 +229,35 @@ def _hidden_state_report(members: np.ndarray, ind: np.ndarray, sol, sense: str) 
     name = "S_W" if sense == "max" else "S_R"
     if sol.status != "optimal":
         return MonotoneReport(name, float("nan"), float("nan"), sol.status, {})
-    states = sol.x[:len(ind)].copy()
-    functional = sol.s[len(ind):].reshape(members.shape).copy()
-    mixture = np.einsum("kxa,kij->xaij", ind, states)
+    states = sol.x[:len(strategies)].copy()
+    functional = sol.s[len(strategies):].reshape(members.shape).copy()
+    mixed = mixture(strategies, members.shape[1], states)
     raw = (1.0 if sense == "min" else -1.0) * (float(sol.primal_objective) - 1.0)
     part = None
     if raw > 1e-6:  # each part keeps its own subtraction order, zeros' signs too
-        part = (mixture - members) / raw if sense == "min" else (members - mixture) / raw
+        part = (mixed - members) / raw if sense == "min" else (members - mixed) / raw
     if sense == "max":
-        certificate = {"weights": states, "unsteerable": mixture, "steerable": part}
+        certificate = {"weights": states, "unsteerable": mixed, "steerable": part}
         cert_value = _clamped(1.0 - float(np.einsum("kii->", states).real))
     else:
         certificate = {"model": states, "noise": part, "raw": raw}
-        cert_value = _cover_bound(members, ind, states)
+        cert_value = _cover_bound(members, mixed, states)
     return MonotoneReport(
         monotone=name,
         value=_clamped(raw),
         gap=float(sol.gap),
         status=sol.status,
-        certificate={**certificate, "witness": functional, "strategy_indicator": ind},
+        certificate={**certificate, "witness": functional, "strategies": strategies},
         certificate_value=cert_value,
-        dual_value=_functional_value(members, ind, functional, sense),
+        dual_value=_functional_value(members, strategies, functional, sense),
     )
 
 
-def _cover_bound(members: np.ndarray, ind: np.ndarray, cover_states: np.ndarray) -> float:
+def _cover_bound(members: np.ndarray, cover: np.ndarray, cover_states: np.ndarray) -> float:
     """Upper bound on S_O from PSD states, one per strategy, whose strategy
-    mixture covers sigma: sum tr(Y_k) - 1, after adding to every Y_k the
-    multiple of the identity that makes the cover exact."""
+    mixture `cover` covers sigma: sum tr(Y_k) - 1, after adding to every Y_k
+    the multiple of the identity that makes the cover exact."""
     dim = members.shape[-1]
-    cover = np.einsum("kxa,kij->xaij", ind, cover_states)
     feas = float(np.linalg.eigvalsh(herm(cover - members, tol=1e-6))[..., 0].min())
     total = float(np.einsum("kii->", cover_states).real)
     return _clamped(total + max(0.0, -feas) * dim * len(cover_states) - 1.0)
@@ -303,21 +303,21 @@ def steerable_weight(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
     part and, when the weight is positive, the steerable remainder
     (sigma - mixture) / weight.
     """
-    problem, ind = _hidden_state_program(sigma.members, "max")
-    return _hidden_state_report(sigma.members, ind, solve(problem, tol=tol), "max")
+    problem, strategies = _hidden_state_program(sigma.members, "max")
+    return _hidden_state_report(sigma.members, strategies, solve(problem, tol=tol), "max")
 
 
 def robustness_program(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
     """The S_R report, with the detail the membership test consumes.
 
-    The model rows are the subnormalized hidden states; mixing them along
-    `strategy_indicator` reproduces sigma exactly at robustness 0.  The
-    witness is the dual functional, already positive semidefinite, whose
-    value on sigma approaches 1 + robustness while its enumeration bound
-    stays near 1.  `raw` is the unclamped robustness.
+    The model rows are the subnormalized hidden states, one per row of
+    `strategies`, whose mixture reproduces sigma exactly at robustness 0.
+    The witness is the dual functional, already positive semidefinite,
+    whose value on sigma approaches 1 + robustness while its enumeration
+    bound stays near 1.  `raw` is the unclamped robustness.
     """
-    problem, ind = _hidden_state_program(sigma.members, "min")
-    return _hidden_state_report(sigma.members, ind, solve(problem, tol=tol), "min")
+    problem, strategies = _hidden_state_program(sigma.members, "min")
+    return _hidden_state_report(sigma.members, strategies, solve(problem, tol=tol), "min")
 
 
 def steering_robustness(sigma: Assemblage, tol: float = 1e-9) -> MonotoneReport:
@@ -425,8 +425,8 @@ def monotonicity_audit(
     for idx in by_shape.values():
         progs = [_hidden_state_program(tables[i], "min") for i in idx]
         sols = solve_many([problem for problem, _ in progs], tol=1e-9)
-        for i, (_, ind), sol in zip(idx, progs, sols):
-            sr = _hidden_state_report(tables[i], ind, sol, "min")
+        for i, (_, strategies), sol in zip(idx, progs, sols):
+            sr = _hidden_state_report(tables[i], strategies, sol, "min")
             outcomes[i] = _fraction_from_robustness(tables[i], sr, tol=1e-9)
     base_report, *outcomes = outcomes
     base_sup = base_report.certificate.get("supremum", float("nan"))

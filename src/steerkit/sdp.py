@@ -16,7 +16,8 @@ Standard form handled internally:
 Exits. A problem ends `optimal` when its residuals and relative gap are
 within tol. Every other exit is `indeterminate`, with no solution: tau
 collapsing to 0 (the embedding's sign of infeasibility, which no program of
-the package has), a failed NT scaling or Newton step, or max_iters.
+the package has), a failed NT scaling, a line search that finds no interior
+point, or max_iters. A step whose elimination of dtau cancels keeps tau.
 
 Coordinates. A Hermitian n x n block is a real svec vector of length n^2:
 the diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper triangle,
@@ -71,10 +72,9 @@ factor's rows below it and in every sweep, applies that inverse with one
 refinement step (`_refined`): Z = D^-1 R, then X = Z + D^-1 (R - D Z), with
 a residual within twice that of LAPACK's LU solve on the same triangle. The
 inverse alone is not accurate enough: below D it failed a solve, and near
-the end of a solve, where M is ill-conditioned, the tau-elimination
+the end of a solve, where M is ill-conditioned, it let the tau-elimination
 denominator g2.q2 + <c, W c> + kappa/tau, a difference of terms of order
-1e9, rounded to exactly 0.0 on converging S_R and membership solves of
-(3, 2), (3, 3) and (4, 2) assemblages, which then ended indeterminate. The
+1e9, round to exactly 0.0 on converging (3, 2), (3, 3) and (4, 2) solves. The
 g1 system and the predictor's system are one two-column solve, so an
 iteration makes four sweeps. At these sizes (up to a few hundred rows)
 threads cannot pay, and calls this small run on the calling thread, whereas
@@ -733,7 +733,7 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
 
         def newton(h, q1, p2, p3, p5):
             rhs2 = p3 + _dot(c, h) + p5 / tau
-            dtau = (rhs2 - _dot(g2, q1)) / denom
+            dtau = np.where(cancels, 0.0, (rhs2 - _dot(g2, q1)) / denom)
             dy = q1 + q2 * dtau[:, np.newaxis]
             aty = at_dot(dy)
             dx = h + apply_w(aty) - wc * dtau[:, np.newaxis]
@@ -773,8 +773,8 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
         h_a, v_a = newton_rhs(-rp, -rd, p4_a)
         q2, q1_a = np.moveaxis(schur_solve(np.stack([g1, v_a], axis=-1)), -1, 0)
         denom = _dot(g2, q2) + alpha_sc
-        stop = np.abs(denom) < 1e-300
-        denom[stop] = 1.0
+        cancels = np.abs(denom) < 1e-300
+        denom[cancels] = 1.0
         dx_a, dy_a, ds_a, dtau_a, dkap_a = newton(h_a, q1_a, -rd, -rg, -tau * kappa)
         d_a = in_frame(dx_a, ds_a)
         alpha_aff = np.minimum(1.0, max_alpha(d_a, dtau_a, dkap_a))
@@ -802,7 +802,7 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
         # candidate of the step it accepted, and the Cholesky factors of its
         # blocks for the next NT scaling.
         alpha = np.minimum(1.0, _STEP_FRACTION * max_alpha(in_frame(dx, ds), dtau, dkappa))
-        searching = ~stop
+        searching = np.ones(len(run.ids), dtype=bool)
         for _ in range(40):
             tau_new = tau + alpha * dtau
             kappa_new = kappa + alpha * dkappa
@@ -815,11 +815,10 @@ def solve_many(problems: list[SdpProblem], tol: float = 1e-8,
             if not searching.any():
                 break
             alpha[searching] *= 0.5
-        stop |= searching
-        # a stopped problem leaves the batch with whatever candidate it had
+        # a problem still searching leaves the batch with whatever candidate it had
         run.x, run.s, run.tau, run.kappa, run.factors = x_new, s_new, tau_new, kappa_new, factors
         run.y = y + alpha[:, np.newaxis] * dy
-        run, _ = leave(run, indeterminate(stop), it)
+        run, _ = leave(run, indeterminate(searching), it)
         if not len(run.ids):
             break
     else:

@@ -8,13 +8,16 @@ enumeration-based routines (local and steering bounds, LHS programs,
 brute-force game values) share this order, and the bounds share one
 search, `best_strategy`, whose first-on-ties rule makes reported
 maximizers deterministic.
+
+A (K, m) integer answer table lists one strategy per row.  Only this
+module pairs it with tables indexed [x][a]: `strategy_sums` and `mixture`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["strategy_count", "all_strategies", "best_strategy"]
+__all__ = ["strategy_count", "all_strategies", "best_strategy", "strategy_sums", "mixture"]
 
 
 def strategy_count(settings: int, outcomes: int) -> int:
@@ -53,3 +56,16 @@ def best_strategy(settings: int, outcomes: int, score):
         if values[k] > best:
             best, best_row = float(values[k]), block[k].copy()
     return best, best_row
+
+
+def strategy_sums(table: np.ndarray, answers: np.ndarray) -> np.ndarray:
+    """sum_x table[x, answers[k, x]] for each row k of answers, (K, m) or (m,)."""
+    return table[np.arange(table.shape[0]), answers].sum(axis=answers.ndim - 1)
+
+
+def mixture(answers: np.ndarray, outcomes: int, states: np.ndarray) -> np.ndarray:
+    """The table whose [x, a] sums states[k] over the strategies k answering a on x."""
+    settings = answers.shape[1]
+    out = np.zeros((settings, outcomes) + states.shape[1:], dtype=states.dtype)
+    np.add.at(out, (np.arange(settings), answers), states[:, np.newaxis])
+    return out

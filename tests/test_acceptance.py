@@ -16,10 +16,11 @@ from steerkit.assemblages import (
     InstrumentBranch,
     MeasurementFamily,
     WiringMap,
+    lhs_membership,
     steer,
 )
 from steerkit.cli import run
-from steerkit.criteria import superactivation_min_copies, amplification_plan, _plan_metrics
+from steerkit.criteria import superactivation_min_copies, amplification_plan, _plan_metrics, isotropic_thresholds
 from steerkit.functionals import (
     SteeringFunctional,
     best_rotated_fraction,
@@ -326,3 +327,25 @@ def test_criterion_10_rotation_dominates_twirl():
         checked += 1
     assert checked == 100
     print("criterion 10 PASS: rotated maxima dominate the twirled fraction on 100 triples")
+
+
+def test_tau_elimination_that_cancels_keeps_the_solve_going():
+    # the robustness solve of this draw once ended `indeterminate` when its
+    # tau-elimination denominator rounded to below 1e-300
+    fam = random_projective_family(2, 8, np.random.default_rng([7, 2, 8, 7]))
+    sig = steer(isotropic(2, 0.999 * isotropic_thresholds(2).p_steer), fam)
+    assert lhs_membership(sig).status == "member"
+    report = steering_robustness(sig)
+    assert report.status == "optimal"
+    assert report.value == 0.0
+
+
+@pytest.mark.parametrize("d, m", [(2, 6), (3, 4), (2, 8)])
+def test_isotropic_below_the_closed_form_threshold_is_member(d, m):
+    # the closed form and the SDP must agree: below p_steer the isotropic
+    # state has a local hidden-state model for every projective family
+    p_steer = isotropic_thresholds(d).p_steer
+    for f in (0.999, 0.5):
+        for seed in range(8):
+            fam = random_projective_family(d, m, np.random.default_rng([7, d, m, seed]))
+            assert lhs_membership(steer(isotropic(d, f * p_steer), fam)).status == "member"

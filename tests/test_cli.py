@@ -24,6 +24,7 @@ from steerkit.serialize import (
     encode_state,
 )
 from steerkit.states import max_entangled, random_density_matrix
+from steerkit.strategies import all_strategies
 
 
 def write(tmp_path, name: str, payload) -> str:
@@ -133,6 +134,17 @@ class TestSteerAndMonotone:
         code, sr = run_json(tmp_path, "monotone", "--assemblage", asm_path, "--which", "S_R")
         assert code == 0
         assert sr["value"] > 1e-3
+
+    def test_certificates_name_their_strategies(self, tmp_path):
+        asm = write(tmp_path, "asm.json", encode_assemblage(steer(max_entangled(2), zx_family())))
+        for which in ("S_O", "S_W", "S_R"):
+            code, report = run_json(tmp_path, "monotone", "--which", which, "--assemblage", asm)
+            assert code == 0
+            assert "strategy_indicator" not in json.dumps(report)
+            if which != "S_O":
+                answers = report["certificate"]["strategies"]
+                assert all(type(a) is int for row in answers for a in row)
+                assert answers == all_strategies(2, 2).tolist()
 
     @pytest.mark.parametrize("which", ["S_W", "S_R"])
     def test_indeterminate_solve_is_solver_exit(self, tmp_path, monkeypatch, which):

@@ -24,7 +24,7 @@ from steerkit.monotones import (
     steerable_weight,
     steering_robustness,
 )
-from steerkit import monotones
+from steerkit import monotones, strategies
 from steerkit.games import mub
 from steerkit.sdp import SdpSolution
 from steerkit.states import DensityMatrix, isotropic, max_entangled, random_density_matrix
@@ -274,8 +274,8 @@ class TestFractionFromRobustness:
             assert np.array_equal(so.certificate["functional"], cert["witness"])
             assert np.array_equal(so.certificate["dual_cover"], cert["model"])
             # S_R's upper side is the checked cover, and S_O reads the two swapped
-            assert sr.certificate_value == monotones._cover_bound(
-                sig.members, cert["strategy_indicator"], cert["model"])
+            cover = strategies.mixture(cert["strategies"], sig.members.shape[1], cert["model"])
+            assert sr.certificate_value == monotones._cover_bound(sig.members, cover, cert["model"])
             assert (so.certificate_value, so.dual_value) == (sr.dual_value, sr.certificate_value)
             assert sr.dual_value <= sr.certificate_value
 
@@ -343,7 +343,7 @@ class TestCertificates:
         sig = steer(max_entangled(2), zx_family())
         cert = robustness_program(sig).certificate
         assert cert["model"].shape == (4, 2, 2)
-        assert cert["strategy_indicator"].shape == (4, 2, 2)
+        assert np.array_equal(cert["strategies"], strategies.all_strategies(2, 2))
         assert cert["witness"].shape == (2, 2, 2, 2)
         assert np.linalg.eigvalsh(cert["model"]).min() >= -1e-9
         assert np.linalg.eigvalsh(cert["witness"].reshape(-1, 2, 2)).min() >= -1e-9
@@ -352,8 +352,7 @@ class TestCertificates:
         sig = steer(isotropic(2, 0.85), zx_family())
         rep = steerable_weight(sig)
         witness = rep.certificate["witness"]
-        ind = rep.certificate["strategy_indicator"]
-        summed = np.einsum("kxa,xaij->kij", ind, witness)
+        summed = strategies.strategy_sums(witness, rep.certificate["strategies"])
         assert np.linalg.eigvalsh(summed)[:, 0].min() >= -1e-7
 
     def test_fraction_dual_cover_dominates_members(self):
@@ -361,8 +360,8 @@ class TestCertificates:
         rep = optimal_steering_fraction(sig)
         duals = rep.certificate["dual_cover"]
         # reconstruct the per-(x, a) cover from the strategy sums
-        ind = robustness_program(sig).certificate["strategy_indicator"]
-        cover = np.einsum("kxa,kij->xaij", ind, duals)
+        answers = robustness_program(sig).certificate["strategies"]
+        cover = strategies.mixture(answers, 2, duals)
         gap = cover - sig.members
         assert np.linalg.eigvalsh(gap.reshape(-1, 2, 2)).min() >= -1e-7
 
@@ -715,8 +714,8 @@ class TestFunctionalValue:
             noise = np.einsum("xaij,xakj->xaik", raw, raw.conj())
             ops = noise if trial % 2 else sig.members + 0.01 * noise
             func = SteeringFunctional(d, ops)
-            ind = monotones._strategy_indicator(m, d)
-            got = monotones._functional_value(sig.members, ind, func.operators, "min")
+            answers = monotones._strategies(m, d)
+            got = monotones._functional_value(sig.members, answers, func.operators, "min")
             want = monotones._clamped(steering_fraction(sig, func).value - 1.0)
             assert abs(got - want) <= 1e-12
             values.append(got)
@@ -728,6 +727,6 @@ class TestFunctionalValue:
         raw = gen.normal(size=(3, 2, 2, 2)) + 1j * gen.normal(size=(3, 2, 2, 2))
         ops = np.einsum("xaij,xakj->xaik", raw, raw.conj())
         ops[:, 0] = 0.0  # the strategy answering 0 everywhere sums to zero
-        ind = monotones._strategy_indicator(3, 2)
-        assert monotones._functional_value(sig.members, ind, ops, "max") is None
-        assert monotones._functional_value(sig.members, ind, ops, "min") is not None
+        answers = monotones._strategies(3, 2)
+        assert monotones._functional_value(sig.members, answers, ops, "max") is None
+        assert monotones._functional_value(sig.members, answers, ops, "min") is not None
